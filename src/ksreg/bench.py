@@ -14,12 +14,13 @@ through the image identities, where no cancellation occurs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .invariants import eval_generators_batch
 from .kepler_dynamics import kepler_vector_field
+from .ks_map import ks_batch
 from .ode import integrate_ode
 
 DEFAULT_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -47,14 +48,7 @@ class BenchRow:
         ])
 
     def to_json_dict(self) -> dict:
-        return {
-            "l_norm": self.l_norm,
-            "method": self.method,
-            "steps": self.steps,
-            "max_energy_drift": self.max_energy_drift,
-            "periapsis_error": self.periapsis_error,
-            "failed": self.failed,
-        }
+        return asdict(self)
 
 
 def seed_state(l_norm: float) -> np.ndarray:
@@ -68,23 +62,6 @@ def seed_state(l_norm: float) -> np.ndarray:
 
 def analytic_periapsis(l_norm: float) -> float:
     return 1 - math.sqrt(1 - l_norm * l_norm)
-
-
-def _image_state(z: np.ndarray) -> np.ndarray:
-    q1, q2, q3, q4 = z[:4]
-    qq = q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4
-    p1, p2, p3, p4 = z[4:]
-    x = np.array([
-        2 * (q1 * q3 + q2 * q4),
-        2 * (q1 * q4 - q2 * q3),
-        q1 * q1 + q2 * q2 - q3 * q3 - q4 * q4,
-    ])
-    n = np.array([
-        q3 * p1 + q4 * p2 + q1 * p3 + q2 * p4,
-        q4 * p1 - q3 * p2 - q2 * p3 + q1 * p4,
-        q1 * p1 + q2 * p2 - q3 * p3 - q4 * p4,
-    ])
-    return np.concatenate([x, n / qq])
 
 
 def _oscillator_field(t, z):
@@ -121,7 +98,7 @@ def _run_regularized(l_norm, rtol, atol, max_steps) -> BenchRow:
 
 
 def _run_raw(l_norm, rtol, atol, max_steps) -> BenchRow:
-    w0 = _image_state(seed_state(l_norm))
+    w0 = ks_batch(seed_state(l_norm))[0]
     grid = np.linspace(0.0, 2 * math.pi, 2001)
     res = integrate_ode(
         lambda t, w: kepler_vector_field(w), w0, (0.0, 2 * math.pi),

@@ -14,189 +14,11 @@ import click
 import numpy as np
 
 from .bench import DEFAULT_GRID, run_benchmark, write_bench_csv
-from .flows import (
-    collision_set_membership,
-    first_collision_time,
-    ks_relatedness_harness,
-    oscillator_trajectory,
-)
-from .invariants import eval_generators, eval_generators_batch
-from .kepler_dynamics import (
-    RadialState,
-    radial_collision_time,
-    radial_collision_time_quadrature,
-    radial_ode_rhs,
-    write_trajectory_csv,
-)
-from .ks_map import (
-    ks,
-    poisson_property_residual,
-    poisson_residual_xi_sweep,
-    pullback_angular_momentum,
-    pullback_eccentricity,
-    pullback_inner_product,
-    pullback_kepler_hamiltonian,
-)
-from .ode import integrate_ode
-from .orbit_space import lagrange_identity_check, relation_residuals_batch
-from .quadratic_poisson import reference_table_diff, verify_so4_relations
-from .sampling import (
-    RNG_ALGORITHM,
-    sample_collision_slice,
-    sample_level_set,
-    sample_phase_points,
-    sample_xi_zero,
-)
-
-FALL_GRID = (0.25, 0.5, 1.0, 1.5, 2.0)
-
-
-def _suite_so4():
-    table = verify_so4_relations()
-    return {
-        "name": "so4_relations",
-        "passed": all(row["match"] for row in table["so4"]),
-        "details": {
-            "brackets_checked": len(table["so4"]),
-            "split_basis_factors": table["xi_eta"],
-        },
-    }
-
-
-def _suite_orbit_relations(rng, samples, tol):
-    points = sample_phase_points(rng, samples)
-    residuals, h2, gap = relation_residuals_batch(eval_generators_batch(points))
-    worst = max(float(np.abs(v).max()) for v in residuals.values())
-    h2_min = float(h2.min())
-    gap_min = float(gap.min())
-    return {
-        "name": "orbit_relations",
-        "passed": worst <= tol and h2_min >= 0.0 and gap_min >= -tol,
-        "details": {
-            "max_residual": worst,
-            "min_h2": h2_min,
-            "min_wedge_gap": gap_min,
-        },
-    }
-
-
-def _suite_lagrange(rng, samples, tol):
-    worst = 0.0
-    for z in sample_phase_points(rng, samples):
-        checks = lagrange_identity_check(eval_generators(z))
-        for lhs, rhs in checks.values():
-            worst = max(worst, abs(float(lhs) - float(rhs)))
-    return {
-        "name": "lagrange_identities",
-        "passed": worst <= tol,
-        "details": {"max_residual": worst},
-    }
-
-
-def _suite_pullbacks(rng, samples, tol):
-    worst = {
-        "hamiltonian": 0.0,
-        "angular_momentum": 0.0,
-        "eccentricity": 0.0,
-        "inner_product": 0.0,
-    }
-
-    def gap(a, b):
-        return max(abs(float(u) - float(v)) for u, v in zip(a, b))
-
-    for z in sample_level_set(rng, samples):
-        lhs, rhs = pullback_kepler_hamiltonian(z)
-        worst["hamiltonian"] = max(worst["hamiltonian"], abs(float(lhs) - float(rhs)))
-        worst["angular_momentum"] = max(
-            worst["angular_momentum"], gap(*pullback_angular_momentum(z))
-        )
-        worst["eccentricity"] = max(worst["eccentricity"], gap(*pullback_eccentricity(z)))
-        lhs, rhs = pullback_inner_product(z)
-        worst["inner_product"] = max(worst["inner_product"], abs(float(lhs) - float(rhs)))
-    return {
-        "name": "pullbacks",
-        "passed": max(worst.values()) <= tol,
-        "details": {"max_gaps": worst},
-    }
-
-
-def _suite_poisson(rng, samples, tol):
-    n = min(samples, 200)
-    points = sample_xi_zero(rng, n)
-    worst = 0.0
-    worst_xx = 0.0
-    for z in points:
-        res = poisson_property_residual(z)
-        worst = max(worst, float(np.abs(res).max()))
-        worst_xx = max(worst_xx, float(np.abs(res[:3, :3]).max()))
-    sweep = poisson_residual_xi_sweep(points[0], np.linspace(-0.5, 0.5, 9))
-    return {
-        "name": "poisson_matrix",
-        "passed": worst <= tol and worst_xx <= 1e-12,
-        "details": {
-            "points": n,
-            "max_residual": worst,
-            "max_position_block_residual": worst_xx,
-            "off_level_sweep": [[float(xi), float(r)] for xi, r in sweep],
-        },
-    }
-
-
-def _suite_collision(rng, samples, tol):
-    half = max(samples // 2, 1)
-    points = np.concatenate(
-        [sample_collision_slice(rng, half), sample_level_set(rng, half)]
-    )
-    disagreements = 0
-    for z in points:
-        member = collision_set_membership(z)
-        tau = first_collision_time(z)
-        pt = ks(z)
-        image_member = float(np.linalg.norm(np.cross(pt.x, pt.y))) <= 1e-9
-        if member != (tau is not None) or member != image_member:
-            disagreements += 1
-    return {
-        "name": "collision_theorem",
-        "passed": disagreements == 0,
-        "details": {"points": int(points.shape[0]), "disagreements": disagreements},
-    }
-
-
-def _suite_fall_times(tol):
-    worst_quadrature = 0.0
-    worst_event = 0.0
-    below_apex = True
-    for r0 in FALL_GRID:
-        closed = radial_collision_time(r0)
-        quad = radial_collision_time_quadrature(r0)
-        worst_quadrature = max(worst_quadrature, abs(closed - quad))
-        res = integrate_ode(
-            lambda t, u: np.array(radial_ode_rhs(RadialState(u[0], u[1]))),
-            np.array([r0, -math.sqrt(2 / r0 - 1)]),
-            (0.0, 4.0),
-            event=lambda t, u: u[0] - 1e-6,
-        )
-        event_gap = abs(res.event_time - closed) if res.status == "event" else math.inf
-        worst_event = max(worst_event, event_gap)
-        if r0 < 2:
-            below_apex = below_apex and closed < math.pi
-    apex_exact = radial_collision_time(2.0) == math.pi
-    return {
-        "name": "fall_times",
-        "passed": (
-            worst_quadrature <= max(tol, 1e-9)
-            and worst_event <= 1e-5
-            and below_apex
-            and apex_exact
-        ),
-        "details": {
-            "grid": list(FALL_GRID),
-            "max_quadrature_gap": worst_quadrature,
-            "max_event_gap": worst_event,
-            "below_apex_bound": below_apex,
-            "apex_value_exact": apex_exact,
-        },
-    }
+from .flows import ks_relatedness_harness, oscillator_trajectory
+from .kepler_dynamics import write_trajectory_csv
+from .quadratic_poisson import reference_table_diff
+from .sampling import RNG_ALGORITHM
+from .verify import run_suites
 
 
 def _write_oscillator_csv(path, traj) -> None:
@@ -249,16 +71,7 @@ def verify(seed, tolerance, samples, out):
         raise click.UsageError("--samples must be positive")
     if tolerance < 0:
         raise click.UsageError("--tolerance must be nonnegative")
-    rng = np.random.default_rng(seed)
-    suites = [
-        _suite_so4(),
-        _suite_orbit_relations(rng, samples, tolerance),
-        _suite_lagrange(rng, samples, tolerance),
-        _suite_pullbacks(rng, samples, tolerance),
-        _suite_poisson(rng, samples, tolerance),
-        _suite_collision(rng, samples, tolerance),
-        _suite_fall_times(tolerance),
-    ]
+    suites = run_suites(np.random.default_rng(seed), samples, tolerance)
     report = {
         "rng": RNG_ALGORITHM,
         "seed": seed,

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import GeneratorVector, PhasePoint8, eval_generators
+from .invariants import GeneratorVector, PhasePoint8, eval_generators, eval_generators_batch
 from .kepler_dynamics import preregularized_vector_field
-from .ks_map import ks
+from .ks_map import ks_batch, require_level_set
 from .ode import IntegratorStats, integrate_ode
 from .orbit_space import relation_residuals
 
@@ -65,19 +65,17 @@ def oscillator_flow(z, t: float) -> PhasePoint8:
     return oscillator_rotation(z, math.cos(t), math.sin(t))
 
 
+def oscillator_flow_batch(z0, t_grid) -> np.ndarray:
+    """The closed-form flow from one start over a time grid, (n, 8) floats."""
+    t = np.asarray(t_grid, dtype=float)
+    return np.column_stack(oscillator_rotation(z0, np.cos(t), np.sin(t)).z)
+
+
 def oscillator_trajectory(z0, t_grid) -> Trajectory:
     """Sample the closed-form flow, logging both conserved quantities."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    states = np.empty((t_grid.size, 8))
-    h2 = np.empty(t_grid.size)
-    xi = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid):
-        pt = oscillator_flow(z0, float(t))
-        states[i] = pt.as_array()
-        g = eval_generators(states[i])
-        h2[i] = g.H2
-        xi[i] = g.Xi
-    return Trajectory(t_grid, states, {"H2": h2, "Xi": xi})
+    states = oscillator_flow_batch(z0, t_grid)
+    G = eval_generators_batch(states)
+    return Trajectory(t_grid, states, {"H2": G[:, 6], "Xi": G[:, 7]})
 
 
 def induced_flow_on_orbit_space(g: GeneratorVector, u: float,
@@ -96,11 +94,6 @@ def induced_flow_on_orbit_space(g: GeneratorVector, u: float,
     return GeneratorVector(K=g.K, L=g.L, H2=g.H2, Xi=g.Xi, U=u_new, V=v_new)
 
 
-def _require_momentum_level(g: GeneratorVector, tol: float):
-    if abs(g.H2 - 1) > tol or abs(g.Xi) > tol:
-        raise ValueError("point is not on the (1, 0) momentum level within tolerance")
-
-
 def collision_set_membership(z, tol: float = 1e-9) -> bool:
     """Whether the oscillator orbit through z meets {q = 0}.
 
@@ -108,7 +101,7 @@ def collision_set_membership(z, tol: float = 1e-9) -> bool:
     the angular-momentum block, tested as |L|^2 <= tol^2.
     """
     g = eval_generators(_as_point8(z))
-    _require_momentum_level(g, tol)
+    require_level_set(g.H2, g.Xi, tol)
     return float(sum(v * v for v in g.L)) <= tol * tol
 
 
@@ -121,7 +114,7 @@ def first_collision_time(z, tol: float = 1e-9):
     """
     pt = _as_point8(z)
     g = eval_generators(pt)
-    _require_momentum_level(g, tol)
+    require_level_set(g.H2, g.Xi, tol)
     q = np.asarray(pt.q, dtype=float)
     p = np.asarray(pt.p, dtype=float)
     qq = q @ q
@@ -131,6 +124,30 @@ def first_collision_time(z, tol: float = 1e-9):
     if np.max(np.abs(p - mu * q)) > tol * max(1.0, float(np.max(np.abs(p)))):
         return None
     return math.pi / 2 + math.atan(mu)
+
+
+def collision_triple_batch(Z):
+    """The three sides of the collision theorem over an (n, 8) array.
+
+    Returns boolean (n,) arrays (member, falls, collinear_image): the
+    test of collision_set_membership, whether first_collision_time finds
+    a zero, and whether x cross y vanishes at ks(z), all at the scalar
+    default tol.  Raises ValueError when any row is off the level.
+    """
+    tol = 1e-9
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    G = eval_generators_batch(Z)
+    require_level_set(G[:, 6], G[:, 7], tol)
+    member = np.sum(G[:, 3:6] ** 2, axis=1) <= tol * tol
+    q, p = Z[:, :4], Z[:, 4:]
+    qq = np.sum(q * q, axis=1)
+    at_origin = qq <= tol * tol
+    mu = np.sum(p * q, axis=1) / np.where(at_origin, 1.0, qq)
+    spread = np.max(np.abs(p - mu[:, None] * q), axis=1)
+    falls = at_origin | (spread <= tol * np.maximum(1.0, np.max(np.abs(p), axis=1)))
+    W = ks_batch(Z)
+    collinear_image = np.linalg.norm(np.cross(W[:, :3], W[:, 3:]), axis=1) <= tol
+    return member, falls, collinear_image
 
 
 def physical_time_of_flight(z, tau: float) -> float:
@@ -205,14 +222,13 @@ def ks_relatedness_harness(
     """
     pt = _as_point8(z0)
     g = eval_generators(pt)
-    _require_momentum_level(g, tol)
+    require_level_set(g.H2, g.Xi, tol)
     if all(v == 0 for v in pt.q):
         raise ValueError("the start itself sits at q = 0, outside the chart")
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
 
-    w0 = ks(pt)
-    w0_flat = np.concatenate([np.asarray(w0.x, float), np.asarray(w0.y, float)])
+    w0_flat = ks_batch(pt.z)[0]
     if t_max == 0:
         return HarnessResult(
             times=np.zeros(1),
@@ -238,11 +254,7 @@ def ks_relatedness_harness(
     )
     times = np.concatenate([[0.0], res.eval_times])
     integrated = np.vstack([w0_flat, res.eval_states])
-    pushed = np.empty_like(integrated)
-    pushed[0] = w0_flat
-    for i, t in enumerate(times[1:], start=1):
-        image = ks(oscillator_flow(pt, float(t)))
-        pushed[i] = np.concatenate([image.x, image.y])
+    pushed = ks_batch(oscillator_flow_batch(pt, times))
     gaps = np.linalg.norm(pushed - integrated, axis=1)
 
     collision_time = None

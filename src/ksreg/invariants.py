@@ -16,9 +16,6 @@ import numpy as np
 
 HALF = Fraction(1, 2)
 
-#: Coordinate order for flattened phase points: z = (q1..q4, p1..p4).
-COORD_NAMES = ("q1", "q2", "q3", "q4", "p1", "p2", "p3", "p4")
-
 PI_NAMES = tuple(f"pi{i}" for i in range(1, 17))
 
 #: Generator order used for every 16-vector in this package.
@@ -104,11 +101,11 @@ GEN_FROM_PI_MATRIX = _table_to_matrix(GEN_FROM_PI_TABLE, GENERATOR_NAMES, PI_NAM
 PI_FROM_GEN_MATRIX = _table_to_matrix(PI_FROM_GEN_TABLE, PI_NAMES, GENERATOR_NAMES)
 
 
-def _combine_monomials(coeffs_by_pi):
-    """Expand a linear combination of pi invariants into one monomial list."""
+def combine_monomials(coeffs: dict, table: dict) -> tuple:
+    """Expand a {name: coeff} combination of the monomial lists table[name]."""
     acc: dict[tuple[int, int], Fraction] = {}
-    for pi_name, coeff in coeffs_by_pi.items():
-        for c, i, j in PI_MONOMIALS[PI_NAMES.index(pi_name)]:
+    for name, coeff in coeffs.items():
+        for c, i, j in table[name]:
             key = (i, j) if i <= j else (j, i)
             acc[key] = acc.get(key, Fraction(0)) + coeff * c
     return tuple(
@@ -118,7 +115,8 @@ def _combine_monomials(coeffs_by_pi):
 
 #: Direct (q,p)-monomial form of each generator, derived from the same table.
 GEN_MONOMIALS: dict[str, tuple[tuple[Fraction, int, int], ...]] = {
-    name: _combine_monomials(GEN_FROM_PI_TABLE[name]) for name in GENERATOR_NAMES
+    name: combine_monomials(GEN_FROM_PI_TABLE[name], dict(zip(PI_NAMES, PI_MONOMIALS)))
+    for name in GENERATOR_NAMES
 }
 
 

@@ -10,11 +10,53 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
 
-from .ks_map import PhasePoint6, norm3
+
+@dataclass(frozen=True)
+class PhasePoint6:
+    """A point (x, y) of the Kepler-side phase space, x != 0 on the image."""
+
+    x: tuple
+    y: tuple
+
+    def __post_init__(self):
+        if len(self.x) != 3 or len(self.y) != 3:
+            raise ValueError("x and y must each have 3 components")
+        object.__setattr__(self, "x", tuple(self.x))
+        object.__setattr__(self, "y", tuple(self.y))
+
+    def as_arrays(self):
+        return np.asarray(self.x, dtype=float), np.asarray(self.y, dtype=float)
+
+
+def dot3(a, b):
+    """Inner product in whatever arithmetic the entries carry."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def cross3(a, b):
+    """Cross product in whatever arithmetic the entries carry."""
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def norm3(v):
+    """Euclidean norm, exact for rational input with a square norm."""
+    s = dot3(v, v)
+    if isinstance(s, (int, Fraction)):
+        f = Fraction(s)
+        rn, rd = math.isqrt(f.numerator), math.isqrt(f.denominator)
+        if rn * rn == f.numerator and rd * rd == f.denominator:
+            root = Fraction(rn, rd)
+            return int(root) if root.denominator == 1 else root
+    return math.sqrt(s)
 
 
 def _as_point(w) -> PhasePoint6:
@@ -86,27 +128,16 @@ def angular_momentum(w):
     """J = x cross y."""
     pt = _as_point(w)
     _require_noncollision(pt.x)
-    x, y = pt.x, pt.y
-    return (
-        x[1] * y[2] - x[2] * y[1],
-        x[2] * y[0] - x[0] * y[2],
-        x[0] * y[1] - x[1] * y[0],
-    )
+    return cross3(pt.x, pt.y)
 
 
 def eccentricity(w):
     """e = -x/|x| + y cross (x cross y), conserved along the flow."""
     pt = _as_point(w)
     _require_noncollision(pt.x)
-    x, y = pt.x, pt.y
-    j = angular_momentum(w)
-    yxj = (
-        y[1] * j[2] - y[2] * j[1],
-        y[2] * j[0] - y[0] * j[2],
-        y[0] * j[1] - y[1] * j[0],
-    )
-    r = norm3(x)
-    return tuple(-xi / r + w_ for xi, w_ in zip(x, yxj))
+    yxj = cross3(pt.y, cross3(pt.x, pt.y))
+    r = norm3(pt.x)
+    return tuple(-xi / r + w_ for xi, w_ in zip(pt.x, yxj))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ localization scheme, and must behave identically across platforms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class IntegratorStats:
     rhs_evaluations: int = 0
 
     def to_json_dict(self) -> dict:
-        return {"steps": self.steps, "rejected_steps": self.rejected_steps}
+        return asdict(self)
 
 
 @dataclass

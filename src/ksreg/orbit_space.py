@@ -87,32 +87,20 @@ def relation_residuals(g: GeneratorVector) -> RelationResidual:
     return RelationResidual(residuals=residuals, h2=H2, wedge_gap=gap)
 
 
+def _columns(G) -> GeneratorVector:
+    # The scalar formulas are polymorphic, so they run unchanged on the
+    # sixteen columns of an (n, 16) generator array.
+    return GeneratorVector.from_flat(np.asarray(G).T)
+
+
 def relation_residuals_batch(G: np.ndarray):
     """Vectorized residuals over an (n, 16) generator array.
 
     Columns follow GENERATOR_NAMES order.  Returns (residuals dict of
     (n,) arrays, h2 column, wedge gap column).
     """
-    G = np.asarray(G)
-    K = G[:, 0:3]
-    L = G[:, 3:6]
-    H2 = G[:, 6]
-    Xi = G[:, 7]
-    U = G[:, 8:12]
-    V = G[:, 12:16]
-    gap = H2 * H2 - Xi * Xi
-    residuals = {
-        "UU": np.sum(U * U, axis=1) - gap,
-        "VV": np.sum(V * V, axis=1) - gap,
-        "UV": np.sum(U * V, axis=1),
-        "U2V1_U1V2": U[:, 1] * V[:, 0] - U[:, 0] * V[:, 1] - (L[:, 0] * Xi - K[:, 0] * H2),
-        "U3V1_U1V3": U[:, 2] * V[:, 0] - U[:, 0] * V[:, 2] - (L[:, 1] * Xi - K[:, 1] * H2),
-        "U4V1_U1V4": U[:, 3] * V[:, 0] - U[:, 0] * V[:, 3] - (L[:, 2] * Xi - K[:, 2] * H2),
-        "U4V3_U3V4": U[:, 3] * V[:, 2] - U[:, 2] * V[:, 3] - (K[:, 0] * Xi - L[:, 0] * H2),
-        "U2V4_U4V2": U[:, 1] * V[:, 3] - U[:, 3] * V[:, 1] - (K[:, 1] * Xi - L[:, 1] * H2),
-        "U3V2_U2V3": U[:, 2] * V[:, 1] - U[:, 1] * V[:, 2] - (K[:, 2] * Xi - L[:, 2] * H2),
-    }
-    return residuals, H2, gap
+    res = relation_residuals(_columns(G))
+    return res.residuals, res.h2, res.wedge_gap
 
 
 def lagrange_identity_check(g: GeneratorVector) -> dict:
@@ -134,6 +122,11 @@ def lagrange_identity_check(g: GeneratorVector) -> dict:
         "norm_sum": (_dot(K, K) + _dot(L, L), H2 * H2 + Xi * Xi),
         "cross_dot": (_dot(K, L), Xi * H2),
     }
+
+
+def lagrange_identity_batch(G: np.ndarray) -> dict:
+    """lagrange_identity_check over an (n, 16) array: pairs of (n,) arrays."""
+    return lagrange_identity_check(_columns(G))
 
 
 @dataclass(frozen=True)

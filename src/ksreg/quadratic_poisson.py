@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .invariants import GEN_MONOMIALS, GENERATOR_NAMES, PI_MONOMIALS, PI_NAMES
-
-Rational = Fraction
+from .invariants import GEN_MONOMIALS, GENERATOR_NAMES
 
 _DIM = 8
 
@@ -68,15 +66,6 @@ class QuadraticForm:
     def zero(cls) -> "QuadraticForm":
         return cls(tuple(tuple([Fraction(0)] * _DIM) for _ in range(_DIM)))
 
-    def evaluate(self, z):
-        """Value at a flat 8-vector of floats or Fractions."""
-        total = 0
-        for i in range(_DIM):
-            for j in range(_DIM):
-                if self.a[i][j]:
-                    total = total + self.a[i][j] * z[i] * z[j]
-        return total / 2
-
     def scaled(self, c) -> "QuadraticForm":
         c = Fraction(c)
         return QuadraticForm(tuple(tuple(c * v for v in row) for row in self.a))
@@ -86,9 +75,6 @@ class QuadraticForm:
             tuple(x + y for x, y in zip(r1, r2))
             for r1, r2 in zip(self.a, other.a)
         ))
-
-    def __sub__(self, other: "QuadraticForm") -> "QuadraticForm":
-        return self + other.scaled(-1)
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.a for v in row)
@@ -114,11 +100,6 @@ def poisson_bracket(f: QuadraticForm, g: QuadraticForm) -> QuadraticForm:
 GENERATOR_FORMS: dict[str, QuadraticForm] = {
     name: QuadraticForm.from_monomials(GEN_MONOMIALS[name])
     for name in GENERATOR_NAMES
-}
-
-PI_FORMS: dict[str, QuadraticForm] = {
-    name: QuadraticForm.from_monomials(monos)
-    for name, monos in zip(PI_NAMES, PI_MONOMIALS)
 }
 
 

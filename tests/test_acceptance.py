@@ -11,8 +11,7 @@ import numpy as np
 
 from ksreg.bench import run_benchmark
 from ksreg.flows import (
-    collision_set_membership,
-    first_collision_time,
+    collision_triple_batch,
     ks_relatedness_harness,
     oscillator_trajectory,
 )
@@ -25,12 +24,9 @@ from ksreg.kepler_dynamics import (
     radial_ode_rhs,
 )
 from ksreg.ks_map import (
-    poisson_property_residual,
+    poisson_residual_batch,
     poisson_residual_xi_sweep,
-    pullback_angular_momentum,
-    pullback_eccentricity,
-    pullback_inner_product,
-    pullback_kepler_hamiltonian,
+    pullback_gaps_batch,
 )
 from ksreg.ode import integrate_ode
 from ksreg.orbit_space import (
@@ -149,16 +145,11 @@ class TestAcceptance:
 
     def test_criterion_3_pullbacks_on_the_level_set(self):
         rng = np.random.default_rng(3)
-        worst_h = worst_j = worst_e = worst_ip = 0.0
-        for z in sample_level_set(rng, 10_000):
-            lhs, rhs = pullback_kepler_hamiltonian(z)
-            worst_h = max(worst_h, abs(float(lhs) - float(rhs)))
-            img, gen = pullback_angular_momentum(z)
-            worst_j = max(worst_j, max(abs(a - b) for a, b in zip(img, gen)))
-            img, gen = pullback_eccentricity(z)
-            worst_e = max(worst_e, max(abs(a - b) for a, b in zip(img, gen)))
-            lhs, rhs = pullback_inner_product(z)
-            worst_ip = max(worst_ip, abs(lhs - rhs))
+        gaps = pullback_gaps_batch(sample_level_set(rng, 10_000))
+        worst_h = float(gaps["hamiltonian"].max())
+        worst_j = float(gaps["angular_momentum"].max())
+        worst_e = float(gaps["eccentricity"].max())
+        worst_ip = float(gaps["inner_product"].max())
         ok = worst_h <= 1e-12 and max(worst_j, worst_e, worst_ip) <= 1e-10
         _report(
             3,
@@ -169,16 +160,12 @@ class TestAcceptance:
 
     def test_criterion_4_poisson_property(self):
         rng = np.random.default_rng(4)
-        worst = 0.0
-        worst_xx = 0.0
         points = sample_xi_zero(rng, 1_000)
-        for z in points:
-            res = poisson_property_residual(z)
-            worst = max(worst, float(np.abs(res).max()))
-            worst_xx = max(worst_xx, float(np.abs(res[:3, :3]).max()))
-        for z in sample_phase_points(rng, 50):
-            res = poisson_property_residual(z)
-            worst_xx = max(worst_xx, float(np.abs(res[:3, :3]).max()))
+        res = np.abs(poisson_residual_batch(points))
+        worst = float(res.max())
+        worst_xx = float(res[:, :3, :3].max())
+        generic = np.abs(poisson_residual_batch(sample_phase_points(rng, 50)))
+        worst_xx = max(worst_xx, float(generic[:, :3, :3].max()))
         sweep = poisson_residual_xi_sweep(points[0], np.linspace(-0.5, 0.5, 9))
         for xi, r in sweep:
             print(f"  off-level Xi = {xi:+.4f}: y-y residual {r:.3e}")
@@ -190,12 +177,8 @@ class TestAcceptance:
         points = np.concatenate(
             [sample_collision_slice(rng, 500), sample_level_set(rng, 500)]
         )
-        disagreements = 0
-        for z in points:
-            member = collision_set_membership(z, tol=1e-9)
-            tau = first_collision_time(z, tol=1e-9)
-            if member != (tau is not None):
-                disagreements += 1
+        member, falls, _ = collision_triple_batch(points)
+        disagreements = int(np.count_nonzero(member != falls))
         _report(5, disagreements == 0, f"{len(points)} points, {disagreements} disagreements")
 
     def test_criterion_6_collision_times(self):

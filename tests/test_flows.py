@@ -11,10 +11,12 @@ from ksreg.flows import (
     HarnessResult,
     Trajectory,
     collision_set_membership,
+    collision_triple_batch,
     first_collision_time,
     induced_flow_on_orbit_space,
     ks_relatedness_harness,
     oscillator_flow,
+    oscillator_flow_batch,
     oscillator_rotation,
     oscillator_trajectory,
     physical_time_of_flight,
@@ -81,8 +83,12 @@ class TestOscillatorFlow:
         rng = np.random.default_rng(31)
         z0 = PhasePoint8.from_z(tuple(rng.standard_normal(8)))
         g0 = eval_generators(z0)
-        for t in np.linspace(0.0, 2 * math.pi, 64):
-            g = eval_generators(oscillator_flow(z0, float(t)))
+        grid = np.linspace(0.0, 2 * math.pi, 64)
+        batch = oscillator_flow_batch(z0, grid)
+        for t, row in zip(grid, batch):
+            moved = oscillator_flow(z0, float(t))
+            assert np.allclose(row, moved.as_array(), rtol=0, atol=1e-15)
+            g = eval_generators(moved)
             assert abs(g.H2 - g0.H2) <= 1e-13
             assert abs(g.Xi - g0.Xi) <= 1e-13
 
@@ -160,6 +166,10 @@ class TestCollisionSet:
     def test_off_level_input_rejected(self):
         with pytest.raises(ValueError):
             collision_set_membership(PhasePoint8((2, 0, 0, 0), (0, 0, 0, 0)))
+        batch = sample_level_set(np.random.default_rng(40), 4)
+        batch[1] = (2, 0, 0, 0, 0, 0, 0, 0)
+        with pytest.raises(ValueError, match="point 1"):
+            collision_triple_batch(batch)
 
     def test_membership_matches_zero_crossing_and_image_momentum(self):
         rng = np.random.default_rng(41)
@@ -168,7 +178,8 @@ class TestCollisionSet:
             sample_level_set(rng, half),
             sample_collision_slice(rng, half),
         ])
-        for row in batch:
+        triple = collision_triple_batch(batch)
+        for k, row in enumerate(batch):
             member = collision_set_membership(row)
             tau = first_collision_time(row)
             assert member == (tau is not None)
@@ -176,6 +187,7 @@ class TestCollisionSet:
             x, y = image.as_arrays()
             j_norm = float(np.linalg.norm(np.cross(x, y)))
             assert member == (j_norm <= 1e-9)
+            assert tuple(side[k] for side in triple) == (member, tau is not None, member)
 
 
 class TestFirstCollisionTime:
@@ -267,6 +279,6 @@ class TestHarness:
         report = res.to_json_dict()
         assert set(report) == {"t_max", "max_deviation", "integrator_stats",
                                "status", "collision_time"}
-        assert set(report["integrator_stats"]) == {"steps", "rejected_steps"}
+        assert set(report["integrator_stats"]) == {"steps", "rejected_steps", "rhs_evaluations"}
         clean = ks_relatedness_harness(CIRCULAR, 1.0).to_json_dict()
         assert "collision_time" not in clean

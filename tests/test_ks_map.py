@@ -12,21 +12,28 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ksreg.invariants import PhasePoint8, eval_generators, eval_pi
+from ksreg.invariants import PhasePoint8, eval_generators, eval_generators_batch, eval_pi
+from ksreg.kepler_dynamics import norm3
 from ksreg.ks_map import (
     KS,
+    KS_MONOMIALS,
     PhasePoint6,
     ks,
+    ks_batch,
     ks_fiber_action,
+    ks_from_generators_batch,
     ks_gradients,
-    norm3,
+    ks_jacobian_batch,
     poisson_property_residual,
+    poisson_residual_batch,
     poisson_residual_xi_sweep,
     pullback_angular_momentum,
     pullback_eccentricity,
+    pullback_gaps_batch,
     pullback_inner_product,
     pullback_kepler_hamiltonian,
 )
+from ksreg.sampling import sample_level_set, sample_xi_zero
 
 fraction_st = st.fractions(min_value=-5, max_value=5, max_denominator=10)
 point_st = st.tuples(*([fraction_st] * 8))
@@ -43,7 +50,45 @@ def _sample_level_set(rng):
     return tuple(z)
 
 
+# The map written out by hand, one {(i, j): coeff} dict per table row
+# (x1, x2, x3, n1, n2, n3, rho) over z = (q1..q4, p1..p4).
+WRITTEN_OUT = (
+    {(0, 2): 2, (1, 3): 2},
+    {(0, 3): 2, (1, 2): -2},
+    {(0, 0): 1, (1, 1): 1, (2, 2): -1, (3, 3): -1},
+    {(2, 4): 1, (3, 5): 1, (0, 6): 1, (1, 7): 1},
+    {(3, 4): 1, (2, 5): -1, (1, 6): -1, (0, 7): 1},
+    {(0, 4): 1, (1, 5): 1, (2, 6): -1, (3, 7): -1},
+    {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1},
+)
+
+
 class TestKsMap:
+    def test_derived_table_is_the_written_out_formula(self):
+        assert len(KS_MONOMIALS) == len(WRITTEN_OUT)
+        for row, expected in zip(KS_MONOMIALS, WRITTEN_OUT):
+            assert all(type(c) is int for c, _, _ in row)
+            assert {(i, j): c for c, i, j in row} == expected
+            assert len(row) == len(expected)
+
+    def test_batch_matches_scalar_rows(self):
+        Z = np.random.default_rng(29).standard_normal((200, 8))
+        W = ks_batch(Z)
+        assert W.shape == (200, 6)
+        for z, w in zip(Z, W):
+            pt = ks(tuple(z))
+            assert np.allclose(w, pt.x + pt.y, rtol=1e-14, atol=1e-14)
+        by_generators = ks_from_generators_batch(eval_generators_batch(Z))
+        assert np.allclose(by_generators, W, rtol=1e-12, atol=1e-12)
+
+    def test_batch_rejects_a_collision_row(self):
+        Z = np.random.default_rng(30).standard_normal((4, 8))
+        Z[2, :4] = 0.0
+        with pytest.raises(ValueError):
+            ks_batch(Z)
+        with pytest.raises(ValueError):
+            ks_jacobian_batch(Z)
+
     def test_rest_point(self):
         pt = ks(PhasePoint8((1, 0, 0, 0), (0, 0, 0, 0)))
         assert pt.x == (0, 0, 1)
@@ -206,6 +251,29 @@ class TestLevelSetPullbacks:
             pullback_eccentricity(heavy)
         with pytest.raises(ValueError):
             pullback_inner_product(heavy)
+        batch = sample_level_set(np.random.default_rng(32), 5)
+        pullback_gaps_batch(batch)
+        for bad in (rotating, heavy):
+            mixed = batch.copy()
+            mixed[3] = bad.z
+            with pytest.raises(ValueError, match="point 3"):
+                pullback_gaps_batch(mixed)
+
+    def test_batch_gaps_match_the_scalar_pullbacks(self):
+        Z = sample_level_set(np.random.default_rng(33), 250)
+        gaps = pullback_gaps_batch(Z)
+        for k, z in enumerate(Z):
+            lhs, rhs = pullback_kepler_hamiltonian(z)
+            scalar = {"hamiltonian": abs(lhs - rhs)}
+            for key, pullback in (("angular_momentum", pullback_angular_momentum),
+                                  ("eccentricity", pullback_eccentricity)):
+                img, gen = pullback(z)
+                scalar[key] = max(abs(a - b) for a, b in zip(img, gen))
+            lhs, rhs = pullback_inner_product(z)
+            scalar["inner_product"] = abs(lhs - rhs)
+            for key, value in scalar.items():
+                assert abs(gaps[key][k] - value) <= 1e-14, key
+                assert gaps[key][k] <= 1e-10, key
 
     def test_agreement_on_sampled_level_set(self):
         rng = np.random.default_rng(31)
@@ -231,8 +299,9 @@ class TestPoissonProperty:
     def test_gradients_match_central_differences(self):
         rng = np.random.default_rng(41)
         step = 1e-6
-        for _ in range(10):
-            z = rng.standard_normal(8)
+        Z = rng.standard_normal((10, 8))
+        batch = ks_jacobian_batch(Z)
+        for z, jac in zip(Z, batch):
             grads = ks_gradients(tuple(z))
             for i in range(8):
                 zp, zm = z.copy(), z.copy()
@@ -241,12 +310,22 @@ class TestPoissonProperty:
                 fp, fm = ks(tuple(zp)), ks(tuple(zm))
                 fd = (np.array(fp.x + fp.y) - np.array(fm.x + fm.y)) / (2 * step)
                 assert np.allclose(grads[:, i], fd, atol=1e-6)
+                assert np.allclose(jac[:, i], fd, atol=1e-6)
 
     def test_residual_vanishes_on_zero_level(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
             z = _sample_level_set(rng)
             assert np.abs(poisson_property_residual(z)).max() <= 1e-10
+
+    def test_batch_matches_scalar_rows(self):
+        rng = np.random.default_rng(45)
+        Z = np.vstack([sample_xi_zero(rng, 150), rng.standard_normal((100, 8))])
+        batch = poisson_residual_batch(Z)
+        assert batch.shape == (250, 6, 6)
+        for z, res in zip(Z, batch):
+            assert np.allclose(res, poisson_property_residual(tuple(z)), rtol=0, atol=1e-14)
+        assert np.abs(batch[:150]).max() <= 1e-10
 
     def test_position_block_is_exactly_zero_everywhere(self):
         rng = np.random.default_rng(47)

@@ -116,4 +116,4 @@ class TestAccounting:
     def test_stats_json_shape(self):
         res = integrate_ode(_decay, np.array([1.0]), (0.0, 1.0))
         d = res.stats.to_json_dict()
-        assert set(d) == {"steps", "rejected_steps"}
+        assert set(d) == {"steps", "rejected_steps", "rhs_evaluations"}

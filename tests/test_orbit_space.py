@@ -25,6 +25,7 @@ from ksreg.orbit_space import (
     SingleSphere,
     WedgePoint,
     classify_reduced_space,
+    lagrange_identity_batch,
     lagrange_identity_check,
     reconstruct_fiber_boundary,
     reconstruct_fiber_interior,
@@ -33,6 +34,7 @@ from ksreg.orbit_space import (
     relation_residuals_batch,
     tangent_sphere_chart,
 )
+from ksreg.sampling import sample_even_integers
 
 fraction_st = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 point_st = st.tuples(*([fraction_st] * 8))
@@ -115,6 +117,14 @@ class TestLagrangeIdentity:
         pairs = lagrange_identity_check(eval_generators(z))
         for name, (lhs, rhs) in pairs.items():
             assert lhs == rhs, name
+
+    def test_batch_matches_scalar_exactly(self):
+        Z = sample_even_integers(np.random.default_rng(19), 200)
+        batch = lagrange_identity_batch(eval_generators_batch(Z))
+        for k, z in enumerate(Z):
+            scalar = lagrange_identity_check(eval_generators(tuple(int(v) for v in z)))
+            for name, (lhs, rhs) in scalar.items():
+                assert (batch[name][0][k], batch[name][1][k]) == (lhs, rhs), name
 
     def test_substituted_identity_floats(self):
         """(H2^2-Xi^2)^2 = (|K|^2+|L|^2)(H2^2+Xi^2) - 4<K,L>XiH2 on image."""
