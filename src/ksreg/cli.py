@@ -14,23 +14,19 @@ import click
 import numpy as np
 
 from .bench import DEFAULT_GRID, run_benchmark, write_bench_csv
-from .flows import ks_relatedness_harness, oscillator_trajectory
+from .flows import ks_relatedness_harness
+from .invariants import eval_generators_batch
 from .kepler_dynamics import write_trajectory_csv
 from .quadratic_poisson import reference_table_diff
 from .sampling import RNG_ALGORITHM
 from .verify import run_suites
 
 
-def _write_oscillator_csv(path, traj) -> None:
+def _write_oscillator_csv(path, times, chart) -> None:
+    table = np.column_stack([times, chart, eval_generators_batch(chart)[:, 6:8]])
     with open(path, "w") as fh:
         fh.write("t,q1,q2,q3,q4,p1,p2,p3,p4,H2,Xi\n")
-        for i, t in enumerate(traj.times):
-            row = [
-                t,
-                *traj.states[i],
-                traj.conserved_log["H2"][i],
-                traj.conserved_log["Xi"][i],
-            ]
+        for row in table:
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
@@ -122,7 +118,9 @@ def orbit(state, t_max, samples, out_dir):
 
     Writes the closed-form chart curve, its image, and the curve the
     integrator produces from the shared start, plus a JSON report with
-    the sup gap between the last two.
+    the sup gap between the last two.  The three curves share one grid
+    of samples + 1 times, cut at the collision guard when the orbit
+    falls onto the center.
     """
     try:
         values = tuple(float(s) for s in state.split(","))
@@ -138,14 +136,13 @@ def orbit(state, t_max, samples, out_dir):
         raise click.UsageError(str(exc))
 
     os.makedirs(out_dir, exist_ok=True)
-    grid = np.linspace(0.0, t_max, samples) if t_max > 0 else np.zeros(1)
     paths = {
         "oscillator": os.path.join(out_dir, "oscillator.csv"),
         "ks_image": os.path.join(out_dir, "ks_image.csv"),
         "kepler_integrated": os.path.join(out_dir, "kepler_integrated.csv"),
         "report": os.path.join(out_dir, "orbit_report.json"),
     }
-    _write_oscillator_csv(paths["oscillator"], oscillator_trajectory(values, grid))
+    _write_oscillator_csv(paths["oscillator"], result.times, result.chart)
     write_trajectory_csv(paths["ks_image"], result.times, result.ks_image)
     write_trajectory_csv(paths["kepler_integrated"], result.times, result.integrated)
 

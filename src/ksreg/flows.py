@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import GeneratorVector, PhasePoint8, eval_generators, eval_generators_batch
-from .kepler_dynamics import preregularized_vector_field
+from .invariants import (GeneratorVector, PhasePoint8, eval_generator_columns,
+                         eval_generators, eval_generators_batch)
+from .kepler_dynamics import dot3, preregularized_vector_field
 from .ks_map import ks_batch, require_level_set
 from .ode import IntegratorStats, integrate_ode
 from .orbit_space import relation_residuals
@@ -88,10 +89,29 @@ def induced_flow_on_orbit_space(g: GeneratorVector, u: float,
     """
     if not relation_residuals(g).on_orbit_space(tol):
         raise ValueError("input is not on the orbit space within tolerance")
-    c, s = math.cos(u), math.sin(u)
-    u_new = tuple(ui * c + vi * s for ui, vi in zip(g.U, g.V))
-    v_new = tuple(-ui * s + vi * c for ui, vi in zip(g.U, g.V))
-    return GeneratorVector(K=g.K, L=g.L, H2=g.H2, Xi=g.Xi, U=u_new, V=v_new)
+    uv = oscillator_rotation(g.U + g.V, math.cos(u), math.sin(u))
+    return GeneratorVector(K=g.K, L=g.L, H2=g.H2, Xi=g.Xi, U=uv.q, V=uv.p)
+
+
+def _collision_columns(z, tol):
+    """(member, tau) at eight columns z, numbers or (n,) arrays.
+
+    member is |L|^2 <= tol^2; tau is the first zero of the closed-form
+    flow, NaN where it never meets {q = 0}.  Raises ValueError off the
+    (1, 0) momentum level.
+    """
+    g = eval_generator_columns(z)
+    require_level_set(g.H2, g.Xi, tol)
+    member = dot3(g.L, g.L) <= tol * tol
+    q = np.asarray(z[:4], dtype=float)
+    p = np.asarray(z[4:], dtype=float)
+    qq = np.sum(q * q, axis=0)
+    at_origin = qq <= tol * tol
+    mu = np.sum(p * q, axis=0) / np.where(at_origin, 1.0, qq)
+    spread = np.max(np.abs(p - mu * q), axis=0)
+    falls = at_origin | (spread <= tol * np.maximum(1.0, np.max(np.abs(p), axis=0)))
+    tau = np.where(at_origin, math.pi, math.pi / 2 + np.arctan(mu))
+    return member, np.where(falls, tau, np.nan)
 
 
 def collision_set_membership(z, tol: float = 1e-9) -> bool:
@@ -100,9 +120,7 @@ def collision_set_membership(z, tol: float = 1e-9) -> bool:
     On the (1, 0) momentum level this is equivalent to the vanishing of
     the angular-momentum block, tested as |L|^2 <= tol^2.
     """
-    g = eval_generators(_as_point8(z))
-    require_level_set(g.H2, g.Xi, tol)
-    return float(sum(v * v for v in g.L)) <= tol * tol
+    return bool(_collision_columns(_as_point8(z).z, tol)[0])
 
 
 def first_collision_time(z, tol: float = 1e-9):
@@ -112,18 +130,8 @@ def first_collision_time(z, tol: float = 1e-9):
     for p = mu*q, and tau = pi when q itself vanishes.  Zeros recur
     with period pi.
     """
-    pt = _as_point8(z)
-    g = eval_generators(pt)
-    require_level_set(g.H2, g.Xi, tol)
-    q = np.asarray(pt.q, dtype=float)
-    p = np.asarray(pt.p, dtype=float)
-    qq = q @ q
-    if qq <= tol * tol:
-        return math.pi
-    mu = (p @ q) / qq
-    if np.max(np.abs(p - mu * q)) > tol * max(1.0, float(np.max(np.abs(p)))):
-        return None
-    return math.pi / 2 + math.atan(mu)
+    tau = _collision_columns(_as_point8(z).z, tol)[1]
+    return None if np.isnan(tau) else float(tau)
 
 
 def collision_triple_batch(Z):
@@ -136,18 +144,10 @@ def collision_triple_batch(Z):
     """
     tol = 1e-9
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    G = eval_generators_batch(Z)
-    require_level_set(G[:, 6], G[:, 7], tol)
-    member = np.sum(G[:, 3:6] ** 2, axis=1) <= tol * tol
-    q, p = Z[:, :4], Z[:, 4:]
-    qq = np.sum(q * q, axis=1)
-    at_origin = qq <= tol * tol
-    mu = np.sum(p * q, axis=1) / np.where(at_origin, 1.0, qq)
-    spread = np.max(np.abs(p - mu[:, None] * q), axis=1)
-    falls = at_origin | (spread <= tol * np.maximum(1.0, np.max(np.abs(p), axis=1)))
+    member, tau = _collision_columns(Z.T, tol)
     W = ks_batch(Z)
     collinear_image = np.linalg.norm(np.cross(W[:, :3], W[:, 3:]), axis=1) <= tol
-    return member, falls, collinear_image
+    return member, ~np.isnan(tau), collinear_image
 
 
 def physical_time_of_flight(z, tau: float) -> float:
@@ -172,12 +172,15 @@ class HarnessResult:
     """Outcome of the flow-relatedness comparison.
 
     times are the shared curve-parameter samples actually compared;
-    ks_image holds the pushed exact flow, integrated the stepped one.
+    chart holds the closed-form oscillator flow at those times, ks_image
+    its push to the Kepler side, integrated the stepped curve.
     collision_time is the physical fall time when the Kepler-side curve
-    collapses before t_max; status is completed or event.
+    collapses before t_max; status is the integrator's: completed,
+    event, step_budget_exhausted, step_size_underflow or nonfinite.
     """
 
     times: np.ndarray
+    chart: np.ndarray
     ks_image: np.ndarray
     integrated: np.ndarray
     max_deviation: float
@@ -230,45 +233,39 @@ def ks_relatedness_harness(
 
     w0_flat = ks_batch(pt.z)[0]
     if t_max == 0:
-        return HarnessResult(
-            times=np.zeros(1),
-            ks_image=w0_flat[None, :],
-            integrated=w0_flat[None, :],
-            max_deviation=0.0,
-            collision_time=None,
-            stats=IntegratorStats(),
-            status="completed",
-            t_max=0.0,
+        times, integrated = np.zeros(1), w0_flat[None, :]
+        stats, status = IntegratorStats(), "completed"
+    else:
+        res = integrate_ode(
+            _doubled_field,
+            w0_flat,
+            (0.0, t_max),
+            rtol=rtol,
+            atol=atol,
+            max_steps=max_steps,
+            t_eval=np.linspace(0.0, t_max, samples + 1)[1:],
+            event=lambda t, w: w[:3] @ w[:3] - guard * guard,
         )
-
-    t_grid = np.linspace(0.0, t_max, samples + 1)
-    res = integrate_ode(
-        _doubled_field,
-        w0_flat,
-        (0.0, t_max),
-        rtol=rtol,
-        atol=atol,
-        max_steps=max_steps,
-        t_eval=t_grid[1:],
-        event=lambda t, w: w[:3] @ w[:3] - guard * guard,
-    )
-    times = np.concatenate([[0.0], res.eval_times])
-    integrated = np.vstack([w0_flat, res.eval_states])
-    pushed = ks_batch(oscillator_flow_batch(pt, times))
+        times = np.concatenate([[0.0], res.eval_times])
+        integrated = np.vstack([w0_flat, res.eval_states])
+        stats, status = res.stats, res.status
+    chart = oscillator_flow_batch(pt, times)
+    pushed = ks_batch(chart)
     gaps = np.linalg.norm(pushed - integrated, axis=1)
 
     collision_time = None
-    if res.status == "event":
+    if status == "event":
         tau = first_collision_time(pt, tol=tol)
         if tau is not None:
             collision_time = physical_time_of_flight(pt, tau)
     return HarnessResult(
         times=times,
+        chart=chart,
         ks_image=pushed,
         integrated=integrated,
         max_deviation=float(np.max(gaps)),
         collision_time=collision_time,
-        stats=res.stats,
-        status="completed" if res.status == "completed" else "event",
-        t_max=t_max,
+        stats=stats,
+        status=status,
+        t_max=float(t_max),
     )

@@ -8,6 +8,7 @@ cannot drift apart.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -120,22 +121,55 @@ GEN_MONOMIALS: dict[str, tuple[tuple[Fraction, int, int], ...]] = {
 }
 
 
+def _integer_terms(monomials) -> tuple:
+    """(d, terms): d times the monomial list, as integer (coeff, i, j) terms."""
+    d = math.lcm(*(Fraction(c).denominator for c, _, _ in monomials))
+    return d, tuple((int(c * d), i, j) for c, i, j in monomials)
+
+
+#: GEN_MONOMIALS in GENERATOR_NAMES order, scaled to integer coefficients:
+#: generator = (integer terms) / d, with d = 2 for K3, H2, U4 and V1.
+_GEN_TERMS = tuple(_integer_terms(GEN_MONOMIALS[name]) for name in GENERATOR_NAMES)
+
+
 def eval_monomials(monomials, z: Sequence) -> object:
-    """Evaluate a monomial list at a flat 8-vector (any numeric type)."""
+    """Evaluate an integer-coefficient monomial list at eight columns z.
+
+    A column is one number (int, Fraction or float) or an (n,) array,
+    and the result has the arithmetic of the columns.  The coefficients
+    must be integers: a Fraction times a float array is an object array.
+    Tables with rational coefficients are scaled to integers and divided
+    afterwards, with divide(); for floats that halving is exact.
+    """
     total = 0
     for c, i, j in monomials:
-        total = total + c * z[i] * z[j]
+        term = z[i] * z[j]
+        if c == 1:
+            total = total + term
+        elif c == -1:
+            total = total - term
+        else:
+            total = total + term * c
     return total
 
 
-def eval_monomials_batch(monomials, Z: np.ndarray) -> np.ndarray:
-    """Evaluate a monomial list over an (n, 8) array, one value per row."""
-    total = np.zeros(Z.shape[0], dtype=Z.dtype)
-    for c, i, j in monomials:
-        # Fraction coefficients with denominator 1 stay exact in integers.
-        cc = int(c) if Fraction(c).denominator == 1 else float(c)
-        total = total + cc * Z[:, i] * Z[:, j]
-    return total
+def divide(v, d: int):
+    """v / d, exact on int and Fraction numbers and on integer arrays.
+
+    Raises ValueError when an integer array is not divisible by d.
+    """
+    if d == 1:
+        return v
+    if isinstance(v, np.ndarray) and v.dtype.kind in "iu":
+        if np.any(v % d):
+            raise ValueError(f"integer batch is not divisible by {d}: use even entries "
+                             "so that half-integer coefficients stay exact")
+        return v // d
+    if isinstance(v, Fraction):
+        return v / d
+    if isinstance(v, (int, np.integer)):
+        return Fraction(v, d)
+    return v / d
 
 
 @dataclass(frozen=True)
@@ -246,20 +280,37 @@ class ReducedPoint:
     Xi: object
 
 
+def _flat(z) -> tuple:
+    return z.z if isinstance(z, PhasePoint8) else tuple(z)
+
+
+def _pi_columns(z) -> list:
+    return [eval_monomials(m, z) for m in PI_MONOMIALS]
+
+
 def eval_pi(z: PhasePoint8 | Sequence) -> PiVector:
     """Evaluate the 16 basic invariants at a phase point.
 
     Works for float and Fraction entries alike; the result entries have
     the arithmetic type of the inputs.
     """
-    flat = z.z if isinstance(z, PhasePoint8) else tuple(z)
-    return PiVector(tuple(eval_monomials(m, flat) for m in PI_MONOMIALS))
+    return PiVector(tuple(_pi_columns(_flat(z))))
 
 
 def eval_pi_batch(Z: np.ndarray) -> np.ndarray:
     """Evaluate the invariants over an (n, 8) array, returning (n, 16)."""
-    Z = np.asarray(Z)
-    return np.stack([eval_monomials_batch(m, Z) for m in PI_MONOMIALS], axis=1)
+    return np.stack(_pi_columns(np.asarray(Z).T), axis=1)
+
+
+def eval_generator_columns(z) -> GeneratorVector:
+    """The generators at eight columns (numbers or (n,) arrays).
+
+    The one body behind eval_generators and eval_generators_batch;
+    integral Fractions come back as int, integer arrays must be even.
+    """
+    return GeneratorVector.from_flat(
+        [_demote(divide(eval_monomials(terms, z), d)) for d, terms in _GEN_TERMS]
+    )
 
 
 def eval_generators(z: PhasePoint8 | Sequence) -> GeneratorVector:
@@ -268,12 +319,7 @@ def eval_generators(z: PhasePoint8 | Sequence) -> GeneratorVector:
     Uses the direct (q,p)-monomial form; generators_from_pi(eval_pi(z))
     must agree exactly and the test suite holds the two paths together.
     """
-    flat = z.z if isinstance(z, PhasePoint8) else tuple(z)
-    values = []
-    for name in GENERATOR_NAMES:
-        v = eval_monomials(GEN_MONOMIALS[name], flat)
-        values.append(_demote(v))
-    return GeneratorVector.from_flat(values)
+    return eval_generator_columns(_flat(z))
 
 
 def eval_generators_batch(Z: np.ndarray) -> np.ndarray:
@@ -282,23 +328,7 @@ def eval_generators_batch(Z: np.ndarray) -> np.ndarray:
     For exact integer input use an even-integer array: the four
     generators with half-integer coefficients then stay integral.
     """
-    Z = np.asarray(Z)
-    if np.issubdtype(Z.dtype, np.integer):
-        # Work with doubled generators to stay in exact integers.
-        cols = []
-        for name in GENERATOR_NAMES:
-            doubled = tuple((int(2 * c), i, j) for c, i, j in GEN_MONOMIALS[name])
-            twice = eval_monomials_batch(doubled, Z)
-            if np.any(twice % 2 != 0):
-                raise ValueError(
-                    "integer batch requires even entries so that "
-                    "half-integer coefficients stay exact"
-                )
-            cols.append(twice // 2)
-        return np.stack(cols, axis=1)
-    return np.stack(
-        [eval_monomials_batch(GEN_MONOMIALS[n], Z) for n in GENERATOR_NAMES], axis=1
-    )
+    return np.stack(eval_generator_columns(np.asarray(Z).T).flat, axis=1)
 
 
 def _demote(v):
@@ -331,12 +361,7 @@ def pi_from_generators(g: GeneratorVector) -> PiVector:
 
 def reduce(g: GeneratorVector) -> ReducedPoint:
     """Project to the doubly reduced coordinates xi = (K+L)/2, eta = (K-L)/2."""
-    xi = tuple(_demote(_half(k + l)) for k, l in zip(g.K, g.L))
-    eta = tuple(_demote(_half(k - l)) for k, l in zip(g.K, g.L))
+    xi = tuple(_demote(divide(k + l, 2)) for k, l in zip(g.K, g.L))
+    eta = tuple(_demote(divide(k - l, 2)) for k, l in zip(g.K, g.L))
     return ReducedPoint(xi=xi, eta=eta, H2=g.H2, Xi=g.Xi)
 
-
-def _half(v):
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v) / 2
-    return v / 2

@@ -48,8 +48,13 @@ def cross3(a, b):
 
 
 def norm3(v):
-    """Euclidean norm, exact for rational input with a square norm."""
+    """Euclidean norm, exact for rational input with a square norm.
+
+    The three entries are numbers or matching (n,) arrays.
+    """
     s = dot3(v, v)
+    if isinstance(s, np.ndarray):
+        return np.sqrt(s)
     if isinstance(s, (int, Fraction)):
         f = Fraction(s)
         rn, rd = math.isqrt(f.numerator), math.isqrt(f.denominator)
@@ -67,7 +72,9 @@ def _as_point(w) -> PhasePoint6:
 
 
 def _require_noncollision(x):
-    if all(v == 0 for v in x):
+    # x holds three numbers or three matching (n,) arrays.
+    at_center = (x[0] == 0) & (x[1] == 0) & (x[2] == 0)
+    if np.any(at_center) if isinstance(at_center, np.ndarray) else at_center:
         raise ValueError("x = 0 is the collision point, outside the domain")
 
 
@@ -269,12 +276,12 @@ def write_trajectory_csv(path, times: np.ndarray, states: np.ndarray) -> None:
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
     header = "t,x1,x2,x3,y1,y2,y3,energy,J1,J2,J3,e1,e2,e3"
-    rows = []
-    for t, w in zip(times, states):
-        j = angular_momentum(w)
-        e = eccentricity(w)
-        values = [t, *w, kepler_energy(w), *j, *e]
-        rows.append(",".join(format(v, ".17g") for v in values))
+    columns = PhasePoint6(tuple(states.T[:3]), tuple(states.T[3:]))
+    table = np.column_stack([
+        times, states, kepler_energy(columns),
+        *angular_momentum(columns), *eccentricity(columns),
+    ])
+    rows = [",".join(format(v, ".17g") for v in row) for row in table]
     with open(path, "w") as fh:
         fh.write(header + "\n")
         fh.write("\n".join(rows) + "\n")

@@ -12,7 +12,6 @@ monomials; the scalar, batch and Jacobian entry points all evaluate it.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -21,10 +20,11 @@ from .invariants import (
     GENERATOR_NAMES,
     PhasePoint8,
     combine_monomials,
+    divide,
+    eval_generator_columns,
     eval_generators,
     eval_generators_batch,
     eval_monomials,
-    eval_monomials_batch,
 )
 from .kepler_dynamics import (
     PhasePoint6,
@@ -85,14 +85,16 @@ def _as_rows(Z) -> np.ndarray:
     return np.atleast_2d(np.asarray(Z, dtype=float))
 
 
-def _table_batch(Z: np.ndarray) -> np.ndarray:
-    T = np.stack([eval_monomials_batch(m, Z) for m in KS_MONOMIALS], axis=1)
-    _require_chart(T[:, 6])
+def _table(z) -> list:
+    """KS_MONOMIALS at eight columns z: (x1, x2, x3, n1, n2, n3, rho)."""
+    T = [eval_monomials(m, z) for m in KS_MONOMIALS]
+    _require_chart(T[6])
     return T
 
 
-def _image_from_table(T: np.ndarray) -> np.ndarray:
-    return np.concatenate([T[:, :3], T[:, 3:6] / T[:, 6:7]], axis=1)
+def _image(T) -> tuple:
+    """(x1, x2, x3, y1, y2, y3) from the seven table columns."""
+    return (*T[:3], *(n / T[6] for n in T[3:6]))
 
 
 def ks(z) -> PhasePoint6:
@@ -111,15 +113,13 @@ def ks(z) -> PhasePoint6:
     Raises:
       ValueError: q = 0 (the collision set, outside the domain).
     """
-    flat = _flat(z)
-    x1, x2, x3, n1, n2, n3, rho = (eval_monomials(m, flat) for m in KS_MONOMIALS)
-    _require_chart(rho)
-    return PhasePoint6(x=(x1, x2, x3), y=(n1 / rho, n2 / rho, n3 / rho))
+    w = _image(_table(_flat(z)))
+    return PhasePoint6(x=w[:3], y=w[3:])
 
 
 def ks_batch(Z) -> np.ndarray:
     """ks over an (n, 8) float array, returning the (n, 6) rows (x, y)."""
-    return _image_from_table(_table_batch(_as_rows(Z)))
+    return np.column_stack(_image(_table(_as_rows(Z).T)))
 
 
 def ks_from_generators_batch(G) -> np.ndarray:
@@ -129,9 +129,9 @@ def ks_from_generators_batch(G) -> np.ndarray:
     so comparing the two checks the expansion and its arithmetic, not
     the monomials themselves.
     """
-    T = np.asarray(G, dtype=float) @ _KS_FROM_GENERATORS.T
-    _require_chart(T[:, 6])
-    return _image_from_table(T)
+    T = (np.asarray(G, dtype=float) @ _KS_FROM_GENERATORS.T).T
+    _require_chart(T[6])
+    return np.column_stack(_image(T))
 
 
 def ks_jacobian_batch(Z) -> np.ndarray:
@@ -142,7 +142,7 @@ def ks_jacobian_batch(Z) -> np.ndarray:
     for the division by <q,q>.
     """
     Z = _as_rows(Z)
-    T = _table_batch(Z)
+    T = np.stack(_table(Z.T), axis=1)
     D = np.einsum("kab,nb->nka", _KS_GRADIENTS, Z)
     rho = T[:, 6, None, None]
     J = np.empty((Z.shape[0], 6, 8))
@@ -177,17 +177,6 @@ def ks_fiber_action(z, s: float) -> PhasePoint8:
     return PhasePoint8(tuple(out[:4]), tuple(out[4:]))
 
 
-def pullback_kepler_hamiltonian(z):
-    """Both sides of the Hamiltonian pullback identity.
-
-    lhs = (1/2)|x|(|y|^2 + 1) at ks(z); rhs = H2 - (1/2)Xi^2/(H2+V1).
-    The identity holds on the whole domain, not only on the zero level.
-    """
-    g = eval_generators(_flat(z))
-    rhs = g.H2 - Fraction(1, 2) * g.Xi * g.Xi / (g.H2 + g.V[0])
-    return preregularized_hamiltonian(ks(z)), rhs
-
-
 def require_level_set(h2, xi, tol: float = 1e-9) -> None:
     """Raise ValueError unless (H2, Xi) = (1, 0) within tol.
 
@@ -202,28 +191,49 @@ def require_level_set(h2, xi, tol: float = 1e-9) -> None:
         )
 
 
-def _on_level_set(z, tol):
-    g = eval_generators(_flat(z))
-    require_level_set(g.H2, g.Xi, tol)
-    return ks(z), g
+def _pullback_pairs(z, tol) -> dict:
+    """(Kepler side at ks(z), generator side) of the four pullback identities.
+
+    z holds eight columns, numbers or (n,) arrays.  Unless tol is None
+    the point must lie on the (1, 0) level set; the Hamiltonian identity
+    holds on the whole domain and is checked without that restriction.
+    """
+    g = eval_generator_columns(z)
+    if tol is not None:
+        require_level_set(g.H2, g.Xi, tol)
+    w = _image(_table(z))
+    pt = PhasePoint6(x=w[:3], y=w[3:])
+    return {
+        "hamiltonian": (preregularized_hamiltonian(pt),
+                        g.H2 - divide(g.Xi * g.Xi, 2) / (g.H2 + g.V[0])),
+        "angular_momentum": (angular_momentum(pt), g.L),
+        "eccentricity": (eccentricity(pt), g.K),
+        "inner_product": (dot3(pt.x, pt.y), -g.U[0]),
+    }
+
+
+def pullback_kepler_hamiltonian(z):
+    """Both sides of the Hamiltonian pullback identity.
+
+    lhs = (1/2)|x|(|y|^2 + 1) at ks(z); rhs = H2 - (1/2)Xi^2/(H2+V1).
+    The identity holds on the whole domain, not only on the zero level.
+    """
+    return _pullback_pairs(_flat(z), None)["hamiltonian"]
 
 
 def pullback_angular_momentum(z, tol: float = 1e-9):
     """(x cross y at ks(z), L(z)) on the (1, 0) level set."""
-    pt, g = _on_level_set(z, tol)
-    return angular_momentum(pt), g.L
+    return _pullback_pairs(_flat(z), tol)["angular_momentum"]
 
 
 def pullback_eccentricity(z, tol: float = 1e-9):
     """(-x/|x| + y cross (x cross y) at ks(z), K(z)) on the level set."""
-    pt, g = _on_level_set(z, tol)
-    return eccentricity(pt), g.K
+    return _pullback_pairs(_flat(z), tol)["eccentricity"]
 
 
 def pullback_inner_product(z, tol: float = 1e-9):
     """(<x, y> at ks(z), -U1(z)) on the level set."""
-    pt, g = _on_level_set(z, tol)
-    return dot3(pt.x, pt.y), -g.U[0]
+    return _pullback_pairs(_flat(z), tol)["inner_product"]
 
 
 def pullback_gaps_batch(Z) -> dict:
@@ -234,21 +244,10 @@ def pullback_gaps_batch(Z) -> dict:
     between the Kepler-side value at ks(z) and its generator.  Raises
     ValueError when any row is off the (1, 0) level set (tol 1e-9).
     """
-    Z = _as_rows(Z)
-    G = eval_generators_batch(Z)
-    require_level_set(G[:, 6], G[:, 7])
-    W = ks_batch(Z)
-    x, y = W[:, :3], W[:, 3:]
-    K, L, H2, Xi, U1, V1 = G[:, 0:3], G[:, 3:6], G[:, 6], G[:, 7], G[:, 8], G[:, 12]
-    r = np.sqrt(np.sum(x * x, axis=1))
-    j = np.cross(x, y)
-    e = -x / r[:, None] + np.cross(y, j)
-    energy = r * (np.sum(y * y, axis=1) + 1) / 2
+    pairs = _pullback_pairs(_as_rows(Z).T, 1e-9)
     return {
-        "hamiltonian": np.abs(energy - (H2 - 0.5 * Xi * Xi / (H2 + V1))),
-        "angular_momentum": np.abs(j - L).max(axis=1),
-        "eccentricity": np.abs(e - K).max(axis=1),
-        "inner_product": np.abs(np.sum(x * y, axis=1) + U1),
+        key: np.abs(np.atleast_2d(np.subtract(lhs, rhs))).max(axis=0)
+        for key, (lhs, rhs) in pairs.items()
     }
 
 

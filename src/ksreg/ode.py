@@ -7,6 +7,7 @@ localization scheme, and must behave identically across platforms.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -60,7 +61,9 @@ class OdeResult:
 
     times/states hold every accepted step point; eval_times/eval_states
     hold the requested sample grid when one was given.  status is one
-    of completed, event, step_budget_exhausted, step_size_underflow.
+    of completed, event, step_budget_exhausted, step_size_underflow,
+    nonfinite (a step produced a non-finite error estimate; the last
+    accepted state is the one before it).
     """
 
     times: np.ndarray
@@ -160,6 +163,9 @@ def integrate_ode(
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
 
+        if not math.isfinite(err):
+            status = "nonfinite"
+            break
         if err > 1.0:
             stats.rejected_steps += 1
             h *= max(0.2, 0.9 * err ** -0.2)

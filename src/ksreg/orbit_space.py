@@ -65,6 +65,25 @@ class RelationResidual:
         ]
 
 
+def _wedge_bilinears(U, V):
+    """The six bilinears U_i V_j - U_j V_i as two 3-vectors (B, B').
+
+    They enter the relations, the Lagrange identity and the fiber
+    reconstructions.
+    """
+    B = (
+        U[1] * V[0] - U[0] * V[1],
+        U[2] * V[0] - U[0] * V[2],
+        U[3] * V[0] - U[0] * V[3],
+    )
+    B_prime = (
+        U[3] * V[2] - U[2] * V[3],
+        U[1] * V[3] - U[3] * V[1],
+        U[2] * V[1] - U[1] * V[2],
+    )
+    return B, B_prime
+
+
 def relation_residuals(g: GeneratorVector) -> RelationResidual:
     """Evaluate all nine defining relations and the two inequalities.
 
@@ -73,18 +92,13 @@ def relation_residuals(g: GeneratorVector) -> RelationResidual:
     """
     K, L, H2, Xi, U, V = g.K, g.L, g.H2, g.Xi, g.U, g.V
     gap = H2 * H2 - Xi * Xi
-    residuals = {
-        "UU": _dot(U, U) - gap,
-        "VV": _dot(V, V) - gap,
-        "UV": _dot(U, V),
-        "U2V1_U1V2": U[1] * V[0] - U[0] * V[1] - (L[0] * Xi - K[0] * H2),
-        "U3V1_U1V3": U[2] * V[0] - U[0] * V[2] - (L[1] * Xi - K[1] * H2),
-        "U4V1_U1V4": U[3] * V[0] - U[0] * V[3] - (L[2] * Xi - K[2] * H2),
-        "U4V3_U3V4": U[3] * V[2] - U[2] * V[3] - (K[0] * Xi - L[0] * H2),
-        "U2V4_U4V2": U[1] * V[3] - U[3] * V[1] - (K[1] * Xi - L[1] * H2),
-        "U3V2_U2V3": U[2] * V[1] - U[1] * V[2] - (K[2] * Xi - L[2] * H2),
-    }
-    return RelationResidual(residuals=residuals, h2=H2, wedge_gap=gap)
+    B, B_prime = _wedge_bilinears(U, V)
+    values = [_dot(U, U) - gap, _dot(V, V) - gap, _dot(U, V)]
+    values += [b - (l * Xi - k * H2) for b, k, l in zip(B, K, L)]
+    values += [b - (k * Xi - l * H2) for b, k, l in zip(B_prime, K, L)]
+    return RelationResidual(
+        residuals=dict(zip(RELATION_NAMES, values)), h2=H2, wedge_gap=gap
+    )
 
 
 def _columns(G) -> GeneratorVector:
@@ -111,11 +125,8 @@ def lagrange_identity_check(g: GeneratorVector) -> dict:
     |K|^2 + |L|^2 = H2^2 + Xi^2 and <K,L> = Xi*H2.
     """
     K, L, H2, Xi, U, V = g.K, g.L, g.H2, g.Xi, g.U, g.V
-    wedge = 0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            w = U[i] * V[j] - U[j] * V[i]
-            wedge = wedge + w * w
+    B, B_prime = _wedge_bilinears(U, V)
+    wedge = _dot(B, B) + _dot(B_prime, B_prime)
     uv = _dot(U, V)
     return {
         "wedge_sum": (wedge + uv * uv, _dot(U, U) * _dot(V, V)),
@@ -179,21 +190,6 @@ def classify_reduced_space(w: WedgePoint, tol: float = 1e-9):
     if h - abs(xi) <= tol * max(1, h):
         return SingleSphere(radius=h)
     return ProductOfSpheres(r_plus=(h + xi) / 2, r_minus=(h - xi) / 2)
-
-
-def _wedge_bilinears(U, V):
-    """The two bilinear 3-vectors entering the fiber reconstructions."""
-    B = (
-        U[1] * V[0] - U[0] * V[1],
-        U[2] * V[0] - U[0] * V[2],
-        U[3] * V[0] - U[0] * V[3],
-    )
-    B_prime = (
-        U[3] * V[2] - U[2] * V[3],
-        U[1] * V[3] - U[3] * V[1],
-        U[2] * V[1] - U[1] * V[2],
-    )
-    return B, B_prime
 
 
 def _check_sphere_preconditions(U, V, h, tol):

@@ -13,19 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .invariants import GEN_MONOMIALS, GENERATOR_NAMES
+from .invariants import (GEN_MONOMIALS, GENERATOR_NAMES, PI_FROM_GEN_TABLE, PI_MONOMIALS,
+                         PI_NAMES)
 
 _DIM = 8
-
-# Coefficient matrix of the symplectic form in (q1..q4, p1..p4) order:
-# {f, g} = (grad f)^T J (grad g).
-_J = tuple(
-    tuple(
-        1 if j == i + 4 else (-1 if i == j + 4 else 0)
-        for j in range(_DIM)
-    )
-    for i in range(_DIM)
-)
 
 
 def _matmul(a, b):
@@ -88,12 +79,15 @@ def poisson_bracket(f: QuadraticForm, g: QuadraticForm) -> QuadraticForm:
     """Bracket {f, g} = sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i).
 
     For f = z^T A z / 2 and g = z^T B z / 2 the bracket is the quadratic
-    form with matrix A J B - B J A.
+    form with matrix A J B - B J A, J = [[0, I], [-I, 0]] in (q, p)
+    order.  With A, B symmetric and J antisymmetric that is M + M^T for
+    M = (A J) B, and A J is A with its q and p column blocks swapped and
+    the new q block negated.
     """
-    ajb = _matmul(_matmul(f.a, _J), g.a)
-    bja = _matmul(_matmul(g.a, _J), f.a)
+    aj = [[-v for v in row[4:]] + list(row[:4]) for row in f.a]
+    m = _matmul(aj, g.a)
     return QuadraticForm(tuple(
-        tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(ajb, bja)
+        tuple(m[i][j] + m[j][i] for j in range(_DIM)) for i in range(_DIM)
     ))
 
 
@@ -115,62 +109,33 @@ class DecompositionError(ValueError):
     """Raised when a form is not a combination of the 16 generators."""
 
 
-def _invert(matrix):
-    n = len(matrix)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = Fraction(1) / aug[col][col]
-        aug[col] = [v * scale for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _pivot_data():
-    """Pivot columns of the generator span and the solve matrix for them."""
-    rows = [list(GENERATOR_FORMS[n].upper_vector()) for n in GENERATOR_NAMES]
-    work = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(len(work[0])):
-        pr = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        scale = Fraction(1) / work[r][col]
-        work[r] = [v * scale for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    square = [[rows[k][c] for k in range(16)] for c in pivots]
-    return tuple(pivots), _invert(square)
-
-
-_PIVOTS, _SOLVE = _pivot_data()
+# The pi monomials have disjoint supports, so the coefficient of pi_k in
+# an invariant form is its coefficient on the first monomial c z_i z_j of
+# pi_k, divided by c: a[i][j] / c off the diagonal, a[i][i] / (2c) on it.
+_PI_PROBES = tuple(
+    (name, i, j, Fraction(c * (2 if i == j else 1)))
+    for name, ((c, i, j), *_) in zip(PI_NAMES, PI_MONOMIALS)
+)
 
 
 def decompose(form: QuadraticForm) -> dict:
     """Express an invariant quadratic form over the generators.
 
     Returns {generator name: rational coefficient} with zero entries
-    omitted.  Raises DecompositionError if the form lies outside the
-    span, which is how non-invariant forms announce themselves.
+    omitted.  The pi coefficients are read off the form and mapped
+    through PI_FROM_GEN_TABLE; the result is then expanded again and
+    compared with the form.  Raises DecompositionError if the form lies
+    outside the span, which is how non-invariant forms announce
+    themselves.
     """
-    v = form.upper_vector()
-    rhs = [v[c] for c in _PIVOTS]
-    coeffs = [sum(row[k] * rhs[k] for k in range(16)) for row in _SOLVE]
-    named = {n: c for n, c in zip(GENERATOR_NAMES, coeffs) if c != 0}
-    if linear_combination(named).upper_vector() != v:
+    coeffs: dict[str, Fraction] = {}
+    for name, i, j, div in _PI_PROBES:
+        c = form.a[i][j] / div
+        if c:
+            for gen, p in PI_FROM_GEN_TABLE[name].items():
+                coeffs[gen] = coeffs.get(gen, 0) + c * p
+    named = {n: coeffs[n] for n in GENERATOR_NAMES if coeffs.get(n, 0) != 0}
+    if linear_combination(named).upper_vector() != form.upper_vector():
         raise DecompositionError(
             "form is not a linear combination of the invariant generators"
         )

@@ -105,6 +105,27 @@ class TestOrbit:
         assert abs(report["collision_time"] - (3 * math.pi / 2 + 1)) < 1e-9
         assert "collision" in result.output
 
+    def test_the_three_csvs_share_one_time_grid(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            [
+                "orbit",
+                "--state", "1,0,0,0,1,0,0,0",
+                "--t-max", "3",
+                "--samples", "16",
+                "--out-dir", str(tmp_path),
+            ],
+        )
+        assert result.exit_code == 0
+        columns = [
+            [line.split(",")[0] for line in
+             (tmp_path / f"{name}.csv").read_text().splitlines()[1:]]
+            for name in ("oscillator", "ks_image", "kepler_integrated")
+        ]
+        assert columns[0] == columns[1] == columns[2]
+        assert float(columns[0][0]) == 0.0
+        assert float(columns[0][-1]) < 3.0
+
     def test_malformed_and_off_level_states_are_usage_errors(self, runner):
         assert runner.invoke(main, ["orbit", "--state", "1,2,3"]).exit_code == 2
         assert runner.invoke(main, ["orbit", "--state", "a,b,c,d,e,f,g,h"]).exit_code == 2

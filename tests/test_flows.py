@@ -250,6 +250,7 @@ class TestHarness:
         assert abs(res.collision_time - math.pi) < 1e-6
         assert res.times[-1] < math.pi / 2
         assert res.max_deviation <= 1e-5
+        assert np.array_equal(res.chart, oscillator_flow_batch(APOAPSIS, res.times))
 
     def test_near_collision_seed_stays_accurate(self):
         # |L| = 1e-3 passes within 5e-7 of the center; the guard is
@@ -273,6 +274,13 @@ class TestHarness:
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError):
             ks_relatedness_harness(CIRCULAR, -1.0)
+
+    def test_step_budget_status_passes_through(self):
+        res = ks_relatedness_harness(CIRCULAR, 2 * math.pi, max_steps=3)
+        assert res.status == "step_budget_exhausted"
+        assert res.stats.steps == 3
+        assert res.collision_time is None
+        assert "collision_time" not in res.to_json_dict()
 
     def test_report_shape(self):
         res = ks_relatedness_harness(APOAPSIS, 2 * math.pi)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ksreg.sampling import sample_fractions
 from ksreg.invariants import (
     GEN_FROM_PI_MATRIX,
     GENERATOR_NAMES,
@@ -134,6 +135,18 @@ class TestBatchEvaluation:
         for row, zrow in zip(batch, Z):
             scalar = eval_generators(tuple(zrow)).as_array()
             assert np.allclose(row, scalar, rtol=0, atol=1e-12)
+        # Fraction rows: the scalar wrapper stays exact, an object array of
+        # the same Fractions gives the same values entry by entry, and the
+        # float batch agrees to rounding.
+        F = sample_fractions(rng, 30)
+        exact = np.array(F, dtype=object)
+        by_objects = eval_generators_batch(exact)
+        by_floats = eval_generators_batch(exact.astype(float))
+        for z, row, frow in zip(F, by_objects, by_floats):
+            scalar = eval_generators(z).flat
+            assert all(type(v) in (int, Fraction) for v in scalar)
+            assert tuple(row) == scalar
+            assert np.allclose(frow, np.array(scalar, dtype=float), rtol=0, atol=1e-12)
 
     def test_even_integer_batch_is_exact(self):
         rng = np.random.default_rng(11)

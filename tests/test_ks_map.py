@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ksreg.invariants import PhasePoint8, eval_generators, eval_generators_batch, eval_pi
+from ksreg.invariants import (PhasePoint8, eval_generators, eval_generators_batch, eval_pi,
+                              eval_pi_batch)
 from ksreg.kepler_dynamics import norm3
 from ksreg.ks_map import (
     KS,
@@ -33,7 +34,8 @@ from ksreg.ks_map import (
     pullback_inner_product,
     pullback_kepler_hamiltonian,
 )
-from ksreg.sampling import sample_level_set, sample_xi_zero
+from ksreg.flows import collision_triple_batch
+from ksreg.sampling import sample_fractions, sample_level_set, sample_xi_zero
 
 fraction_st = st.fractions(min_value=-5, max_value=5, max_denominator=10)
 point_st = st.tuples(*([fraction_st] * 8))
@@ -80,6 +82,13 @@ class TestKsMap:
             assert np.allclose(w, pt.x + pt.y, rtol=1e-14, atol=1e-14)
         by_generators = ks_from_generators_batch(eval_generators_batch(Z))
         assert np.allclose(by_generators, W, rtol=1e-12, atol=1e-12)
+        # Fraction rows: the scalar wrapper is exact and the batch agrees.
+        F = [z for z in sample_fractions(np.random.default_rng(28), 60) if any(z[:4])]
+        W = ks_batch(np.array(F, dtype=float))
+        for z, w in zip(F, W):
+            pt = ks(z)
+            assert all(type(v) is Fraction for v in pt.x + pt.y)
+            assert np.allclose(w, np.array(pt.x + pt.y, dtype=float), rtol=1e-14, atol=1e-14)
 
     def test_batch_rejects_a_collision_row(self):
         Z = np.random.default_rng(30).standard_normal((4, 8))
@@ -362,3 +371,23 @@ class TestPhasePoint6:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             PhasePoint6((1, 0), (0, 0, 0))
+
+
+class TestBatchDtypes:
+    """Float batches come back as float64 (bool for the collision sides).
+
+    A Fraction coefficient times a float array gives an object array, so
+    these pins catch an exact coefficient leaking into a float path.
+    """
+
+    Z = sample_level_set(np.random.default_rng(47), 20)
+
+    @pytest.mark.parametrize("fn", [eval_generators_batch, eval_pi_batch, ks_batch])
+    def test_array_outputs(self, fn):
+        assert fn(self.Z).dtype == np.float64
+
+    def test_pullback_gaps(self):
+        assert {v.dtype for v in pullback_gaps_batch(self.Z).values()} == {np.dtype(np.float64)}
+
+    def test_collision_triple(self):
+        assert [side.dtype for side in collision_triple_batch(self.Z)] == [np.dtype(bool)] * 3

@@ -101,6 +101,16 @@ class TestAccounting:
         assert res.status == "step_budget_exhausted"
         assert res.stats.steps == 5
 
+    def test_nonfinite_rhs_ends_the_run(self):
+        def blows_up(t, y):
+            return np.array([np.inf]) if t > 0.5 else np.array([1.0])
+
+        with np.errstate(invalid="ignore"):
+            res = integrate_ode(blows_up, np.array([0.0]), (0.0, 1.0))
+        assert res.status == "nonfinite"
+        assert res.times[-1] <= 0.5
+        assert np.all(np.isfinite(res.states))
+
     def test_rhs_evaluation_count_is_exact(self):
         res = integrate_ode(_rotor, np.array([1.0, 0.0]), (0.0, 7.0))
         attempts = res.stats.steps + res.stats.rejected_steps
