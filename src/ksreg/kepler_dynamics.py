@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 
 @dataclass(frozen=True)
@@ -64,11 +63,13 @@ def norm3(v):
     return math.sqrt(s)
 
 
-def _as_point(w) -> PhasePoint6:
+def _columns(w) -> tuple:
+    """(x, y) of a PhasePoint6 as stored, or of a flat 6-sequence of columns."""
     if isinstance(w, PhasePoint6):
-        return w
-    w = np.asarray(w, dtype=float)
-    return PhasePoint6(tuple(w[:3]), tuple(w[3:]))
+        return w.x, w.y
+    if len(w) != 6:
+        raise ValueError("a Kepler phase point has 6 components (x, y)")
+    return w[:3], w[3:]
 
 
 def _require_noncollision(x):
@@ -78,17 +79,26 @@ def _require_noncollision(x):
         raise ValueError("x = 0 is the collision point, outside the domain")
 
 
+def _field_point(w) -> tuple:
+    """Float x and y of one point off the collision set, and r = |x|."""
+    x, y = _columns(w)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    _require_noncollision(x)
+    return x, y, math.sqrt(x @ x)
+
+
 def kepler_energy(w) -> float:
     """K(x, y) = |y|^2/2 - 1/|x|."""
-    pt = _as_point(w)
-    _require_noncollision(pt.x)
-    return sum(v * v for v in pt.y) / 2 - 1 / norm3(pt.x)
+    x, y = _columns(w)
+    _require_noncollision(x)
+    return dot3(y, y) / 2 - 1 / norm3(x)
 
 
 def preregularized_hamiltonian(w):
     """The regularized energy |x|(|y|^2 + 1)/2, smooth through x = 0."""
-    pt = _as_point(w)
-    return norm3(pt.x) * (sum(v * v for v in pt.y) + 1) / 2
+    x, y = _columns(w)
+    return norm3(x) * (dot3(y, y) + 1) / 2
 
 
 def preregularized_vector_field(w) -> np.ndarray:
@@ -96,11 +106,7 @@ def preregularized_vector_field(w) -> np.ndarray:
 
     dx/ds = |x| y, dy/ds = -(|y|^2 + 1) x / (2|x|).
     """
-    pt = _as_point(w)
-    _require_noncollision(pt.x)
-    x = np.asarray(pt.x, dtype=float)
-    y = np.asarray(pt.y, dtype=float)
-    r = float(np.linalg.norm(x))
+    x, y, r = _field_point(w)
     return np.concatenate([r * y, -(y @ y + 1) / 2 * x / r])
 
 
@@ -111,11 +117,7 @@ def rescaled_kepler_vector_field(w) -> np.ndarray:
     an independent construction that agrees with the symplectic
     gradient; the cross-validation lives in the tests.
     """
-    pt = _as_point(w)
-    _require_noncollision(pt.x)
-    x = np.asarray(pt.x, dtype=float)
-    y = np.asarray(pt.y, dtype=float)
-    r = float(np.linalg.norm(x))
+    x, y, r = _field_point(w)
     energy = (y @ y) / 2 - 1 / r
     dy = -x / r**2 - (energy + 0.5) * x / r
     return np.concatenate([r * y, dy])
@@ -123,28 +125,24 @@ def rescaled_kepler_vector_field(w) -> np.ndarray:
 
 def kepler_vector_field(w) -> np.ndarray:
     """The raw field dx/dt = y, dy/dt = -x/|x|^3, singular at x = 0."""
-    pt = _as_point(w)
-    _require_noncollision(pt.x)
-    x = np.asarray(pt.x, dtype=float)
-    y = np.asarray(pt.y, dtype=float)
-    r = float(np.linalg.norm(x))
+    x, y, r = _field_point(w)
     return np.concatenate([y, -x / r**3])
 
 
 def angular_momentum(w):
     """J = x cross y."""
-    pt = _as_point(w)
-    _require_noncollision(pt.x)
-    return cross3(pt.x, pt.y)
+    x, y = _columns(w)
+    _require_noncollision(x)
+    return cross3(x, y)
 
 
 def eccentricity(w):
     """e = -x/|x| + y cross (x cross y), conserved along the flow."""
-    pt = _as_point(w)
-    _require_noncollision(pt.x)
-    yxj = cross3(pt.y, cross3(pt.x, pt.y))
-    r = norm3(pt.x)
-    return tuple(-xi / r + w_ for xi, w_ in zip(pt.x, yxj))
+    x, y = _columns(w)
+    _require_noncollision(x)
+    yxj = cross3(y, cross3(x, y))
+    r = norm3(x)
+    return tuple(-xi / r + w_ for xi, w_ in zip(x, yxj))
 
 
 @dataclass(frozen=True)
@@ -175,8 +173,8 @@ def symplectic_scaling(w, k: float) -> PhasePoint6:
     """
     if not k > 0:
         raise ValueError("k must be positive")
-    pt = _as_point(w)
-    return PhasePoint6(tuple(v / k for v in pt.x), tuple(k * v for v in pt.y))
+    x, y = _columns(w)
+    return PhasePoint6(tuple(v / k for v in x), tuple(k * v for v in y))
 
 
 @dataclass(frozen=True)
@@ -215,6 +213,8 @@ def radial_collision_time(r0: float) -> float:
 
 def radial_collision_time_quadrature(r0: float) -> float:
     """The same fall time by direct quadrature of dr / sqrt(2/r - 1)."""
+    from scipy import integrate
+
     if not 0 < r0 <= 2:
         raise ValueError("r0 must lie in (0, 2] at energy -1/2")
     value, _ = integrate.quad(
@@ -230,6 +230,8 @@ def sundman_time(s_grid: np.ndarray, states: np.ndarray, k: float = 1.0) -> np.n
     center; a path reaching x = 0 is rejected because the relation
     degenerates there.
     """
+    from scipy import integrate
+
     if not k > 0:
         raise ValueError("k must be positive")
     s_grid = np.asarray(s_grid, dtype=float)
@@ -276,10 +278,9 @@ def write_trajectory_csv(path, times: np.ndarray, states: np.ndarray) -> None:
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
     header = "t,x1,x2,x3,y1,y2,y3,energy,J1,J2,J3,e1,e2,e3"
-    columns = PhasePoint6(tuple(states.T[:3]), tuple(states.T[3:]))
     table = np.column_stack([
-        times, states, kepler_energy(columns),
-        *angular_momentum(columns), *eccentricity(columns),
+        times, states, kepler_energy(states.T),
+        *angular_momentum(states.T), *eccentricity(states.T),
     ])
     rows = [",".join(format(v, ".17g") for v in row) for row in table]
     with open(path, "w") as fh:

@@ -202,13 +202,12 @@ def _pullback_pairs(z, tol) -> dict:
     if tol is not None:
         require_level_set(g.H2, g.Xi, tol)
     w = _image(_table(z))
-    pt = PhasePoint6(x=w[:3], y=w[3:])
     return {
-        "hamiltonian": (preregularized_hamiltonian(pt),
+        "hamiltonian": (preregularized_hamiltonian(w),
                         g.H2 - divide(g.Xi * g.Xi, 2) / (g.H2 + g.V[0])),
-        "angular_momentum": (angular_momentum(pt), g.L),
-        "eccentricity": (eccentricity(pt), g.K),
-        "inner_product": (dot3(pt.x, pt.y), -g.U[0]),
+        "angular_momentum": (angular_momentum(w), g.L),
+        "eccentricity": (eccentricity(w), g.K),
+        "inner_product": (dot3(w[:3], w[3:]), -g.U[0]),
     }
 
 

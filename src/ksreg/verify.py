@@ -114,26 +114,26 @@ def _suite_collision(rng, samples, tol):
     )
 
 
-def _suite_fall_times(tol):
-    worst_quadrature = 0.0
-    worst_event = 0.0
-    below_apex = True
+def fall_time_rows() -> list:
+    """(r0, closed form, quadrature, integrated time to r = 1e-6 or inf) per FALL_GRID r0."""
+    rows = []
     for r0 in FALL_GRID:
-        closed = radial_collision_time(r0)
-        quad = radial_collision_time_quadrature(r0)
-        worst_quadrature = max(worst_quadrature, abs(closed - quad))
         res = integrate_ode(
-            lambda t, u: np.array(
-                radial_ode_rhs(RadialState(u[0], u[1]))
-            ),
+            lambda t, u: np.array(radial_ode_rhs(RadialState(u[0], u[1]))),
             np.array([r0, -math.sqrt(2 / r0 - 1)]),
             (0.0, 4.0),
             event=lambda t, u: u[0] - 1e-6,
         )
-        event_gap = abs(res.event_time - closed) if res.status == "event" else math.inf
-        worst_event = max(worst_event, event_gap)
-        if r0 < 2:
-            below_apex = below_apex and closed < math.pi
+        event = res.event_time if res.status == "event" else math.inf
+        rows.append((r0, radial_collision_time(r0), radial_collision_time_quadrature(r0), event))
+    return rows
+
+
+def _suite_fall_times(tol):
+    rows = fall_time_rows()
+    worst_quadrature = max(abs(closed - quad) for _, closed, quad, _ in rows)
+    worst_event = max(abs(event - closed) for _, closed, _, event in rows)
+    below_apex = all(closed < math.pi for r0, closed, _, _ in rows if r0 < 2)
     apex_exact = radial_collision_time(2.0) == math.pi
     passed = worst_quadrature <= max(tol, 1e-9) and worst_event <= 1e-5
     return _suite(

@@ -16,19 +16,12 @@ from ksreg.flows import (
     oscillator_trajectory,
 )
 from ksreg.invariants import eval_generators, eval_generators_batch
-from ksreg.kepler_dynamics import (
-    RadialState,
-    preregularized_hamiltonian,
-    radial_collision_time,
-    radial_collision_time_quadrature,
-    radial_ode_rhs,
-)
+from ksreg.kepler_dynamics import preregularized_hamiltonian, radial_collision_time
 from ksreg.ks_map import (
     poisson_residual_batch,
     poisson_residual_xi_sweep,
     pullback_gaps_batch,
 )
-from ksreg.ode import integrate_ode
 from ksreg.orbit_space import (
     lagrange_identity_check,
     relation_residuals,
@@ -43,8 +36,7 @@ from ksreg.sampling import (
     sample_phase_points,
     sample_xi_zero,
 )
-
-FALL_GRID = (0.25, 0.5, 1.0, 1.5, 2.0)
+from ksreg.verify import fall_time_rows
 
 
 def _report(number, ok, note=""):
@@ -186,16 +178,7 @@ class TestAcceptance:
         unit_value = abs(radial_collision_time(1.0) - (math.pi / 2 - 1)) <= 1e-12
         worst = 0.0
         below_apex = True
-        for r0 in FALL_GRID:
-            closed = radial_collision_time(r0)
-            quad = radial_collision_time_quadrature(r0)
-            res = integrate_ode(
-                lambda t, u: np.array(radial_ode_rhs(RadialState(u[0], u[1]))),
-                np.array([r0, -math.sqrt(2 / r0 - 1)]),
-                (0.0, 4.0),
-                event=lambda t, u: u[0] - 1e-6,
-            )
-            event = res.event_time if res.status == "event" else math.inf
+        for r0, closed, quad, event in fall_time_rows():
             worst = max(worst, abs(closed - quad), abs(closed - event), abs(quad - event))
             if r0 < 2:
                 below_apex = below_apex and closed < math.pi

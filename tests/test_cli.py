@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import ksreg
 from ksreg.cli import main
 
 
@@ -183,3 +187,16 @@ class TestTable:
         assert lines[0] == "field,component,transcribed,regenerated,match"
         assert len(lines) == 127
         assert sum(1 for line in lines if line.endswith(",false")) == 23
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_integrate_unloaded(self):
+        # scipy.integrate costs most of the import time of the package and
+        # only the quadrature and Sundman time use it.
+        src = os.path.dirname(os.path.dirname(ksreg.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        probe = "import sys, ksreg.cli; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

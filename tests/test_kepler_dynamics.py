@@ -59,6 +59,16 @@ class TestEnergies:
             with pytest.raises(ValueError):
                 fn(bad)
 
+    def test_flat_input_of_the_wrong_length_rejected(self):
+        for fn in (kepler_energy, preregularized_hamiltonian, preregularized_vector_field,
+                   rescaled_kepler_vector_field, kepler_vector_field, angular_momentum,
+                   eccentricity):
+            for w in ([0.0, 0, 1, 1, 0], np.array([0.0, 0, 1, 1, 0, 0, 0])):
+                with pytest.raises(ValueError):
+                    fn(w)
+        with pytest.raises(ValueError):
+            symplectic_scaling([0.0, 0, 1, 1, 0], 2.0)
+
     def test_regularized_energy_examples(self):
         assert preregularized_hamiltonian(CIRCULAR) == 1
         assert preregularized_hamiltonian(APOAPSIS) == 1
