@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .invariants import eval_generators_batch
-from .kepler_dynamics import kepler_vector_field
+from .kepler_dynamics import kepler_energy, kepler_vector_field, norm3
 from .ks_map import ks_batch
 from .ode import integrate_ode
 
@@ -105,9 +105,9 @@ def _run_raw(l_norm, rtol, atol, max_steps) -> BenchRow:
         rtol=rtol, atol=atol, max_steps=max_steps, t_eval=grid[1:-1],
         event=lambda t, w: w[:3] @ w[:3] - COLLISION_GUARD**2,
     )
-    states = _collect_states(res)
-    radii = np.linalg.norm(states[:, :3], axis=1)
-    energy = np.sum(states[:, 3:] ** 2, axis=1) / 2 - 1 / radii
+    states = _collect_states(res).T
+    radii = norm3(states[:3])
+    energy = kepler_energy(states)
     return BenchRow(
         l_norm=l_norm,
         method="raw_kepler",

@@ -12,7 +12,7 @@ import numpy as np
 
 from .invariants import (GeneratorVector, PhasePoint8, eval_generator_columns,
                          eval_generators, eval_generators_batch)
-from .kepler_dynamics import dot3, preregularized_vector_field
+from .kepler_dynamics import cross3, dot3, norm3, preregularized_vector_field
 from .ks_map import ks_batch, require_level_set
 from .ode import IntegratorStats, integrate_ode
 from .orbit_space import relation_residuals
@@ -145,8 +145,8 @@ def collision_triple_batch(Z):
     tol = 1e-9
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     member, tau = _collision_columns(Z.T, tol)
-    W = ks_batch(Z)
-    collinear_image = np.linalg.norm(np.cross(W[:, :3], W[:, 3:]), axis=1) <= tol
+    W = ks_batch(Z).T
+    collinear_image = norm3(cross3(W[:3], W[3:])) <= tol
     return member, ~np.isnan(tau), collinear_image
 
 

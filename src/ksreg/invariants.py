@@ -103,7 +103,12 @@ PI_FROM_GEN_MATRIX = _table_to_matrix(PI_FROM_GEN_TABLE, PI_NAMES, GENERATOR_NAM
 
 
 def combine_monomials(coeffs: dict, table: dict) -> tuple:
-    """Expand a {name: coeff} combination of the monomial lists table[name]."""
+    """Expand a {key: coeff} combination of the monomial lists table[key].
+
+    The result is canonical: (c, i, j) with i <= j, sorted by (i, j), one
+    term per pair and no zero coefficient, so equal combinations give
+    equal tuples.  table is any mapping or sequence indexed by the keys.
+    """
     acc: dict[tuple[int, int], Fraction] = {}
     for name, coeff in coeffs.items():
         for c, i, j in table[name]:

@@ -73,10 +73,17 @@ def _columns(w) -> tuple:
 
 
 def _require_noncollision(x):
-    # x holds three numbers or three matching (n,) arrays.
-    at_center = (x[0] == 0) & (x[1] == 0) & (x[2] == 0)
-    if np.any(at_center) if isinstance(at_center, np.ndarray) else at_center:
+    """|x|^2 = dot3(x, x), after checking that it is not 0.
+
+    x holds three numbers or three matching (n,) arrays.  The test is on
+    the quantity the formulas divide by: for int and Fraction entries
+    that is x = 0, for floats it also rejects an |x|^2 that underflows.
+    """
+    rr = dot3(x, x)
+    at_center = rr == 0
+    if at_center.any() if isinstance(at_center, np.ndarray) else at_center:
         raise ValueError("x = 0 is the collision point, outside the domain")
+    return rr
 
 
 def _field_point(w) -> tuple:
@@ -84,8 +91,7 @@ def _field_point(w) -> tuple:
     x, y = _columns(w)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    _require_noncollision(x)
-    return x, y, math.sqrt(x @ x)
+    return x, y, math.sqrt(_require_noncollision(x))
 
 
 def kepler_energy(w) -> float:
@@ -177,23 +183,15 @@ def symplectic_scaling(w, k: float) -> PhasePoint6:
     return PhasePoint6(tuple(v / k for v in x), tuple(k * v for v in y))
 
 
-@dataclass(frozen=True)
-class RadialState:
-    """Collinear Kepler state (r, rdot) at energy -1/2."""
+def radial_ode_rhs(t, u) -> np.ndarray:
+    """Collinear Kepler motion u = (r, rdot): d(r)/dt = rdot, d(rdot)/dt = -1/r^2.
 
-    r: float
-    rdot: float
-
-    def energy_residual(self) -> float:
-        """rdot^2 - 2/r + 1; zero on the energy shell."""
-        return self.rdot**2 - 2 / self.r + 1
-
-
-def radial_ode_rhs(state: RadialState):
-    """d(r)/dt = rdot, d(rdot)/dt = -1/r^2."""
-    if not state.r > 0:
+    Takes integrate_ode's arguments; t is unused.
+    """
+    r, rdot = u
+    if not r > 0:
         raise ValueError("r must be positive")
-    return (state.rdot, -1 / state.r**2)
+    return np.array([rdot, -1 / r**2])
 
 
 def radial_collision_time(r0: float) -> float:

@@ -33,6 +33,8 @@ from .kepler_dynamics import (
     eccentricity,
     preregularized_hamiltonian,
 )
+from .quadratic_poisson import QuadraticForm
+from .sampling import _rotated_q
 
 
 def _flat(z) -> tuple:
@@ -62,16 +64,9 @@ KS_MONOMIALS = tuple(
 )
 
 
-def _gradient_matrix(monomials) -> np.ndarray:
-    # The gradient of z^T M z is (M + M^T) z.
-    m = np.zeros((8, 8))
-    for c, i, j in monomials:
-        m[i, j] += c
-        m[j, i] += c
-    return m
-
-
-_KS_GRADIENTS = np.stack([_gradient_matrix(m) for m in KS_MONOMIALS])
+# Row k holds the matrix a_k with grad(table entry k) = a_k z.
+_KS_GRADIENTS = np.array(
+    [QuadraticForm.from_monomials(m).a for m in KS_MONOMIALS], dtype=float)
 _KS_FROM_GENERATORS = np.array(
     [[row.get(n, 0) for n in GENERATOR_NAMES] for row in KS_GENERATOR_FORM], dtype=float)
 
@@ -286,8 +281,9 @@ def poisson_residual_xi_sweep(z, offsets) -> list:
     measured at each shifted point; no claim is asserted about them.
     """
     flat = np.asarray(_flat(z), dtype=float)
-    rotated_q = np.array([0, 0, 0, 0, -flat[1], flat[0], -flat[3], flat[2]])
-    shifted = flat + np.asarray(offsets, dtype=float)[:, None] * rotated_q
+    offsets = np.asarray(offsets, dtype=float)
+    shifted = np.tile(flat, (offsets.size, 1))
+    shifted[:, 4:] += offsets[:, None] * _rotated_q(flat)
     xi = eval_generators_batch(shifted)[:, 7]
     res = np.abs(poisson_residual_batch(shifted)[:, 3:, 3:]).max(axis=(1, 2))
     return [(float(a), float(b)) for a, b in zip(xi, res)]

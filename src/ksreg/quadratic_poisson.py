@@ -1,12 +1,15 @@
 """Poisson brackets of quadratic forms and induced fields on the orbit space.
 
-A quadratic form f(z) = z^T A z / 2 on R^8 is stored by its symmetric
-coefficient matrix A with exact rational entries, so brackets close on
-this class and every identity below is checked without rounding.
-Invariant forms decompose uniquely over the generator set; that is how
-the induced vector fields on the orbit space are computed.  A verbatim
-transcription of the reference component table ships alongside the
-regenerated one, and discrepancies are reported, never silently edited.
+A quadratic form f(z) = sum c z_i z_j on R^8 is stored as its canonical
+monomial list: (c, i, j) with i <= j, sorted, exact rational c, zero
+terms dropped.  That is the representation the invariant tables use, so
+the generators enter the engine unchanged and equal forms compare equal.
+Brackets close on this class and every identity below is checked
+without rounding.  Invariant forms decompose uniquely over the generator
+set; that is how the induced vector fields on the orbit space are
+computed.  A verbatim transcription of the reference component table
+ships alongside the regenerated one, and discrepancies are reported,
+never silently edited.
 """
 from __future__ import annotations
 
@@ -14,81 +17,72 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .invariants import (GEN_MONOMIALS, GENERATOR_NAMES, PI_FROM_GEN_TABLE, PI_MONOMIALS,
-                         PI_NAMES)
+                         PI_NAMES, combine_monomials)
 
 _DIM = 8
 
 
-def _matmul(a, b):
-    out = [[Fraction(0)] * _DIM for _ in range(_DIM)]
-    for i in range(_DIM):
-        row = a[i]
-        for k in range(_DIM):
-            aik = row[k]
-            if aik:
-                brow = b[k]
-                orow = out[i]
-                for j in range(_DIM):
-                    if brow[j]:
-                        orow[j] += aik * brow[j]
-    return out
-
-
 @dataclass(frozen=True)
 class QuadraticForm:
-    """Quadratic form f(z) = z^T a z / 2 with symmetric rational matrix a."""
+    """Quadratic form f(z) = sum of c * z_i * z_j over its terms (c, i, j).
 
-    a: tuple
+    terms is canonical, as combine_monomials returns it: i <= j, sorted
+    by (i, j), one entry per pair, no zero coefficient.  Build forms with
+    from_monomials, which canonicalises any monomial list.
+    """
+
+    terms: tuple
 
     @classmethod
     def from_monomials(cls, monomials) -> "QuadraticForm":
-        """Build from (coeff, i, j) terms meaning coeff * z_i * z_j."""
-        m = [[Fraction(0)] * _DIM for _ in range(_DIM)]
-        for c, i, j in monomials:
-            c = Fraction(c)
-            if i == j:
-                m[i][i] += 2 * c
-            else:
-                m[i][j] += c
-                m[j][i] += c
-        return cls(tuple(tuple(row) for row in m))
+        """Build from (coeff, i, j) terms meaning coeff * z_i * z_j.
 
-    @classmethod
-    def zero(cls) -> "QuadraticForm":
-        return cls(tuple(tuple([Fraction(0)] * _DIM) for _ in range(_DIM)))
+        Coefficients are ints or Fractions; the terms may come in any
+        order, with i > j, repeated, or cancelling.
+        """
+        return cls(combine_monomials({0: 1}, (monomials,)))
 
     def scaled(self, c) -> "QuadraticForm":
-        c = Fraction(c)
-        return QuadraticForm(tuple(tuple(c * v for v in row) for row in self.a))
+        return QuadraticForm(combine_monomials({0: Fraction(c)}, (self.terms,)))
 
     def __add__(self, other: "QuadraticForm") -> "QuadraticForm":
-        return QuadraticForm(tuple(
-            tuple(x + y for x, y in zip(r1, r2))
-            for r1, r2 in zip(self.a, other.a)
-        ))
+        return QuadraticForm(combine_monomials({0: 1, 1: 1}, (self.terms, other.terms)))
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.a for v in row)
+        return not self.terms
 
-    def upper_vector(self) -> tuple:
-        """The 36 entries a[i][j] with i <= j, in row-major order."""
-        return tuple(self.a[i][j] for i in range(_DIM) for j in range(i, _DIM))
+    @property
+    def a(self) -> tuple:
+        """The symmetric matrix a with f(z) = z^T a z / 2, so grad f = a z."""
+        m = [[Fraction(0)] * _DIM for _ in range(_DIM)]
+        for c, i, j in self.terms:
+            m[i][j] += c
+            m[j][i] += c
+        return tuple(tuple(row) for row in m)
+
+
+def _gradient(f: QuadraticForm) -> list:
+    """df/dz_k for k = 0..7, each a linear form as a list of (c, l): sum c z_l."""
+    grad = [[] for _ in range(_DIM)]
+    for c, i, j in f.terms:
+        grad[i].append((c, j))
+        grad[j].append((c, i))
+    return grad
 
 
 def poisson_bracket(f: QuadraticForm, g: QuadraticForm) -> QuadraticForm:
     """Bracket {f, g} = sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i).
 
-    For f = z^T A z / 2 and g = z^T B z / 2 the bracket is the quadratic
-    form with matrix A J B - B J A, J = [[0, I], [-I, 0]] in (q, p)
-    order.  With A, B symmetric and J antisymmetric that is M + M^T for
-    M = (A J) B, and A J is A with its q and p column blocks swapped and
-    the new q block negated.
+    The gradients of quadratic forms are linear forms, read off the
+    monomials (a diagonal term c z_i^2 contributes c z_i twice); the
+    bracket is the sum of their products, canonicalised.
     """
-    aj = [[-v for v in row[4:]] + list(row[:4]) for row in f.a]
-    m = _matmul(aj, g.a)
-    return QuadraticForm(tuple(
-        tuple(m[i][j] + m[j][i] for j in range(_DIM)) for i in range(_DIM)
-    ))
+    df, dg = _gradient(f), _gradient(g)
+    products = []
+    for k in range(4):
+        for left, right, sign in ((df[k], dg[k + 4], 1), (df[k + 4], dg[k], -1)):
+            products.extend((sign * c * d, l, m) for c, l in left for d, m in right)
+    return QuadraticForm.from_monomials(products)
 
 
 GENERATOR_FORMS: dict[str, QuadraticForm] = {
@@ -99,10 +93,7 @@ GENERATOR_FORMS: dict[str, QuadraticForm] = {
 
 def linear_combination(coeffs: dict) -> QuadraticForm:
     """Sum of coeff * generator over a {name: coeff} dict."""
-    total = QuadraticForm.zero()
-    for name, c in coeffs.items():
-        total = total + GENERATOR_FORMS[name].scaled(c)
-    return total
+    return QuadraticForm(combine_monomials(coeffs, GEN_MONOMIALS))
 
 
 class DecompositionError(ValueError):
@@ -111,9 +102,10 @@ class DecompositionError(ValueError):
 
 # The pi monomials have disjoint supports, so the coefficient of pi_k in
 # an invariant form is its coefficient on the first monomial c z_i z_j of
-# pi_k, divided by c: a[i][j] / c off the diagonal, a[i][i] / (2c) on it.
+# pi_k, divided by c.  Those first monomials have i <= j, as the
+# canonical terms do.
 _PI_PROBES = tuple(
-    (name, i, j, Fraction(c * (2 if i == j else 1)))
+    (name, (i, j), Fraction(c))
     for name, ((c, i, j), *_) in zip(PI_NAMES, PI_MONOMIALS)
 )
 
@@ -128,14 +120,15 @@ def decompose(form: QuadraticForm) -> dict:
     outside the span, which is how non-invariant forms announce
     themselves.
     """
+    on_pair = {(i, j): c for c, i, j in form.terms}
     coeffs: dict[str, Fraction] = {}
-    for name, i, j, div in _PI_PROBES:
-        c = form.a[i][j] / div
+    for name, pair, div in _PI_PROBES:
+        c = on_pair.get(pair, 0) / div
         if c:
             for gen, p in PI_FROM_GEN_TABLE[name].items():
                 coeffs[gen] = coeffs.get(gen, 0) + c * p
     named = {n: coeffs[n] for n in GENERATOR_NAMES if coeffs.get(n, 0) != 0}
-    if linear_combination(named).upper_vector() != form.upper_vector():
+    if linear_combination(named) != form:
         raise DecompositionError(
             "form is not a linear combination of the invariant generators"
         )
@@ -217,15 +210,10 @@ def verify_so4_relations() -> dict:
     xi_eta_rows = []
 
     def _proportional_factor(bracket: QuadraticForm, target: QuadraticForm):
-        tv = target.upper_vector()
-        bv = bracket.upper_vector()
-        lead = next((k for k, v in enumerate(tv) if v != 0), None)
-        if lead is None:
-            return Fraction(0) if bracket.is_zero() else None
-        factor = bv[lead] / tv[lead]
-        if target.scaled(factor).upper_vector() != bv:
-            return None
-        return factor
+        # Canonical terms line up, so a multiple of target leads with the
+        # multiple of target's leading coefficient.
+        factor = bracket.terms[0][0] / target.terms[0][0] if bracket.terms else Fraction(0)
+        return factor if target.scaled(factor) == bracket else None
 
     for family, forms, doc in (("xi", xi, 1), ("eta", eta, -1)):
         for (i, j), (k, eps) in _EPS.items():

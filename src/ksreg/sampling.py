@@ -14,8 +14,20 @@ RNG_ALGORITHM = "numpy-PCG64"
 
 
 def _rotated_q(z: np.ndarray) -> np.ndarray:
+    """(-q2, q1, -q4, q3): the gradient in p of the circle momentum Xi."""
     q = z[..., :4]
     return np.stack([-q[..., 1], q[..., 0], -q[..., 3], q[..., 2]], axis=-1)
+
+
+def _rescale_to_level(z: np.ndarray, h: float) -> np.ndarray:
+    """Scale each row of z jointly onto the oscillator level H2 = h.
+
+    A joint rescale of (q, p) multiplies every quadratic invariant by
+    the squared factor, so it keeps the zero-momentum slice and the
+    collision set.
+    """
+    h2 = np.sum(z * z, axis=1) / 2
+    return z * np.sqrt(h / h2)[:, None]
 
 
 def sample_phase_points(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -39,17 +51,10 @@ def sample_xi_zero(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def sample_level_set(rng: np.random.Generator, n: int, h: float = 1.0) -> np.ndarray:
-    """Points on the h-level of the oscillator energy with zero momentum.
-
-    A joint rescale of (q, p) multiplies every quadratic invariant by
-    the squared factor, so it moves points along the zero-momentum
-    slice onto the requested energy level.
-    """
+    """Points on the h-level of the oscillator energy with zero momentum."""
     if not h > 0:
         raise ValueError("h must be positive")
-    z = sample_xi_zero(rng, n)
-    h2 = np.sum(z * z, axis=1) / 2
-    return z * np.sqrt(h / h2)[:, None]
+    return _rescale_to_level(sample_xi_zero(rng, n), h)
 
 
 def sample_collision_slice(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -60,9 +65,7 @@ def sample_collision_slice(rng: np.random.Generator, n: int) -> np.ndarray:
     """
     q = rng.standard_normal((n, 4))
     mu = rng.standard_normal(n)
-    z = np.concatenate([q, mu[:, None] * q], axis=1)
-    h2 = np.sum(z * z, axis=1) / 2
-    return z * np.sqrt(1 / h2)[:, None]
+    return _rescale_to_level(np.concatenate([q, mu[:, None] * q], axis=1), 1)
 
 
 def sample_even_integers(rng: np.random.Generator, n: int, limit: int = 50) -> np.ndarray:

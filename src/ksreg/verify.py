@@ -13,8 +13,8 @@ import numpy as np
 
 from .flows import collision_triple_batch
 from .invariants import eval_generators_batch
-from .kepler_dynamics import (RadialState, radial_collision_time,
-                              radial_collision_time_quadrature, radial_ode_rhs)
+from .kepler_dynamics import (radial_collision_time, radial_collision_time_quadrature,
+                              radial_ode_rhs)
 from .ks_map import (ks_batch, ks_from_generators_batch, poisson_residual_batch,
                      poisson_residual_xi_sweep, pullback_gaps_batch)
 from .ode import integrate_ode
@@ -119,7 +119,7 @@ def fall_time_rows() -> list:
     rows = []
     for r0 in FALL_GRID:
         res = integrate_ode(
-            lambda t, u: np.array(radial_ode_rhs(RadialState(u[0], u[1]))),
+            radial_ode_rhs,
             np.array([r0, -math.sqrt(2 / r0 - 1)]),
             (0.0, 4.0),
             event=lambda t, u: u[0] - 1e-6,

@@ -23,6 +23,7 @@ from ksreg.ks_map import (
     pullback_gaps_batch,
 )
 from ksreg.orbit_space import (
+    lagrange_identity_batch,
     lagrange_identity_check,
     relation_residuals,
     relation_residuals_batch,
@@ -69,19 +70,8 @@ class TestAcceptance:
         Gi = eval_generators_batch(Zi)
         res, _, _ = relation_residuals_batch(Gi)
         int_relations_exact = all((v == 0).all() for v in res.values())
-        K, L = Gi[:, 0:3], Gi[:, 3:6]
-        H2, Xi = Gi[:, 6], Gi[:, 7]
-        U, V = Gi[:, 8:12], Gi[:, 12:16]
-        wedge = np.zeros(len(Gi), dtype=np.int64)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                w = U[:, i] * V[:, j] - U[:, j] * V[:, i]
-                wedge += w * w
-        uv = np.sum(U * V, axis=1)
-        int_identities_exact = (
-            np.array_equal(wedge + uv * uv, np.sum(U * U, 1) * np.sum(V * V, 1))
-            and np.array_equal(np.sum(K * K, 1) + np.sum(L * L, 1), H2 * H2 + Xi * Xi)
-            and np.array_equal(np.sum(K * L, 1), Xi * H2)
+        int_identities_exact = all(
+            np.array_equal(lhs, rhs) for lhs, rhs in lagrange_identity_batch(Gi).values()
         )
 
         # exact path: 5k rational points through the scalar evaluators
@@ -101,23 +91,9 @@ class TestAcceptance:
         Gf = eval_generators_batch(Zf)
         resf, _, _ = relation_residuals_batch(Gf)
         float_relations = max(float(np.abs(v).max()) for v in resf.values())
-        Kf, Lf = Gf[:, 0:3], Gf[:, 3:6]
-        H2f, Xif = Gf[:, 6], Gf[:, 7]
-        Uf, Vf = Gf[:, 8:12], Gf[:, 12:16]
-        wedgef = np.zeros(len(Gf))
-        for i in range(4):
-            for j in range(i + 1, 4):
-                w = Uf[:, i] * Vf[:, j] - Uf[:, j] * Vf[:, i]
-                wedgef += w * w
-        uvf = np.sum(Uf * Vf, axis=1)
-        pairs = [
-            (wedgef + uvf * uvf, np.sum(Uf * Uf, 1) * np.sum(Vf * Vf, 1)),
-            (np.sum(Kf * Kf, 1) + np.sum(Lf * Lf, 1), H2f * H2f + Xif * Xif),
-            (np.sum(Kf * Lf, 1), Xif * H2f),
-        ]
         float_identities = max(
             float((np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))).max())
-            for lhs, rhs in pairs
+            for lhs, rhs in lagrange_identity_batch(Gf).values()
         )
         elapsed = time.perf_counter() - start
         ok = (

@@ -7,7 +7,6 @@ import pytest
 
 from ksreg.kepler_dynamics import (
     KeplerParams,
-    RadialState,
     angular_momentum,
     eccentricity,
     kepler_energy,
@@ -56,6 +55,14 @@ class TestEnergies:
         bad = PhasePoint6((0, 0, 0), (1, 0, 0))
         for fn in (kepler_energy, preregularized_vector_field,
                    kepler_vector_field, angular_momentum, eccentricity):
+            with pytest.raises(ValueError):
+                fn(bad)
+
+    def test_underflowing_radius_rejected(self):
+        """|x|^2 underflows to 0 at |x| = 1e-170: rejected, not divided by."""
+        bad = PhasePoint6((1e-170, 0, 0), (1, 0, 0))
+        for fn in (kepler_energy, preregularized_vector_field,
+                   rescaled_kepler_vector_field, kepler_vector_field):
             with pytest.raises(ValueError):
                 fn(bad)
 
@@ -170,19 +177,19 @@ class TestConservedQuantities:
 
 class TestRadialFall:
     def test_rhs_example(self):
-        assert radial_ode_rhs(RadialState(2.0, 0.0)) == (0.0, -0.25)
+        assert np.array_equal(radial_ode_rhs(0.0, np.array([2.0, 0.0])), [0.0, -0.25])
 
     def test_on_shell_speed_at_unit_radius(self):
-        state = RadialState(1.0, -1.0)
-        assert state.energy_residual() == 0
+        """(r, rdot) = (1, -1) is on the energy -1/2 shell of the fall."""
+        assert kepler_energy(PhasePoint6((1.0, 0, 0), (-1.0, 0, 0))) == -0.5
 
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError):
-            radial_ode_rhs(RadialState(0.0, 1.0))
+            radial_ode_rhs(0.0, np.array([0.0, 1.0]))
 
     def test_energy_relation_preserved_during_fall(self):
         res = integrate_ode(
-            lambda t, u: np.array(radial_ode_rhs(RadialState(*u))),
+            radial_ode_rhs,
             np.array([2.0, 0.0]),
             (0.0, 4.0),
             rtol=1e-13,
@@ -191,7 +198,7 @@ class TestRadialFall:
         )
         assert res.status == "event"
         for r, rdot in res.states:
-            assert abs(RadialState(r, rdot).energy_residual()) <= 1e-9
+            assert abs(rdot**2 - 2 / r + 1) <= 1e-9
 
     def test_fall_time_examples(self):
         assert radial_collision_time(2.0) == math.pi
@@ -215,7 +222,7 @@ class TestRadialFall:
         for r0 in (0.25, 0.5, 1.0, 1.5, 2.0):
             rdot0 = -math.sqrt(2 / r0 - 1)
             res = integrate_ode(
-                lambda t, u: np.array(radial_ode_rhs(RadialState(*u))),
+                radial_ode_rhs,
                 np.array([r0, rdot0]),
                 (0.0, 4.0),
                 event=lambda t, u: u[0] - 1e-6,

@@ -1,9 +1,10 @@
 """Bracket engine, decomposition, and induced fields.
 
 Oracle: symbolic differentiation via sympy, built from longhand
-generator polynomials, checked against the matrix bracket for every
-generator pair.  Known discrepancies of the transcribed reference table
-are frozen here after hand verification of a sample.
+generator polynomials, checked against the monomial bracket for every
+generator pair, and built from random monomial lists for arbitrary
+forms.  Known discrepancies of the transcribed reference table are
+frozen here after hand verification of a sample.
 """
 from fractions import Fraction
 
@@ -62,22 +63,29 @@ def _sym_bracket(f, g):
     ))
 
 
+def _monomials_to_sym(monomials):
+    return sympy.expand(sum(
+        (sympy.Rational(c.numerator, c.denominator) * _Z[i] * _Z[j] for c, i, j in monomials),
+        sympy.Integer(0),
+    ))
+
+
 def _form_to_sym(form: QuadraticForm):
-    total = sympy.Integer(0)
-    for i in range(8):
-        for j in range(8):
-            c = form.a[i][j]
-            if c:
-                total += sympy.Rational(c.numerator, c.denominator) * _Z[i] * _Z[j]
-    return sympy.expand(total / 2)
+    return _monomials_to_sym(form.terms)
 
 
 coeff_st = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 
+# Arbitrary monomial lists (coeff, i, j) over z = (q, p): any order, i > j
+# allowed, repeats allowed, most of them not invariant.
+monomials_st = st.lists(
+    st.tuples(coeff_st, st.integers(0, 7), st.integers(0, 7)), max_size=8
+)
+
 
 class TestBracketEngine:
     def test_all_pairs_match_symbolic_oracle(self):
-        """Matrix bracket equals the differentiation bracket, all 256 pairs."""
+        """The bracket equals the differentiation bracket, all 256 pairs."""
         grads = {
             n: [sympy.diff(e, v) for v in _Z] for n, e in _SYM_GENERATORS.items()
         }
@@ -91,6 +99,15 @@ class TestBracketEngine:
                     poisson_bracket(GENERATOR_FORMS[a], GENERATOR_FORMS[b])
                 )
                 assert sympy.expand(oracle - computed) == 0, (a, b)
+
+    @given(monomials_st, monomials_st)
+    @settings(max_examples=40, deadline=None)
+    def test_arbitrary_forms_match_symbolic_oracle(self, f, g):
+        """The bracket of any two quadratic forms, invariant or not."""
+        computed = poisson_bracket(
+            QuadraticForm.from_monomials(f), QuadraticForm.from_monomials(g))
+        oracle = _sym_bracket(_monomials_to_sym(f), _monomials_to_sym(g))
+        assert sympy.expand(_form_to_sym(computed) - oracle) == 0
 
     def test_antisymmetry_all_pairs(self):
         for a in GENERATOR_NAMES:
@@ -116,6 +133,34 @@ class TestBracketEngine:
         for a in GENERATOR_NAMES:
             for b in GENERATOR_NAMES:
                 decompose(poisson_bracket(GENERATOR_FORMS[a], GENERATOR_FORMS[b]))
+
+
+class TestCanonicalForm:
+    @given(monomials_st, st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_permuted_duplicated_and_cancelling_lists_build_equal_forms(self, terms, rnd):
+        form = QuadraticForm.from_monomials(terms)
+        permuted = list(terms)
+        rnd.shuffle(permuted)
+        flipped = [(c, j, i) for c, i, j in permuted]
+        halved = [(c / 2, i, j) for c, i, j in terms for _ in range(2)]
+        cancelling = terms + [(Fraction(3), 1, 6), (Fraction(-3), 6, 1)]
+        for other in (permuted, flipped, halved, cancelling):
+            assert QuadraticForm.from_monomials(other) == form
+        pairs = [(i, j) for _, i, j in form.terms]
+        assert pairs == sorted(set(pairs))
+        assert all(i <= j and c != 0 for c, i, j in form.terms)
+        assert _form_to_sym(form) == _monomials_to_sym(terms)
+
+    @given(monomials_st, st.lists(coeff_st, min_size=8, max_size=8))
+    @settings(max_examples=30, deadline=None)
+    def test_matrix_is_half_the_hessian(self, terms, z):
+        """f(z) = z^T a z / 2 for the derived matrix a."""
+        form = QuadraticForm.from_monomials(terms)
+        value = sum(c * z[i] * z[j] for c, i, j in terms)
+        a = form.a
+        assert sum(z[i] * a[i][j] * z[j] for i in range(8) for j in range(8)) == 2 * value
+        assert all(a[i][j] == a[j][i] for i in range(8) for j in range(8))
 
 
 class TestDecompose:
