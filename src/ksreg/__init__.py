@@ -6,156 +6,3 @@ they cut out, the two-to-one map onto the Kepler side, the flows that
 the map intertwines, and a benchmark that races the raw equations
 against the regularized ones through near-collision orbits.
 """
-
-from .bench import BenchRow, run_benchmark, seed_state, write_bench_csv
-from .flows import (
-    HarnessResult,
-    Trajectory,
-    collision_set_membership,
-    first_collision_time,
-    induced_flow_on_orbit_space,
-    ks_relatedness_harness,
-    oscillator_flow,
-    oscillator_rotation,
-    oscillator_trajectory,
-    physical_time_of_flight,
-)
-from .invariants import (
-    GENERATOR_NAMES,
-    GeneratorVector,
-    PhasePoint8,
-    PiVector,
-    ReducedPoint,
-    eval_generators,
-    eval_generators_batch,
-    eval_pi,
-    generators_from_pi,
-    pi_from_generators,
-    reduce,
-)
-from .kepler_dynamics import (
-    KeplerParams,
-    PhasePoint6,
-    angular_momentum,
-    eccentricity,
-    kepler_energy,
-    kepler_vector_field,
-    preregularized_hamiltonian,
-    preregularized_vector_field,
-    radial_collision_time,
-    sundman_reparametrize,
-    sundman_time,
-    symplectic_scaling,
-    write_trajectory_csv,
-)
-from .ks_map import (
-    KS,
-    ks,
-    ks_fiber_action,
-    ks_gradients,
-    poisson_property_residual,
-    pullback_angular_momentum,
-    pullback_eccentricity,
-    pullback_inner_product,
-    pullback_kepler_hamiltonian,
-)
-from .ode import IntegratorStats, OdeResult, integrate_ode
-from .orbit_space import (
-    RELATION_NAMES,
-    RelationResidual,
-    classify_reduced_space,
-    lagrange_identity_check,
-    reconstruct_fiber_boundary,
-    reconstruct_fiber_interior,
-    reduced_momentum,
-    relation_residuals,
-    relation_residuals_batch,
-)
-from .quadratic_poisson import (
-    QuadraticForm,
-    decompose,
-    induced_vector_field,
-    poisson_bracket,
-    reference_table_diff,
-    verify_so4_relations,
-)
-from .sampling import (
-    RNG_ALGORITHM,
-    sample_collision_slice,
-    sample_level_set,
-    sample_phase_points,
-    sample_xi_zero,
-)
-
-__all__ = [
-    "BenchRow",
-    "GENERATOR_NAMES",
-    "GeneratorVector",
-    "HarnessResult",
-    "IntegratorStats",
-    "KS",
-    "KeplerParams",
-    "OdeResult",
-    "PhasePoint6",
-    "PhasePoint8",
-    "PiVector",
-    "QuadraticForm",
-    "RELATION_NAMES",
-    "RNG_ALGORITHM",
-    "ReducedPoint",
-    "RelationResidual",
-    "Trajectory",
-    "angular_momentum",
-    "classify_reduced_space",
-    "collision_set_membership",
-    "decompose",
-    "eccentricity",
-    "eval_generators",
-    "eval_generators_batch",
-    "eval_pi",
-    "first_collision_time",
-    "generators_from_pi",
-    "induced_flow_on_orbit_space",
-    "induced_vector_field",
-    "integrate_ode",
-    "kepler_energy",
-    "kepler_vector_field",
-    "ks",
-    "ks_fiber_action",
-    "ks_gradients",
-    "ks_relatedness_harness",
-    "lagrange_identity_check",
-    "oscillator_flow",
-    "oscillator_rotation",
-    "oscillator_trajectory",
-    "physical_time_of_flight",
-    "pi_from_generators",
-    "poisson_bracket",
-    "poisson_property_residual",
-    "preregularized_hamiltonian",
-    "preregularized_vector_field",
-    "pullback_angular_momentum",
-    "pullback_eccentricity",
-    "pullback_inner_product",
-    "pullback_kepler_hamiltonian",
-    "radial_collision_time",
-    "reconstruct_fiber_boundary",
-    "reconstruct_fiber_interior",
-    "reduce",
-    "reduced_momentum",
-    "reference_table_diff",
-    "relation_residuals",
-    "relation_residuals_batch",
-    "run_benchmark",
-    "sample_collision_slice",
-    "sample_level_set",
-    "sample_phase_points",
-    "sample_xi_zero",
-    "seed_state",
-    "sundman_reparametrize",
-    "sundman_time",
-    "symplectic_scaling",
-    "verify_so4_relations",
-    "write_bench_csv",
-    "write_trajectory_csv",
-]

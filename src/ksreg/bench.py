@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .invariants import eval_generators_batch
+from .invariants import H2, V1, XI, eval_generators_batch
 from .kepler_dynamics import kepler_energy, kepler_vector_field, norm3
 from .ks_map import ks_batch
 from .ode import integrate_ode
@@ -84,7 +84,7 @@ def _run_regularized(l_norm, rtol, atol, max_steps) -> BenchRow:
     )
     states = _collect_states(res)
     gens = eval_generators_batch(states)
-    h2, xi, v1 = gens[:, 6], gens[:, 7], gens[:, 12]
+    h2, xi, v1 = gens[:, H2], gens[:, XI], gens[:, V1]
     radii = h2 + v1
     energy = h2 - xi * xi / (2 * radii)
     return BenchRow(

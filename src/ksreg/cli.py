@@ -15,7 +15,7 @@ import numpy as np
 
 from .bench import DEFAULT_GRID, run_benchmark, write_bench_csv
 from .flows import ks_relatedness_harness
-from .invariants import eval_generators_batch
+from .invariants import H2, XI, eval_generators_batch
 from .kepler_dynamics import write_trajectory_csv
 from .quadratic_poisson import reference_table_diff
 from .sampling import RNG_ALGORITHM
@@ -23,7 +23,7 @@ from .verify import run_suites
 
 
 def _write_oscillator_csv(path, times, chart) -> None:
-    table = np.column_stack([times, chart, eval_generators_batch(chart)[:, 6:8]])
+    table = np.column_stack([times, chart, eval_generators_batch(chart)[:, [H2, XI]]])
     with open(path, "w") as fh:
         fh.write("t,q1,q2,q3,q4,p1,p2,p3,p4,H2,Xi\n")
         for row in table:
@@ -65,7 +65,7 @@ def verify(seed, tolerance, samples, out):
     """
     if samples <= 0:
         raise click.UsageError("--samples must be positive")
-    if tolerance < 0:
+    if not tolerance >= 0:
         raise click.UsageError("--tolerance must be nonnegative")
     suites = run_suites(np.random.default_rng(seed), samples, tolerance)
     report = {
@@ -197,7 +197,10 @@ def bench(grid, tolerance, out, fmt):
         raise click.UsageError("--grid needs at least one value")
     if any(not 0 < v <= 1 for v in values):
         raise click.UsageError("--grid values must lie in (0, 1]")
-    rows = run_benchmark(l_values=values, rtol=tolerance, atol=tolerance)
+    try:
+        rows = run_benchmark(l_values=values, rtol=tolerance, atol=tolerance)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     if fmt == "csv":
         write_bench_csv(out, rows)
     else:

@@ -10,18 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import (GeneratorVector, PhasePoint8, eval_generator_columns,
-                         eval_generators, eval_generators_batch)
+from .invariants import (H2, L, U1, XI, eval_generator_columns, eval_generators,
+                         eval_generators_batch, point8)
 from .kepler_dynamics import cross3, dot3, norm3, preregularized_vector_field
 from .ks_map import ks_batch, require_level_set
 from .ode import IntegratorStats, integrate_ode
 from .orbit_space import relation_residuals
-
-
-def _as_point8(z) -> PhasePoint8:
-    if isinstance(z, PhasePoint8):
-        return z
-    return PhasePoint8.from_z(tuple(z))
 
 
 @dataclass(frozen=True)
@@ -48,20 +42,20 @@ class Trajectory:
                 raise ValueError(f"conserved column {name} has the wrong length")
 
 
-def oscillator_rotation(z, c, s) -> PhasePoint8:
-    """Rotate (q, p) by an explicit cosine/sine pair.
+def oscillator_rotation(z, c, s) -> tuple:
+    """Rotate (q, p) by an explicit cosine/sine pair, returning an 8-tuple.
 
     Runs in whatever arithmetic the inputs carry; an exact point on the
     unit circle (c, s) keeps rational inputs rational, which is how the
     exact conservation of the quadratic invariants is exercised.
     """
-    pt = _as_point8(z)
-    q2 = tuple(qi * c + pi * s for qi, pi in zip(pt.q, pt.p))
-    p2 = tuple(-qi * s + pi * c for qi, pi in zip(pt.q, pt.p))
-    return PhasePoint8(q2, p2)
+    z = point8(z)
+    q, p = z[:4], z[4:]
+    return (tuple(qi * c + pi * s for qi, pi in zip(q, p))
+            + tuple(-qi * s + pi * c for qi, pi in zip(q, p)))
 
 
-def oscillator_flow(z, t: float) -> PhasePoint8:
+def oscillator_flow(z, t: float) -> tuple:
     """(q, p) -> (q cos t + p sin t, -q sin t + p cos t)."""
     return oscillator_rotation(z, math.cos(t), math.sin(t))
 
@@ -69,18 +63,17 @@ def oscillator_flow(z, t: float) -> PhasePoint8:
 def oscillator_flow_batch(z0, t_grid) -> np.ndarray:
     """The closed-form flow from one start over a time grid, (n, 8) floats."""
     t = np.asarray(t_grid, dtype=float)
-    return np.column_stack(oscillator_rotation(z0, np.cos(t), np.sin(t)).z)
+    return np.column_stack(oscillator_rotation(z0, np.cos(t), np.sin(t)))
 
 
 def oscillator_trajectory(z0, t_grid) -> Trajectory:
     """Sample the closed-form flow, logging both conserved quantities."""
     states = oscillator_flow_batch(z0, t_grid)
     G = eval_generators_batch(states)
-    return Trajectory(t_grid, states, {"H2": G[:, 6], "Xi": G[:, 7]})
+    return Trajectory(t_grid, states, {"H2": G[:, H2], "Xi": G[:, XI]})
 
 
-def induced_flow_on_orbit_space(g: GeneratorVector, u: float,
-                                tol: float = 1e-9) -> GeneratorVector:
+def induced_flow_on_orbit_space(g, u: float, tol: float = 1e-9) -> tuple:
     """Rotate the (U, V) block by u, keeping K, L, H2, Xi fixed.
 
     Conjugate to the upstairs flow at parameter u = 2t: the upstairs
@@ -89,8 +82,7 @@ def induced_flow_on_orbit_space(g: GeneratorVector, u: float,
     """
     if not relation_residuals(g).on_orbit_space(tol):
         raise ValueError("input is not on the orbit space within tolerance")
-    uv = oscillator_rotation(g.U + g.V, math.cos(u), math.sin(u))
-    return GeneratorVector(K=g.K, L=g.L, H2=g.H2, Xi=g.Xi, U=uv.q, V=uv.p)
+    return tuple(g[:U1]) + oscillator_rotation(g[U1:], math.cos(u), math.sin(u))
 
 
 def _collision_columns(z, tol):
@@ -101,8 +93,8 @@ def _collision_columns(z, tol):
     (1, 0) momentum level.
     """
     g = eval_generator_columns(z)
-    require_level_set(g.H2, g.Xi, tol)
-    member = dot3(g.L, g.L) <= tol * tol
+    require_level_set(g[H2], g[XI], tol)
+    member = dot3(g[L], g[L]) <= tol * tol
     q = np.asarray(z[:4], dtype=float)
     p = np.asarray(z[4:], dtype=float)
     qq = np.sum(q * q, axis=0)
@@ -120,7 +112,7 @@ def collision_set_membership(z, tol: float = 1e-9) -> bool:
     On the (1, 0) momentum level this is equivalent to the vanishing of
     the angular-momentum block, tested as |L|^2 <= tol^2.
     """
-    return bool(_collision_columns(_as_point8(z).z, tol)[0])
+    return bool(_collision_columns(point8(z), tol)[0])
 
 
 def first_collision_time(z, tol: float = 1e-9):
@@ -130,7 +122,7 @@ def first_collision_time(z, tol: float = 1e-9):
     for p = mu*q, and tau = pi when q itself vanishes.  Zeros recur
     with period pi.
     """
-    tau = _collision_columns(_as_point8(z).z, tol)[1]
+    tau = _collision_columns(point8(z), tol)[1]
     return None if np.isnan(tau) else float(tau)
 
 
@@ -156,9 +148,8 @@ def physical_time_of_flight(z, tau: float) -> float:
     Along the matched curves the physical clock advances at 2|x|, and
     |x| composed with the oscillator flow integrates in closed form.
     """
-    pt = _as_point8(z)
-    q = np.asarray(pt.q, dtype=float)
-    p = np.asarray(pt.p, dtype=float)
+    z = np.asarray(point8(z), dtype=float)
+    q, p = z[:4], z[4:]
     qq, qp, pp = q @ q, q @ p, p @ p
     return float(
         2 * (qq * (tau / 2 + math.sin(2 * tau) / 4)
@@ -223,15 +214,15 @@ def ks_relatedness_harness(
     orbit meets {q = 0} yield a partial result truncated at the |x|
     guard, carrying the closed-form physical collision time.
     """
-    pt = _as_point8(z0)
-    g = eval_generators(pt)
-    require_level_set(g.H2, g.Xi, tol)
-    if all(v == 0 for v in pt.q):
+    z0 = point8(z0)
+    g = eval_generators(z0)
+    require_level_set(g[H2], g[XI], tol)
+    if all(v == 0 for v in z0[:4]):
         raise ValueError("the start itself sits at q = 0, outside the chart")
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
+    if not 0 <= t_max < math.inf:
+        raise ValueError("t_max must be finite and nonnegative")
 
-    w0_flat = ks_batch(pt.z)[0]
+    w0_flat = ks_batch(z0)[0]
     if t_max == 0:
         times, integrated = np.zeros(1), w0_flat[None, :]
         stats, status = IntegratorStats(), "completed"
@@ -249,15 +240,15 @@ def ks_relatedness_harness(
         times = np.concatenate([[0.0], res.eval_times])
         integrated = np.vstack([w0_flat, res.eval_states])
         stats, status = res.stats, res.status
-    chart = oscillator_flow_batch(pt, times)
+    chart = oscillator_flow_batch(z0, times)
     pushed = ks_batch(chart)
     gaps = np.linalg.norm(pushed - integrated, axis=1)
 
     collision_time = None
     if status == "event":
-        tau = first_collision_time(pt, tol=tol)
+        tau = first_collision_time(z0, tol=tol)
         if tau is not None:
-            collision_time = physical_time_of_flight(pt, tau)
+            collision_time = physical_time_of_flight(z0, tau)
     return HarnessResult(
         times=times,
         chart=chart,

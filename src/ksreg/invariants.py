@@ -9,7 +9,6 @@ cannot drift apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -24,6 +23,21 @@ GENERATOR_NAMES = (
     "K1", "K2", "K3", "L1", "L2", "L3", "H2", "Xi",
     "U1", "U2", "U3", "U4", "V1", "V2", "V3", "V4",
 )
+
+#: Positions in a generator 16-vector g, or its columns G[:, i]: the
+#: blocks g[K], g[L], g[U], g[V] and the single entries g[H2], g[XI].
+K, L, U, V = slice(0, 3), slice(3, 6), slice(8, 12), slice(12, 16)
+H2, XI, U1, V1 = 6, 7, 8, 12
+
+
+def grad_p_xi(z: np.ndarray) -> np.ndarray:
+    """(-q2, q1, -q4, q3): the gradient in p of the circle momentum Xi.
+
+    z is one point (8,) or rows (n, 8); Xi = <grad_p_xi(z), p>.
+    """
+    q = z[..., :4]
+    return np.stack([-q[..., 1], q[..., 0], -q[..., 3], q[..., 2]], axis=-1)
+
 
 # Each invariant is a sum of monomials (coeff, i, j) standing for
 # coeff * z[i] * z[j].  This table is the single formula source.
@@ -177,129 +191,28 @@ def divide(v, d: int):
     return v / d
 
 
-@dataclass(frozen=True)
-class PhasePoint8:
-    """A point (q, p) of the oscillator-side phase space R^8.
+def point8(z) -> tuple:
+    """A phase point (q1..q4, p1..p4) as an 8-tuple of its entries.
 
-    Entries may be floats or Fractions; all formulas in this package are
-    polymorphic over both.
+    Raises ValueError unless z has exactly 8 components.
     """
-    q: tuple
-    p: tuple
-
-    def __post_init__(self):
-        if len(self.q) != 4 or len(self.p) != 4:
-            raise ValueError("q and p must each have 4 components")
-        object.__setattr__(self, "q", tuple(self.q))
-        object.__setattr__(self, "p", tuple(self.p))
-
-    @property
-    def z(self) -> tuple:
-        """The flat coordinate 8-tuple (q1..q4, p1..p4)."""
-        return self.q + self.p
-
-    @classmethod
-    def from_z(cls, z: Sequence) -> "PhasePoint8":
-        z = tuple(z)
-        if len(z) != 8:
-            raise ValueError("expected 8 components")
-        return cls(z[:4], z[4:])
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.z, dtype=float)
+    z = tuple(z)
+    if len(z) != 8:
+        raise ValueError(f"a phase point has 8 components (q, p), got {len(z)}")
+    return z
 
 
-@dataclass(frozen=True)
-class PiVector:
-    """The 16 basic invariants evaluated at a phase point."""
-    pi: tuple
-
-    def __post_init__(self):
-        if len(self.pi) != 16:
-            raise ValueError("expected 16 components")
-        object.__setattr__(self, "pi", tuple(self.pi))
-
-    def __getitem__(self, index_1based: int):
-        """Component by the conventional 1-based index."""
-        if not 1 <= index_1based <= 16:
-            raise IndexError("pi index runs from 1 to 16")
-        return self.pi[index_1based - 1]
+def _pi_columns(z) -> tuple:
+    return tuple(eval_monomials(m, z) for m in PI_MONOMIALS)
 
 
-@dataclass(frozen=True)
-class GeneratorVector:
-    """The generator 16-tuple (K, L, H2, Xi; U, V)."""
-    K: tuple
-    L: tuple
-    H2: object
-    Xi: object
-    U: tuple
-    V: tuple
-
-    def __post_init__(self):
-        if len(self.K) != 3 or len(self.L) != 3:
-            raise ValueError("K and L must have 3 components")
-        if len(self.U) != 4 or len(self.V) != 4:
-            raise ValueError("U and V must have 4 components")
-        object.__setattr__(self, "K", tuple(self.K))
-        object.__setattr__(self, "L", tuple(self.L))
-        object.__setattr__(self, "U", tuple(self.U))
-        object.__setattr__(self, "V", tuple(self.V))
-
-    @property
-    def flat(self) -> tuple:
-        """Components in GENERATOR_NAMES order."""
-        return self.K + self.L + (self.H2, self.Xi) + self.U + self.V
-
-    @classmethod
-    def from_flat(cls, values: Sequence) -> "GeneratorVector":
-        values = tuple(values)
-        if len(values) != 16:
-            raise ValueError("expected 16 components")
-        return cls(
-            K=values[0:3], L=values[3:6], H2=values[6], Xi=values[7],
-            U=values[8:12], V=values[12:16],
-        )
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.flat, dtype=float)
-
-    def to_json_dict(self) -> dict:
-        """Flat JSON object with keys K, L, H2, Xi, U, V."""
-        return {
-            "K": [float(v) for v in self.K],
-            "L": [float(v) for v in self.L],
-            "H2": float(self.H2),
-            "Xi": float(self.Xi),
-            "U": [float(v) for v in self.U],
-            "V": [float(v) for v in self.V],
-        }
-
-
-@dataclass(frozen=True)
-class ReducedPoint:
-    """Image of a generator vector on the doubly reduced space."""
-    xi: tuple
-    eta: tuple
-    H2: object
-    Xi: object
-
-
-def _flat(z) -> tuple:
-    return z.z if isinstance(z, PhasePoint8) else tuple(z)
-
-
-def _pi_columns(z) -> list:
-    return [eval_monomials(m, z) for m in PI_MONOMIALS]
-
-
-def eval_pi(z: PhasePoint8 | Sequence) -> PiVector:
-    """Evaluate the 16 basic invariants at a phase point.
+def eval_pi(z: Sequence) -> tuple:
+    """Evaluate the 16 basic invariants pi1..pi16 at a phase point.
 
     Works for float and Fraction entries alike; the result entries have
     the arithmetic type of the inputs.
     """
-    return PiVector(tuple(_pi_columns(_flat(z))))
+    return _pi_columns(point8(z))
 
 
 def eval_pi_batch(Z: np.ndarray) -> np.ndarray:
@@ -307,24 +220,22 @@ def eval_pi_batch(Z: np.ndarray) -> np.ndarray:
     return np.stack(_pi_columns(np.asarray(Z).T), axis=1)
 
 
-def eval_generator_columns(z) -> GeneratorVector:
+def eval_generator_columns(z) -> tuple:
     """The generators at eight columns (numbers or (n,) arrays).
 
     The one body behind eval_generators and eval_generators_batch;
     integral Fractions come back as int, integer arrays must be even.
     """
-    return GeneratorVector.from_flat(
-        [_demote(divide(eval_monomials(terms, z), d)) for d, terms in _GEN_TERMS]
-    )
+    return tuple(_demote(divide(eval_monomials(terms, z), d)) for d, terms in _GEN_TERMS)
 
 
-def eval_generators(z: PhasePoint8 | Sequence) -> GeneratorVector:
-    """Evaluate (K, L, H2, Xi; U, V) at a phase point.
+def eval_generators(z: Sequence) -> tuple:
+    """Evaluate (K, L, H2, Xi; U, V) at a phase point, in GENERATOR_NAMES order.
 
     Uses the direct (q,p)-monomial form; generators_from_pi(eval_pi(z))
     must agree exactly and the test suite holds the two paths together.
     """
-    return eval_generator_columns(_flat(z))
+    return eval_generator_columns(point8(z))
 
 
 def eval_generators_batch(Z: np.ndarray) -> np.ndarray:
@@ -333,7 +244,7 @@ def eval_generators_batch(Z: np.ndarray) -> np.ndarray:
     For exact integer input use an even-integer array: the four
     generators with half-integer coefficients then stay integral.
     """
-    return np.stack(eval_generator_columns(np.asarray(Z).T).flat, axis=1)
+    return np.stack(eval_generator_columns(np.asarray(Z).T), axis=1)
 
 
 def _demote(v):
@@ -343,7 +254,10 @@ def _demote(v):
     return v
 
 
-def _apply_linear(matrix, values):
+def _apply_linear(matrix, values) -> tuple:
+    values = tuple(values)
+    if len(values) != 16:
+        raise ValueError(f"expected 16 components, got {len(values)}")
     out = []
     for row in matrix:
         acc = 0
@@ -354,19 +268,19 @@ def _apply_linear(matrix, values):
     return tuple(out)
 
 
-def generators_from_pi(pv: PiVector) -> GeneratorVector:
+def generators_from_pi(pi: Sequence) -> tuple:
     """Apply the linear change of basis pi -> (K, L, H2, Xi; U, V)."""
-    return GeneratorVector.from_flat(_apply_linear(GEN_FROM_PI_MATRIX, pv.pi))
+    return _apply_linear(GEN_FROM_PI_MATRIX, pi)
 
 
-def pi_from_generators(g: GeneratorVector) -> PiVector:
+def pi_from_generators(g: Sequence) -> tuple:
     """Apply the inverse change of basis (K, L, H2, Xi; U, V) -> pi."""
-    return PiVector(_apply_linear(PI_FROM_GEN_MATRIX, g.flat))
+    return _apply_linear(PI_FROM_GEN_MATRIX, g)
 
 
-def reduce(g: GeneratorVector) -> ReducedPoint:
-    """Project to the doubly reduced coordinates xi = (K+L)/2, eta = (K-L)/2."""
-    xi = tuple(_demote(divide(k + l, 2)) for k, l in zip(g.K, g.L))
-    eta = tuple(_demote(divide(k - l, 2)) for k, l in zip(g.K, g.L))
-    return ReducedPoint(xi=xi, eta=eta, H2=g.H2, Xi=g.Xi)
-
+def reduce(g: Sequence) -> tuple:
+    """The doubly reduced coordinates (xi, eta) = ((K+L)/2, (K-L)/2)."""
+    pairs = tuple(zip(g[K], g[L]))
+    xi = tuple(_demote(divide(k + l, 2)) for k, l in pairs)
+    eta = tuple(_demote(divide(k - l, 2)) for k, l in pairs)
+    return xi, eta

@@ -9,28 +9,9 @@ scaling (x, y) -> (x/k, k*y).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class PhasePoint6:
-    """A point (x, y) of the Kepler-side phase space, x != 0 on the image."""
-
-    x: tuple
-    y: tuple
-
-    def __post_init__(self):
-        if len(self.x) != 3 or len(self.y) != 3:
-            raise ValueError("x and y must each have 3 components")
-        object.__setattr__(self, "x", tuple(self.x))
-        object.__setattr__(self, "y", tuple(self.y))
-
-    def as_arrays(self):
-        return np.asarray(self.x, dtype=float), np.asarray(self.y, dtype=float)
-
 
 def dot3(a, b):
     """Inner product in whatever arithmetic the entries carry."""
@@ -64,9 +45,7 @@ def norm3(v):
 
 
 def _columns(w) -> tuple:
-    """(x, y) of a PhasePoint6 as stored, or of a flat 6-sequence of columns."""
-    if isinstance(w, PhasePoint6):
-        return w.x, w.y
+    """(x, y) of a Kepler phase point: a flat 6-sequence of numbers or columns."""
     if len(w) != 6:
         raise ValueError("a Kepler phase point has 6 components (x, y)")
     return w[:3], w[3:]
@@ -151,27 +130,7 @@ def eccentricity(w):
     return tuple(-xi / r + w_ for xi, w_ in zip(x, yxj))
 
 
-@dataclass(frozen=True)
-class KeplerParams:
-    """Energy scale of the negative-energy Kepler flow.
-
-    The flow under study lives on the level K = -k^2/2; all internal
-    formulas use k = 1 and reach other scales through
-    symplectic_scaling.
-    """
-
-    k: float = 1.0
-
-    def __post_init__(self):
-        if not self.k > 0:
-            raise ValueError("k must be positive")
-
-    @property
-    def energy_level(self) -> float:
-        return -self.k**2 / 2
-
-
-def symplectic_scaling(w, k: float) -> PhasePoint6:
+def symplectic_scaling(w, k: float) -> tuple:
     """The coordinate change (x, y) -> (x/k, k*y).
 
     Composing the energy-k regularized Hamiltonian |x|(|y|^2 + k^2)/(2k)
@@ -180,7 +139,7 @@ def symplectic_scaling(w, k: float) -> PhasePoint6:
     if not k > 0:
         raise ValueError("k must be positive")
     x, y = _columns(w)
-    return PhasePoint6(tuple(v / k for v in x), tuple(k * v for v in y))
+    return tuple(v / k for v in x) + tuple(k * v for v in y)
 
 
 def radial_ode_rhs(t, u) -> np.ndarray:

@@ -18,27 +18,23 @@ import numpy as np
 from .invariants import (
     GEN_MONOMIALS,
     GENERATOR_NAMES,
-    PhasePoint8,
+    H2,
+    K,
+    L,
+    U1,
+    V1,
+    XI,
     combine_monomials,
     divide,
     eval_generator_columns,
     eval_generators,
     eval_generators_batch,
     eval_monomials,
+    grad_p_xi,
+    point8,
 )
-from .kepler_dynamics import (
-    PhasePoint6,
-    angular_momentum,
-    dot3,
-    eccentricity,
-    preregularized_hamiltonian,
-)
+from .kepler_dynamics import angular_momentum, dot3, eccentricity, preregularized_hamiltonian
 from .quadratic_poisson import QuadraticForm
-from .sampling import _rotated_q
-
-
-def _flat(z) -> tuple:
-    return z.z if isinstance(z, PhasePoint8) else tuple(z)
 
 
 #: The map in generator form, one {generator: coefficient} row per table
@@ -92,7 +88,7 @@ def _image(T) -> tuple:
     return (*T[:3], *(n / T[6] for n in T[3:6]))
 
 
-def ks(z) -> PhasePoint6:
+def ks(z) -> tuple:
     """Map (q, p) to (x, y).
 
     x is quadratic in q, y is bilinear over <q,q>; both come from
@@ -100,16 +96,15 @@ def ks(z) -> PhasePoint6:
     input exact.
 
     Args:
-      z: PhasePoint8 or flat 8-sequence with q != 0.
+      z: flat 8-sequence (q1..q4, p1..p4) with q != 0.
 
     Returns:
-      PhasePoint6 with |x| = <q,q>.
+      The 6-tuple (x1, x2, x3, y1, y2, y3), with |x| = <q,q>.
 
     Raises:
       ValueError: q = 0 (the collision set, outside the domain).
     """
-    w = _image(_table(_flat(z)))
-    return PhasePoint6(x=w[:3], y=w[3:])
+    return _image(_table(point8(z)))
 
 
 def ks_batch(Z) -> np.ndarray:
@@ -146,38 +141,40 @@ def ks_jacobian_batch(Z) -> np.ndarray:
     return J
 
 
-def KS(z, tol: float = 1e-9) -> PhasePoint6:
+def KS(z, tol: float = 1e-9) -> tuple:
     """ks restricted to the zero level of the circle momentum.
 
     Same formula, smaller domain: inputs with |Xi| > tol are rejected.
     """
-    g = eval_generators(_flat(z))
-    if abs(g.Xi) > tol:
-        raise ValueError(f"Xi = {g.Xi} is off the zero level beyond tol = {tol}")
+    xi = eval_generators(z)[XI]
+    if abs(xi) > tol:
+        raise ValueError(f"Xi = {xi} is off the zero level beyond tol = {tol}")
     return ks(z)
 
 
-def ks_fiber_action(z, s: float) -> PhasePoint8:
+def ks_fiber_action(z, s: float) -> tuple:
     """Flow of the circle action: rotation by s in the four 2-planes.
 
     Orientation: d/ds q1 = -q2, d/ds q2 = q1, and the same pattern in
     (q3,q4), (p1,p2), (p3,p4).  ks is constant along this flow.
     """
-    flat = _flat(z)
+    flat = point8(z)
     c, sn = math.cos(s), math.sin(s)
     out = [0.0] * 8
     for i in (0, 2, 4, 6):
         out[i] = flat[i] * c - flat[i + 1] * sn
         out[i + 1] = flat[i] * sn + flat[i + 1] * c
-    return PhasePoint8(tuple(out[:4]), tuple(out[4:]))
+    return tuple(out)
 
 
 def require_level_set(h2, xi, tol: float = 1e-9) -> None:
     """Raise ValueError unless (H2, Xi) = (1, 0) within tol.
 
-    h2 and xi are scalars, exact or float, or matching (n,) arrays.
+    h2 and xi are scalars, exact or float, or matching (n,) arrays.  The
+    test is written so that NaN fails it.
     """
-    off = np.flatnonzero((abs(h2 - 1) > tol) | (abs(xi) > tol))
+    on_level = np.logical_and(abs(h2 - 1) <= tol, abs(xi) <= tol)
+    off = np.flatnonzero(~on_level)
     if off.size:
         i = off[0]
         raise ValueError(
@@ -194,15 +191,16 @@ def _pullback_pairs(z, tol) -> dict:
     holds on the whole domain and is checked without that restriction.
     """
     g = eval_generator_columns(z)
+    h2, xi = g[H2], g[XI]
     if tol is not None:
-        require_level_set(g.H2, g.Xi, tol)
+        require_level_set(h2, xi, tol)
     w = _image(_table(z))
     return {
         "hamiltonian": (preregularized_hamiltonian(w),
-                        g.H2 - divide(g.Xi * g.Xi, 2) / (g.H2 + g.V[0])),
-        "angular_momentum": (angular_momentum(w), g.L),
-        "eccentricity": (eccentricity(w), g.K),
-        "inner_product": (dot3(w[:3], w[3:]), -g.U[0]),
+                        h2 - divide(xi * xi, 2) / (h2 + g[V1])),
+        "angular_momentum": (angular_momentum(w), g[L]),
+        "eccentricity": (eccentricity(w), g[K]),
+        "inner_product": (dot3(w[:3], w[3:]), -g[U1]),
     }
 
 
@@ -212,22 +210,22 @@ def pullback_kepler_hamiltonian(z):
     lhs = (1/2)|x|(|y|^2 + 1) at ks(z); rhs = H2 - (1/2)Xi^2/(H2+V1).
     The identity holds on the whole domain, not only on the zero level.
     """
-    return _pullback_pairs(_flat(z), None)["hamiltonian"]
+    return _pullback_pairs(point8(z), None)["hamiltonian"]
 
 
 def pullback_angular_momentum(z, tol: float = 1e-9):
     """(x cross y at ks(z), L(z)) on the (1, 0) level set."""
-    return _pullback_pairs(_flat(z), tol)["angular_momentum"]
+    return _pullback_pairs(point8(z), tol)["angular_momentum"]
 
 
 def pullback_eccentricity(z, tol: float = 1e-9):
     """(-x/|x| + y cross (x cross y) at ks(z), K(z)) on the level set."""
-    return _pullback_pairs(_flat(z), tol)["eccentricity"]
+    return _pullback_pairs(point8(z), tol)["eccentricity"]
 
 
 def pullback_inner_product(z, tol: float = 1e-9):
     """(<x, y> at ks(z), -U1(z)) on the level set."""
-    return _pullback_pairs(_flat(z), tol)["inner_product"]
+    return _pullback_pairs(point8(z), tol)["inner_product"]
 
 
 def pullback_gaps_batch(Z) -> dict:
@@ -247,7 +245,7 @@ def pullback_gaps_batch(Z) -> dict:
 
 def ks_gradients(z) -> np.ndarray:
     """Analytic gradients of the six components of ks, shape (6, 8)."""
-    return ks_jacobian_batch(_flat(z))[0]
+    return ks_jacobian_batch(point8(z))[0]
 
 
 # The target structure matrix [[0, 2I], [-2I, 0]].
@@ -270,7 +268,7 @@ def poisson_property_residual(z) -> np.ndarray:
     The x-x block vanishes identically; the rest vanishes on the zero
     level of Xi.
     """
-    return poisson_residual_batch(_flat(z))[0]
+    return poisson_residual_batch(point8(z))[0]
 
 
 def poisson_residual_xi_sweep(z, offsets) -> list:
@@ -280,10 +278,10 @@ def poisson_residual_xi_sweep(z, offsets) -> list:
     t<q,q> while keeping q fixed.  Returns [(Xi, residual), ...] rows
     measured at each shifted point; no claim is asserted about them.
     """
-    flat = np.asarray(_flat(z), dtype=float)
+    flat = np.asarray(point8(z), dtype=float)
     offsets = np.asarray(offsets, dtype=float)
     shifted = np.tile(flat, (offsets.size, 1))
-    shifted[:, 4:] += offsets[:, None] * _rotated_q(flat)
-    xi = eval_generators_batch(shifted)[:, 7]
+    shifted[:, 4:] += offsets[:, None] * grad_p_xi(flat)
+    xi = eval_generators_batch(shifted)[:, XI]
     res = np.abs(poisson_residual_batch(shifted)[:, 3:, 3:]).max(axis=(1, 2))
     return [(float(a), float(b)) for a, b in zip(xi, res)]

@@ -106,8 +106,8 @@ def integrate_ode(
     Args:
       f: right-hand side returning an array like y.
       y0: initial state.
-      t_span: (t0, t1) with t1 > t0.
-      rtol, atol: error control per component, RMS-combined.
+      t_span: finite (t0, t1) with t1 > t0.
+      rtol, atol: finite positive error control per component, RMS-combined.
       max_steps: accepted-step budget; exceeding it ends the run with
         status step_budget_exhausted.
       t_eval: increasing sample times inside t_span, filled from the
@@ -124,8 +124,12 @@ def integrate_ode(
       last accepted one (or the event point).
     """
     t0, t1 = map(float, t_span)
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError("t_span must be finite")
     if not t1 > t0:
         raise ValueError("t_span must be increasing")
+    if not (0 < rtol < math.inf and 0 < atol < math.inf):
+        raise ValueError("rtol and atol must be finite and positive")
     y = np.asarray(y0, dtype=float).copy()
     t = t0
     f0 = np.asarray(f(t, y), dtype=float)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import GeneratorVector
+from .invariants import H2, K, L, U, V, XI
 
 RELATION_NAMES = (
     "UU", "VV", "UV",
@@ -84,27 +84,28 @@ def _wedge_bilinears(U, V):
     return B, B_prime
 
 
-def relation_residuals(g: GeneratorVector) -> RelationResidual:
+def relation_residuals(g) -> RelationResidual:
     """Evaluate all nine defining relations and the two inequalities.
 
-    Each residual is lhs - rhs of its relation; every one vanishes
-    exactly on generator vectors coming from an actual phase point.
+    g is a generator 16-vector in GENERATOR_NAMES order.  Each residual
+    is lhs - rhs of its relation; every one vanishes exactly on
+    generator vectors coming from an actual phase point.
     """
-    K, L, H2, Xi, U, V = g.K, g.L, g.H2, g.Xi, g.U, g.V
-    gap = H2 * H2 - Xi * Xi
-    B, B_prime = _wedge_bilinears(U, V)
-    values = [_dot(U, U) - gap, _dot(V, V) - gap, _dot(U, V)]
-    values += [b - (l * Xi - k * H2) for b, k, l in zip(B, K, L)]
-    values += [b - (k * Xi - l * H2) for b, k, l in zip(B_prime, K, L)]
+    h2, xi, u, v = g[H2], g[XI], g[U], g[V]
+    gap = h2 * h2 - xi * xi
+    B, B_prime = _wedge_bilinears(u, v)
+    values = [_dot(u, u) - gap, _dot(v, v) - gap, _dot(u, v)]
+    values += [b - (l * xi - k * h2) for b, k, l in zip(B, g[K], g[L])]
+    values += [b - (k * xi - l * h2) for b, k, l in zip(B_prime, g[K], g[L])]
     return RelationResidual(
-        residuals=dict(zip(RELATION_NAMES, values)), h2=H2, wedge_gap=gap
+        residuals=dict(zip(RELATION_NAMES, values)), h2=h2, wedge_gap=gap
     )
 
 
-def _columns(G) -> GeneratorVector:
+def _columns(G) -> tuple:
     # The scalar formulas are polymorphic, so they run unchanged on the
     # sixteen columns of an (n, 16) generator array.
-    return GeneratorVector.from_flat(np.asarray(G).T)
+    return tuple(np.asarray(G).T)
 
 
 def relation_residuals_batch(G: np.ndarray):
@@ -117,21 +118,21 @@ def relation_residuals_batch(G: np.ndarray):
     return res.residuals, res.h2, res.wedge_gap
 
 
-def lagrange_identity_check(g: GeneratorVector) -> dict:
+def lagrange_identity_check(g) -> dict:
     """Both sides of the three quadratic identities tying (U,V) to (K,L).
 
     Returns {"wedge_sum": (lhs, rhs), "norm_sum": (lhs, rhs),
     "cross_dot": (lhs, rhs)}: the two-vector Lagrange identity, then
     |K|^2 + |L|^2 = H2^2 + Xi^2 and <K,L> = Xi*H2.
     """
-    K, L, H2, Xi, U, V = g.K, g.L, g.H2, g.Xi, g.U, g.V
-    B, B_prime = _wedge_bilinears(U, V)
+    k, l, h2, xi, u, v = g[K], g[L], g[H2], g[XI], g[U], g[V]
+    B, B_prime = _wedge_bilinears(u, v)
     wedge = _dot(B, B) + _dot(B_prime, B_prime)
-    uv = _dot(U, V)
+    uv = _dot(u, v)
     return {
-        "wedge_sum": (wedge + uv * uv, _dot(U, U) * _dot(V, V)),
-        "norm_sum": (_dot(K, K) + _dot(L, L), H2 * H2 + Xi * Xi),
-        "cross_dot": (_dot(K, L), Xi * H2),
+        "wedge_sum": (wedge + uv * uv, _dot(u, u) * _dot(v, v)),
+        "norm_sum": (_dot(k, k) + _dot(l, l), h2 * h2 + xi * xi),
+        "cross_dot": (_dot(k, l), xi * h2),
     }
 
 
@@ -164,15 +165,16 @@ class Point:
     pass
 
 
-def reduced_momentum(g: GeneratorVector, tol: float = 1e-9) -> WedgePoint:
-    """Project a generator vector to (H2, Xi).
+def reduced_momentum(g, tol: float = 1e-9) -> WedgePoint:
+    """Project a generator 16-vector to (H2, Xi).
 
     Raises ValueError when |Xi| exceeds H2 beyond tolerance, which
     cannot happen for points of the orbit space.
     """
-    if abs(g.Xi) > g.H2 + tol:
-        raise ValueError(f"wedge violation: |Xi| = {abs(g.Xi)} exceeds H2 = {g.H2}")
-    return WedgePoint(h=g.H2, xi=g.Xi)
+    h2, xi = g[H2], g[XI]
+    if abs(xi) > h2 + tol:
+        raise ValueError(f"wedge violation: |Xi| = {abs(xi)} exceeds H2 = {h2}")
+    return WedgePoint(h=h2, xi=xi)
 
 
 def classify_reduced_space(w: WedgePoint, tol: float = 1e-9):

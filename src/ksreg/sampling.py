@@ -10,13 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .invariants import grad_p_xi
+
 RNG_ALGORITHM = "numpy-PCG64"
-
-
-def _rotated_q(z: np.ndarray) -> np.ndarray:
-    """(-q2, q1, -q4, q3): the gradient in p of the circle momentum Xi."""
-    q = z[..., :4]
-    return np.stack([-q[..., 1], q[..., 0], -q[..., 3], q[..., 2]], axis=-1)
 
 
 def _rescale_to_level(z: np.ndarray, h: float) -> np.ndarray:
@@ -44,7 +40,7 @@ def sample_xi_zero(rng: np.random.Generator, n: int) -> np.ndarray:
     """
     z = sample_phase_points(rng, n)
     q = z[:, :4]
-    rq = _rotated_q(z)
+    rq = grad_p_xi(z)
     xi = np.sum(rq * z[:, 4:], axis=1)
     z[:, 4:] -= (xi / np.sum(q * q, axis=1))[:, None] * rq
     return z

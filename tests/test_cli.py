@@ -55,6 +55,7 @@ class TestVerify:
     def test_bad_flags_are_usage_errors(self, runner):
         assert runner.invoke(main, ["verify", "--samples", "0"]).exit_code == 2
         assert runner.invoke(main, ["verify", "--tolerance", "-1"]).exit_code == 2
+        assert runner.invoke(main, ["verify", "--tolerance", "nan"]).exit_code == 2
 
     def test_reports_are_deterministic_per_seed(self, runner, tmp_path):
         texts = []
@@ -135,6 +136,9 @@ class TestOrbit:
         assert runner.invoke(main, ["orbit", "--state", "a,b,c,d,e,f,g,h"]).exit_code == 2
         assert runner.invoke(main, ["orbit", "--state", "1,1,1,1,0,0,0,0"]).exit_code == 2
         assert runner.invoke(main, ["orbit", "--samples", "1"]).exit_code == 2
+        assert runner.invoke(main, ["orbit", "--state", "nan,0,0,0,0,0,1,0"]).exit_code == 2
+        for t_max in ("inf", "nan"):
+            assert runner.invoke(main, ["orbit", "--t-max", t_max]).exit_code == 2
 
 
 class TestBench:
@@ -165,6 +169,9 @@ class TestBench:
         assert runner.invoke(main, ["bench", "--grid", ""]).exit_code == 2
         assert runner.invoke(main, ["bench", "--grid", "2.0"]).exit_code == 2
         assert runner.invoke(main, ["bench", "--grid", "x"]).exit_code == 2
+        for tol in ("-1", "0", "nan"):
+            args = ["bench", "--grid", "1e-1", "--tolerance", tol]
+            assert runner.invoke(main, args).exit_code == 2
 
 
 class TestTable:

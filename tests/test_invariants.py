@@ -15,15 +15,22 @@ from ksreg.sampling import sample_fractions
 from ksreg.invariants import (
     GEN_FROM_PI_MATRIX,
     GENERATOR_NAMES,
+    H2,
+    K,
+    L,
     PI_FROM_GEN_MATRIX,
-    GeneratorVector,
-    PhasePoint8,
+    U,
+    U1,
+    V,
+    V1,
+    XI,
     eval_generators,
     eval_generators_batch,
     eval_pi,
     eval_pi_batch,
     generators_from_pi,
     pi_from_generators,
+    point8,
     reduce,
 )
 
@@ -78,13 +85,13 @@ point_st = st.tuples(*([fraction_st] * 8))
 class TestGeneratorValues:
     def test_circular_seed_point(self):
         """q=(1,0,0,0), p=(0,1,0,0) maps to the known generator vector."""
-        g = eval_generators(PhasePoint8((1, 0, 0, 0), (0, 1, 0, 0)))
-        assert g.H2 == 1
-        assert g.Xi == 1
-        assert g.K == (0, 0, -1)
-        assert g.L == (0, 0, -1)
-        assert g.U == (0, 0, 0, 0)
-        assert g.V == (0, 0, 0, 0)
+        g = eval_generators((1, 0, 0, 0, 0, 1, 0, 0))
+        assert g[H2] == 1
+        assert g[XI] == 1
+        assert g[K] == (0, 0, -1)
+        assert g[L] == (0, 0, -1)
+        assert g[U] == (0, 0, 0, 0)
+        assert g[V] == (0, 0, 0, 0)
 
     @given(point_st)
     @settings(max_examples=120, deadline=None)
@@ -92,7 +99,7 @@ class TestGeneratorValues:
         """Table-driven evaluation agrees exactly with the longhand forms."""
         oracle = _oracle_generators(*z)
         g = eval_generators(z)
-        for name, value in zip(GENERATOR_NAMES, g.flat):
+        for name, value in zip(GENERATOR_NAMES, g, strict=True):
             assert value == oracle[name], name
 
     @given(point_st)
@@ -101,7 +108,7 @@ class TestGeneratorValues:
         """Direct monomials and the pi-then-linear-map route coincide."""
         direct = eval_generators(z)
         via_pi = generators_from_pi(eval_pi(z))
-        assert direct.flat == via_pi.flat
+        assert direct == via_pi
 
 
 class TestChangeOfBasis:
@@ -115,16 +122,15 @@ class TestChangeOfBasis:
     def test_round_trip_is_identity(self, z):
         pv = eval_pi(z)
         back = pi_from_generators(generators_from_pi(pv))
-        assert tuple(back.pi) == tuple(pv.pi)
+        assert back == pv
 
     def test_pi11_entry(self):
         """pi11 reconstructs as -(U3 + K2)/2, pinned by exact inversion."""
-        g = GeneratorVector(
-            K=(0, Fraction(3), 0), L=(0, 0, 0), H2=0, Xi=0,
-            U=(0, 0, Fraction(5), 0), V=(0, 0, 0, 0),
-        )
+        g = [0] * 16
+        g[GENERATOR_NAMES.index("K2")] = Fraction(3)
+        g[GENERATOR_NAMES.index("U3")] = Fraction(5)
         pv = pi_from_generators(g)
-        assert pv[11] == Fraction(-4)  # -(5 + 3)/2
+        assert pv[10] == Fraction(-4)  # pi11 = -(5 + 3)/2
 
 
 class TestBatchEvaluation:
@@ -133,7 +139,7 @@ class TestBatchEvaluation:
         Z = rng.standard_normal((40, 8))
         batch = eval_generators_batch(Z)
         for row, zrow in zip(batch, Z):
-            scalar = eval_generators(tuple(zrow)).as_array()
+            scalar = np.array(eval_generators(tuple(zrow)), dtype=float)
             assert np.allclose(row, scalar, rtol=0, atol=1e-12)
         # Fraction rows: the scalar wrapper stays exact, an object array of
         # the same Fractions gives the same values entry by entry, and the
@@ -143,7 +149,7 @@ class TestBatchEvaluation:
         by_objects = eval_generators_batch(exact)
         by_floats = eval_generators_batch(exact.astype(float))
         for z, row, frow in zip(F, by_objects, by_floats):
-            scalar = eval_generators(z).flat
+            scalar = eval_generators(z)
             assert all(type(v) in (int, Fraction) for v in scalar)
             assert tuple(row) == scalar
             assert np.allclose(frow, np.array(scalar, dtype=float), rtol=0, atol=1e-12)
@@ -155,7 +161,7 @@ class TestBatchEvaluation:
         assert batch.dtype == np.int64
         for row, zrow in zip(batch, Z):
             exact = eval_generators(tuple(int(v) for v in zrow))
-            assert tuple(int(v) for v in row) == exact.flat
+            assert tuple(int(v) for v in row) == exact
 
     def test_non_integral_integer_batch_is_rejected(self):
         # H2 = 1/2 here, which has no exact int64 representation.
@@ -169,7 +175,7 @@ class TestBatchEvaluation:
         batch = eval_pi_batch(Z)
         for row, zrow in zip(batch, Z):
             scalar = eval_pi(tuple(zrow))
-            assert np.allclose(row, np.array(scalar.pi, dtype=float), atol=1e-12)
+            assert np.allclose(row, np.array(scalar, dtype=float), atol=1e-12)
 
 
 class TestReduction:
@@ -178,31 +184,29 @@ class TestReduction:
     def test_xi_eta_split(self, z):
         """xi + eta recovers K and xi - eta recovers L, exactly."""
         g = eval_generators(z)
-        r = reduce(g)
-        for xi_i, eta_i, k_i, l_i in zip(r.xi, r.eta, g.K, g.L):
+        xi, eta = reduce(g)
+        for xi_i, eta_i, k_i, l_i in zip(xi, eta, g[K], g[L], strict=True):
             assert xi_i + eta_i == k_i
             assert xi_i - eta_i == l_i
 
     def test_circular_seed_reduction(self):
-        g = eval_generators(PhasePoint8((1, 0, 0, 0), (0, 1, 0, 0)))
-        r = reduce(g)
-        assert r.xi == (0, 0, -1)
-        assert r.eta == (0, 0, 0)
+        g = eval_generators((1, 0, 0, 0, 0, 1, 0, 0))
+        assert reduce(g) == ((0, 0, -1), (0, 0, 0))
 
 
 class TestDataShapes:
     def test_phase_point_validates_length(self):
-        with pytest.raises(ValueError):
-            PhasePoint8((1, 0, 0), (0, 0, 0, 0))
+        assert point8([1, 0, 0, 0, 0, 0, 1, 0]) == (1, 0, 0, 0, 0, 0, 1, 0)
+        for bad in [(1, 0, 0, 0, 0, 0, 0), (0,) * 9]:
+            with pytest.raises(ValueError):
+                point8(bad)
+            with pytest.raises(ValueError):
+                eval_generators(bad)
 
-    def test_generator_vector_json_keys(self):
-        g = eval_generators(PhasePoint8((1, 0, 0, 0), (0, 1, 0, 0)))
-        d = g.to_json_dict()
-        assert set(d) == {"K", "L", "H2", "Xi", "U", "V"}
-        assert d["K"] == [0.0, 0.0, -1.0]
-        assert d["H2"] == 1.0
-
-    def test_from_flat_round_trip(self):
-        values = tuple(range(16))
-        g = GeneratorVector.from_flat(values)
-        assert g.flat == values
+    def test_column_constants_name_the_generators(self):
+        assert GENERATOR_NAMES[K] == ("K1", "K2", "K3")
+        assert GENERATOR_NAMES[L] == ("L1", "L2", "L3")
+        assert GENERATOR_NAMES[U] == ("U1", "U2", "U3", "U4")
+        assert GENERATOR_NAMES[V] == ("V1", "V2", "V3", "V4")
+        assert (GENERATOR_NAMES[H2], GENERATOR_NAMES[XI]) == ("H2", "Xi")
+        assert (GENERATOR_NAMES[U1], GENERATOR_NAMES[V1]) == ("U1", "V1")

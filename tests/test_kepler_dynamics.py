@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ksreg.kepler_dynamics import (
-    KeplerParams,
     angular_momentum,
     eccentricity,
     kepler_energy,
@@ -22,11 +21,10 @@ from ksreg.kepler_dynamics import (
     symplectic_scaling,
     write_trajectory_csv,
 )
-from ksreg.ks_map import PhasePoint6
 from ksreg.ode import integrate_ode
 
-CIRCULAR = PhasePoint6((0, 0, 1), (1, 0, 0))
-APOAPSIS = PhasePoint6((0, 0, 2), (0, 0, 0))
+CIRCULAR = (0, 0, 1, 1, 0, 0)
+APOAPSIS = (0, 0, 2, 0, 0, 0)
 
 
 def _on_shell_state(rng):
@@ -47,12 +45,12 @@ class TestEnergies:
         assert kepler_energy(APOAPSIS) == -0.5
 
     def test_energy_vanishes_far_away(self):
-        value = kepler_energy(PhasePoint6((1e6, 0, 0), (0, 0, 0)))
+        value = kepler_energy((1e6, 0, 0, 0, 0, 0))
         assert value < 0
         assert abs(value) <= 1e-6
 
     def test_collision_point_rejected(self):
-        bad = PhasePoint6((0, 0, 0), (1, 0, 0))
+        bad = (0, 0, 0, 1, 0, 0)
         for fn in (kepler_energy, preregularized_vector_field,
                    kepler_vector_field, angular_momentum, eccentricity):
             with pytest.raises(ValueError):
@@ -60,7 +58,7 @@ class TestEnergies:
 
     def test_underflowing_radius_rejected(self):
         """|x|^2 underflows to 0 at |x| = 1e-170: rejected, not divided by."""
-        bad = PhasePoint6((1e-170, 0, 0), (1, 0, 0))
+        bad = (1e-170, 0, 0, 1, 0, 0)
         for fn in (kepler_energy, preregularized_vector_field,
                    rescaled_kepler_vector_field, kepler_vector_field):
             with pytest.raises(ValueError):
@@ -79,7 +77,7 @@ class TestEnergies:
     def test_regularized_energy_examples(self):
         assert preregularized_hamiltonian(CIRCULAR) == 1
         assert preregularized_hamiltonian(APOAPSIS) == 1
-        assert preregularized_hamiltonian(PhasePoint6((0, 0, 0), (3, 1, 2))) == 0
+        assert preregularized_hamiltonian((0, 0, 0, 3, 1, 2)) == 0
 
     def test_regularized_energy_accepts_arrays(self):
         assert preregularized_hamiltonian(np.array([0.0, 0, 1, 1, 0, 0])) == 1
@@ -137,7 +135,7 @@ class TestConservedQuantities:
         assert eccentricity(APOAPSIS) == (0, 0, -1)
 
     def test_parallel_velocity_kills_angular_momentum(self):
-        w = PhasePoint6((1, 2, 3), (2, 4, 6))
+        w = (1, 2, 3, 2, 4, 6)
         assert angular_momentum(w) == (0, 0, 0)
 
     def test_eccentricity_angular_momentum_relations(self):
@@ -181,7 +179,7 @@ class TestRadialFall:
 
     def test_on_shell_speed_at_unit_radius(self):
         """(r, rdot) = (1, -1) is on the energy -1/2 shell of the fall."""
-        assert kepler_energy(PhasePoint6((1.0, 0, 0), (-1.0, 0, 0))) == -0.5
+        assert kepler_energy((1.0, 0, 0, -1.0, 0, 0)) == -0.5
 
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError):
@@ -330,24 +328,18 @@ class TestScaling:
             if np.linalg.norm(w[:3]) < 0.1:
                 continue
             k = rng.uniform(0.2, 5.0)
-            scaled = symplectic_scaling(w, k)
-            x, y = scaled.as_arrays()
+            scaled = np.array(symplectic_scaling(w, k))
+            x, y = scaled[:3], scaled[3:]
             lifted = np.linalg.norm(x) * (y @ y + k * k) / (2 * k)
             assert abs(lifted - preregularized_hamiltonian(w)) < 1e-12
 
     def test_unit_scale_is_identity(self):
-        w = PhasePoint6((1, 2, 3), (4, 5, 6))
+        w = (1, 2, 3, 4, 5, 6)
         assert symplectic_scaling(w, 1.0) == w
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
             symplectic_scaling(CIRCULAR, 0.0)
-        with pytest.raises(ValueError):
-            KeplerParams(k=-1.0)
-
-    def test_params_energy_level(self):
-        assert KeplerParams().energy_level == -0.5
-        assert KeplerParams(k=2.0).energy_level == -2.0
 
 
 class TestTrajectoryCsv:

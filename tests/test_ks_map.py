@@ -12,13 +12,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ksreg.invariants import (PhasePoint8, eval_generators, eval_generators_batch, eval_pi,
+from ksreg.invariants import (H2, V1, XI, eval_generators, eval_generators_batch, eval_pi,
                               eval_pi_batch)
-from ksreg.kepler_dynamics import norm3
+from ksreg.kepler_dynamics import kepler_energy, norm3
 from ksreg.ks_map import (
     KS,
     KS_MONOMIALS,
-    PhasePoint6,
     ks,
     ks_batch,
     ks_fiber_action,
@@ -33,6 +32,7 @@ from ksreg.ks_map import (
     pullback_gaps_batch,
     pullback_inner_product,
     pullback_kepler_hamiltonian,
+    require_level_set,
 )
 from ksreg.flows import collision_triple_batch
 from ksreg.sampling import sample_fractions, sample_level_set, sample_xi_zero
@@ -48,7 +48,7 @@ def _sample_level_set(rng):
     rq = np.array([-q[1], q[0], -q[3], q[2]])
     p = p - (p @ rq) / (q @ q) * rq
     z = np.concatenate([q, p])
-    z = z / math.sqrt(float(eval_generators(tuple(z)).H2))
+    z = z / math.sqrt(float(eval_generators(tuple(z))[H2]))
     return tuple(z)
 
 
@@ -79,7 +79,7 @@ class TestKsMap:
         assert W.shape == (200, 6)
         for z, w in zip(Z, W):
             pt = ks(tuple(z))
-            assert np.allclose(w, pt.x + pt.y, rtol=1e-14, atol=1e-14)
+            assert np.allclose(w, pt, rtol=1e-14, atol=1e-14)
         by_generators = ks_from_generators_batch(eval_generators_batch(Z))
         assert np.allclose(by_generators, W, rtol=1e-12, atol=1e-12)
         # Fraction rows: the scalar wrapper is exact and the batch agrees.
@@ -87,8 +87,8 @@ class TestKsMap:
         W = ks_batch(np.array(F, dtype=float))
         for z, w in zip(F, W):
             pt = ks(z)
-            assert all(type(v) is Fraction for v in pt.x + pt.y)
-            assert np.allclose(w, np.array(pt.x + pt.y, dtype=float), rtol=1e-14, atol=1e-14)
+            assert all(type(v) is Fraction for v in pt)
+            assert np.allclose(w, np.array(pt, dtype=float), rtol=1e-14, atol=1e-14)
 
     def test_batch_rejects_a_collision_row(self):
         Z = np.random.default_rng(30).standard_normal((4, 8))
@@ -99,23 +99,17 @@ class TestKsMap:
             ks_jacobian_batch(Z)
 
     def test_rest_point(self):
-        pt = ks(PhasePoint8((1, 0, 0, 0), (0, 0, 0, 0)))
-        assert pt.x == (0, 0, 1)
-        assert pt.y == (0, 0, 0)
+        assert ks((1, 0, 0, 0, 0, 0, 0, 0)) == (0, 0, 1, 0, 0, 0)
 
     def test_circular_image(self):
-        pt = ks(PhasePoint8((1, 0, 0, 0), (0, 0, 1, 0)))
-        assert pt.x == (0, 0, 1)
-        assert pt.y == (1, 0, 0)
+        assert ks((1, 0, 0, 0, 0, 0, 1, 0)) == (0, 0, 1, 1, 0, 0)
 
     def test_collinear_image(self):
-        pt = ks(PhasePoint8((1, 0, 0, 0), (1, 0, 0, 0)))
-        assert pt.x == (0, 0, 1)
-        assert pt.y == (0, 0, 1)
+        assert ks((1, 0, 0, 0, 1, 0, 0, 0)) == (0, 0, 1, 0, 0, 1)
 
     def test_collision_input_rejected(self):
         with pytest.raises(ValueError):
-            ks(PhasePoint8((0, 0, 0, 0), (1, 0, 0, 0)))
+            ks((0, 0, 0, 0, 1, 0, 0, 0))
 
     @given(point_st)
     @settings(max_examples=80, deadline=None)
@@ -124,8 +118,8 @@ class TestKsMap:
         pt = ks(z)
         rho = sum(v * v for v in z[:4])
         g = eval_generators(z)
-        assert sum(v * v for v in pt.x) == rho * rho
-        assert norm3(pt.x) == rho == g.H2 + g.V[0]
+        assert sum(v * v for v in pt[:3]) == rho * rho
+        assert norm3(pt[:3]) == rho == g[H2] + g[V1]
 
     @given(point_st)
     @settings(max_examples=80, deadline=None)
@@ -133,9 +127,9 @@ class TestKsMap:
         assume(any(z[:4]))
         pt = ks(z)
         g = eval_generators(z)
-        denom = g.H2 + g.V[0]
-        lhs = sum(v * v for v in pt.y)
-        assert lhs == (g.H2 * g.H2 - g.Xi * g.Xi - g.V[0] * g.V[0]) / denom**2
+        denom = g[H2] + g[V1]
+        lhs = sum(v * v for v in pt[3:])
+        assert lhs == (g[H2] * g[H2] - g[XI] * g[XI] - g[V1] * g[V1]) / denom**2
 
     def test_y_norm_identity_floats(self):
         rng = np.random.default_rng(23)
@@ -143,27 +137,27 @@ class TestKsMap:
             z = tuple(rng.standard_normal(8))
             pt = ks(z)
             g = eval_generators(z)
-            denom = g.H2 + g.V[0]
-            rhs = (g.H2**2 - g.Xi**2 - g.V[0] ** 2) / denom**2
-            assert abs(sum(v * v for v in pt.y) - rhs) <= 1e-12 * max(1, abs(rhs))
+            denom = g[H2] + g[V1]
+            rhs = (g[H2]**2 - g[XI]**2 - g[V1] ** 2) / denom**2
+            assert abs(sum(v * v for v in pt[3:]) - rhs) <= 1e-12 * max(1, abs(rhs))
 
 
 class TestFiberAction:
     def test_identity_at_zero(self):
         z = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
         out = ks_fiber_action(z, 0.0)
-        assert np.allclose(out.z, z, atol=0)
+        assert np.allclose(out, z, atol=0)
 
     def test_periodicity(self):
         z = tuple(np.random.default_rng(1).standard_normal(8))
         out = ks_fiber_action(z, 2 * math.pi)
-        assert np.allclose(out.z, z, atol=1e-12)
+        assert np.allclose(out, z, atol=1e-12)
 
     def test_composition(self):
         z = tuple(np.random.default_rng(2).standard_normal(8))
         ab = ks_fiber_action(ks_fiber_action(z, 0.4), 0.9)
         direct = ks_fiber_action(z, 1.3)
-        assert np.allclose(ab.z, direct.z, atol=1e-12)
+        assert np.allclose(ab, direct, atol=1e-12)
 
     def test_ks_is_fiber_invariant(self):
         rng = np.random.default_rng(3)
@@ -172,37 +166,36 @@ class TestFiberAction:
             s = float(rng.uniform(-6, 6))
             base = ks(z)
             moved = ks(ks_fiber_action(z, s))
-            assert np.allclose(moved.x, base.x, atol=1e-12)
-            assert np.allclose(moved.y, base.y, atol=1e-12)
+            assert np.allclose(moved, base, atol=1e-12)
 
     def test_invariants_are_constant_along_fibers(self):
         rng = np.random.default_rng(4)
         z = tuple(rng.standard_normal(8))
-        before = np.array(eval_pi(z).pi, dtype=float)
-        after = np.array(eval_pi(ks_fiber_action(z, 0.7).z).pi, dtype=float)
+        before = np.array(eval_pi(z), dtype=float)
+        after = np.array(eval_pi(ks_fiber_action(z, 0.7)), dtype=float)
         assert np.allclose(before, after, atol=1e-12)
 
     def test_restricted_map_guards_the_level(self):
-        ok = PhasePoint8((1, 0, 0, 0), (0, 0, 1, 0))  # Xi = 0
-        assert KS(ok).x == (0, 0, 1)
-        bad = PhasePoint8((1, 0, 0, 0), (0, 1, 0, 0))  # Xi = 1
+        ok = (1, 0, 0, 0, 0, 0, 1, 0)  # Xi = 0
+        assert KS(ok) == (0, 0, 1, 1, 0, 0)
+        bad = (1, 0, 0, 0, 0, 1, 0, 0)  # Xi = 1
         with pytest.raises(ValueError):
             KS(bad)
 
 
 class TestHamiltonianPullback:
     def test_circular_point(self):
-        lhs, rhs = pullback_kepler_hamiltonian(PhasePoint8((1, 0, 0, 0), (0, 0, 1, 0)))
+        lhs, rhs = pullback_kepler_hamiltonian((1, 0, 0, 0, 0, 0, 1, 0))
         assert lhs == 1
         assert rhs == 1
 
     def test_rest_point(self):
-        lhs, rhs = pullback_kepler_hamiltonian(PhasePoint8((1, 0, 0, 0), (0, 0, 0, 0)))
+        lhs, rhs = pullback_kepler_hamiltonian((1, 0, 0, 0, 0, 0, 0, 0))
         assert lhs == Fraction(1, 2)
         assert rhs == Fraction(1, 2)
 
     def test_rotating_point(self):
-        lhs, rhs = pullback_kepler_hamiltonian(PhasePoint8((1, 0, 0, 0), (0, 1, 0, 0)))
+        lhs, rhs = pullback_kepler_hamiltonian((1, 0, 0, 0, 0, 1, 0, 0))
         assert lhs == Fraction(1, 2)
         assert rhs == Fraction(1, 2)
 
@@ -217,54 +210,59 @@ class TestHamiltonianPullback:
 
 class TestLevelSetPullbacks:
     def test_angular_momentum_circular(self):
-        J, L = pullback_angular_momentum(PhasePoint8((1, 0, 0, 0), (0, 0, 1, 0)))
+        J, L = pullback_angular_momentum((1, 0, 0, 0, 0, 0, 1, 0))
         assert J == (0, 1, 0)
         assert L == (0, 1, 0)
 
     def test_angular_momentum_collinear(self):
-        J, L = pullback_angular_momentum(PhasePoint8((1, 0, 0, 0), (1, 0, 0, 0)))
+        J, L = pullback_angular_momentum((1, 0, 0, 0, 1, 0, 0, 0))
         assert J == (0, 0, 0)
         assert L == (0, 0, 0)
 
     def test_angular_momentum_momentumless(self):
-        J, L = pullback_angular_momentum(PhasePoint8((1, 1, 0, 0), (0, 0, 0, 0)))
+        J, L = pullback_angular_momentum((1, 1, 0, 0, 0, 0, 0, 0))
         assert J == (0, 0, 0)
         assert L == (0, 0, 0)
 
     def test_eccentricity_circular(self):
-        e, K = pullback_eccentricity(PhasePoint8((1, 0, 0, 0), (0, 0, 1, 0)))
+        e, K = pullback_eccentricity((1, 0, 0, 0, 0, 0, 1, 0))
         assert e == (0, 0, 0)
         assert K == (0, 0, 0)
 
     def test_eccentricity_momentumless(self):
-        e, K = pullback_eccentricity(PhasePoint8((1, 1, 0, 0), (0, 0, 0, 0)))
+        e, K = pullback_eccentricity((1, 1, 0, 0, 0, 0, 0, 0))
         assert e == (0, 0, -1)
         assert K == (0, 0, -1)
 
     def test_inner_product_circular(self):
-        lhs, rhs = pullback_inner_product(PhasePoint8((1, 0, 0, 0), (0, 0, 1, 0)))
+        lhs, rhs = pullback_inner_product((1, 0, 0, 0, 0, 0, 1, 0))
         assert lhs == 0
         assert rhs == 0
 
     def test_inner_product_collinear(self):
-        lhs, rhs = pullback_inner_product(PhasePoint8((1, 0, 0, 0), (1, 0, 0, 0)))
+        lhs, rhs = pullback_inner_product((1, 0, 0, 0, 1, 0, 0, 0))
         assert lhs == 1
         assert rhs == 1
 
     def test_off_level_set_rejected(self):
-        rotating = PhasePoint8((1, 0, 0, 0), (0, 1, 0, 0))  # Xi = 1
+        rotating = (1, 0, 0, 0, 0, 1, 0, 0)  # Xi = 1
         with pytest.raises(ValueError):
             pullback_angular_momentum(rotating)
-        heavy = PhasePoint8((2, 0, 0, 0), (0, 0, 0, 0))  # H2 = 2
+        heavy = (2, 0, 0, 0, 0, 0, 0, 0)  # H2 = 2
         with pytest.raises(ValueError):
             pullback_eccentricity(heavy)
         with pytest.raises(ValueError):
             pullback_inner_product(heavy)
+        undefined = (math.nan, 0, 0, 0, 0, 0, 1, 0)  # H2 = NaN
+        with pytest.raises(ValueError):
+            pullback_inner_product(undefined)
+        with pytest.raises(ValueError):
+            require_level_set(math.nan, 0)
         batch = sample_level_set(np.random.default_rng(32), 5)
         pullback_gaps_batch(batch)
-        for bad in (rotating, heavy):
+        for bad in (rotating, heavy, undefined):
             mixed = batch.copy()
-            mixed[3] = bad.z
+            mixed[3] = bad
             with pytest.raises(ValueError, match="point 3"):
                 pullback_gaps_batch(mixed)
 
@@ -300,7 +298,7 @@ class TestLevelSetPullbacks:
         z = _sample_level_set(rng)
         e0, _ = pullback_eccentricity(z)
         for s in (0.3, 1.1, 4.0):
-            es, _ = pullback_eccentricity(ks_fiber_action(z, s).z, tol=1e-6)
+            es, _ = pullback_eccentricity(ks_fiber_action(z, s), tol=1e-6)
             assert np.allclose(es, e0, atol=1e-10)
 
 
@@ -317,7 +315,7 @@ class TestPoissonProperty:
                 zp[i] += step
                 zm[i] -= step
                 fp, fm = ks(tuple(zp)), ks(tuple(zm))
-                fd = (np.array(fp.x + fp.y) - np.array(fm.x + fm.y)) / (2 * step)
+                fd = (np.array(fp) - np.array(fm)) / (2 * step)
                 assert np.allclose(grads[:, i], fd, atol=1e-6)
                 assert np.allclose(jac[:, i], fd, atol=1e-6)
 
@@ -367,10 +365,12 @@ class TestPoissonProperty:
         assert np.all(far > 1e-3)
 
 
-class TestPhasePoint6:
+class TestPointShapes:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            PhasePoint6((1, 0), (0, 0, 0))
+            ks((1, 0, 0, 0, 0, 0, 0))
+        with pytest.raises(ValueError):
+            kepler_energy((1, 0, 0, 0, 0))
 
 
 class TestBatchDtypes:

@@ -69,6 +69,14 @@ class TestSampling:
     def test_span_must_increase(self):
         with pytest.raises(ValueError):
             integrate_ode(_decay, np.array([1.0]), (1.0, 0.0))
+        for span in [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)]:
+            with pytest.raises(ValueError):
+                integrate_ode(_decay, np.array([1.0]), span)
+        for tol in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                integrate_ode(_decay, np.array([1.0]), (0.0, 1.0), rtol=tol)
+            with pytest.raises(ValueError):
+                integrate_ode(_decay, np.array([1.0]), (0.0, 1.0), atol=tol)
 
 
 class TestEvents:

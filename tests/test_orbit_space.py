@@ -12,12 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ksreg.invariants import (
-    GeneratorVector,
-    PhasePoint8,
-    eval_generators,
-    eval_generators_batch,
-)
+from ksreg.invariants import H2, K, L, U, V, XI, eval_generators, eval_generators_batch
 from ksreg.orbit_space import (
     BoundaryFiber,
     Point,
@@ -60,15 +55,13 @@ class TestRelationResiduals:
         assert res.on_orbit_space(tol=0)
 
     def test_origin(self):
-        res = relation_residuals(GeneratorVector.from_flat([0] * 16))
+        res = relation_residuals((0,) * 16)
         assert res.max_abs_residual() == 0
         assert res.ineq_flags == (True, True)
 
     def test_off_space_point_is_detected(self):
-        g = GeneratorVector(
-            K=(0, 0, 0), L=(0, 0, 0), H2=1, Xi=0,
-            U=(1, 0, 0, 0), V=(1, 0, 0, 0),
-        )
+        # K = L = 0, H2 = 1, Xi = 0, U = V = (1, 0, 0, 0)
+        g = (0, 0, 0) + (0, 0, 0) + (1, 0) + (1, 0, 0, 0) + (1, 0, 0, 0)
         res = relation_residuals(g)
         assert res.residuals["UV"] == 1
         assert res.residuals["UU"] == 0
@@ -96,19 +89,19 @@ class TestRelationResiduals:
 
 class TestLagrangeIdentity:
     def test_orthogonal_seed(self):
-        g = eval_generators(PhasePoint8((1, 0, 0, 0), (0, 0, 1, 0)))
+        g = eval_generators((1, 0, 0, 0, 0, 0, 1, 0))
         pairs = lagrange_identity_check(g)
         assert pairs["norm_sum"] == (1, 1)
         assert pairs["cross_dot"] == (0, 0)
 
     def test_circular_seed(self):
-        g = eval_generators(PhasePoint8((1, 0, 0, 0), (0, 1, 0, 0)))
+        g = eval_generators((1, 0, 0, 0, 0, 1, 0, 0))
         pairs = lagrange_identity_check(g)
         assert pairs["norm_sum"] == (2, 2)
         assert pairs["cross_dot"] == (1, 1)
 
     def test_origin(self):
-        pairs = lagrange_identity_check(GeneratorVector.from_flat([0] * 16))
+        pairs = lagrange_identity_check((0,) * 16)
         assert all(lhs == rhs == 0 for lhs, rhs in pairs.values())
 
     @given(point_st)
@@ -131,31 +124,32 @@ class TestLagrangeIdentity:
         rng = np.random.default_rng(17)
         for _ in range(50):
             g = eval_generators(tuple(rng.standard_normal(8)))
-            lhs = (g.H2 ** 2 - g.Xi ** 2) ** 2
-            kk = sum(k * k for k in g.K) + sum(l * l for l in g.L)
-            kl = sum(k * l for k, l in zip(g.K, g.L))
-            rhs = kk * (g.H2 ** 2 + g.Xi ** 2) - 4 * kl * g.Xi * g.H2
+            h2, xi = g[H2], g[XI]
+            lhs = (h2 ** 2 - xi ** 2) ** 2
+            kk = sum(k * k for k in g[K]) + sum(l * l for l in g[L])
+            kl = sum(k * l for k, l in zip(g[K], g[L]))
+            rhs = kk * (h2 ** 2 + xi ** 2) - 4 * kl * xi * h2
             assert abs(lhs - rhs) <= 1e-10 * max(1, abs(lhs))
 
 
 class TestReducedMomentum:
     def test_interior_point(self):
-        g = eval_generators(PhasePoint8((1, 0, 0, 0), (0, 0, 1, 0)))
+        g = eval_generators((1, 0, 0, 0, 0, 0, 1, 0))
         w = reduced_momentum(g)
         assert (w.h, w.xi) == (1, 0)
 
     def test_boundary_point(self):
-        g = eval_generators(PhasePoint8((1, 0, 0, 0), (0, 1, 0, 0)))
+        g = eval_generators((1, 0, 0, 0, 0, 1, 0, 0))
         w = reduced_momentum(g)
         assert (w.h, w.xi) == (1, 1)
 
     def test_vertex(self):
-        w = reduced_momentum(GeneratorVector.from_flat([0] * 16))
+        w = reduced_momentum((0,) * 16)
         assert (w.h, w.xi) == (0, 0)
 
     def test_wedge_violation_raises(self):
-        g = GeneratorVector(K=(0,) * 3, L=(0,) * 3, H2=1, Xi=2,
-                            U=(0,) * 4, V=(0,) * 4)
+        g = [0] * 16
+        g[H2], g[XI] = 1, 2
         with pytest.raises(ValueError):
             reduced_momentum(g)
 
@@ -207,10 +201,10 @@ class TestFiberInterior:
         assert L == (0, 0, 0)
 
     def test_assembled_vector_is_on_space(self):
-        U = (1, 0, 0, 0)
-        V = (0, Fraction(3, 5), Fraction(4, 5), 0)
-        K, L = reconstruct_fiber_interior(U, V, 1, tol=0)
-        g = GeneratorVector(K=K, L=L, H2=1, Xi=0, U=U, V=V)
+        u = (1, 0, 0, 0)
+        v = (0, Fraction(3, 5), Fraction(4, 5), 0)
+        k, l = reconstruct_fiber_interior(u, v, 1, tol=0)
+        g = k + l + (1, 0) + u + v
         assert relation_residuals(g).max_abs_residual() == 0
 
     @given(point_st)
@@ -219,11 +213,11 @@ class TestFiberInterior:
         """Reconstruction over the zero level recovers (K, L) exactly."""
         assume(any(z[:4]))
         g = eval_generators(_project_to_zero_xi(z))
-        assume(g.H2 > 0)
-        assert g.Xi == 0
-        K, L = reconstruct_fiber_interior(g.U, g.V, g.H2, tol=0)
-        assert K == g.K
-        assert L == g.L
+        assume(g[H2] > 0)
+        assert g[XI] == 0
+        k, l = reconstruct_fiber_interior(g[U], g[V], g[H2], tol=0)
+        assert k == g[K]
+        assert l == g[L]
 
     def test_precondition_violations(self):
         with pytest.raises(ValueError):
