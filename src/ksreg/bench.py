@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .invariants import H2, V1, XI, eval_generators_batch
-from .kepler_dynamics import kepler_energy, kepler_vector_field, norm3
+from .kepler_dynamics import dot3, kepler_energy, kepler_vector_field, norm3
 from .ks_map import ks_batch
 from .ode import integrate_ode
 
@@ -75,47 +75,51 @@ def _collect_states(res) -> np.ndarray:
     return np.vstack(parts)
 
 
-def _run_regularized(l_norm, rtol, atol, max_steps) -> BenchRow:
-    z0 = seed_state(l_norm)
+def _regularized_rows(l_values, rtol, atol, max_steps) -> list:
     grid = np.linspace(0.0, math.pi, 2001)
-    res = integrate_ode(
-        _oscillator_field, z0, (0.0, math.pi),
+    runs = integrate_ode(
+        _oscillator_field, np.array([seed_state(l) for l in l_values]), (0.0, math.pi),
         rtol=rtol, atol=atol, max_steps=max_steps, t_eval=grid[1:-1],
     )
-    states = _collect_states(res)
-    gens = eval_generators_batch(states)
-    h2, xi, v1 = gens[:, H2], gens[:, XI], gens[:, V1]
-    radii = h2 + v1
-    energy = h2 - xi * xi / (2 * radii)
-    return BenchRow(
-        l_norm=l_norm,
-        method="ks_regularized",
-        steps=res.stats.steps,
-        max_energy_drift=float(np.max(np.abs(energy - 1))),
-        periapsis_error=float(abs(np.min(radii) - analytic_periapsis(l_norm))),
-        failed=res.status != "completed",
-    )
+    rows = []
+    for l_norm, res in zip(l_values, runs):
+        gens = eval_generators_batch(_collect_states(res))
+        h2, xi, v1 = gens[:, H2], gens[:, XI], gens[:, V1]
+        radii = h2 + v1
+        energy = h2 - xi * xi / (2 * radii)
+        rows.append(BenchRow(
+            l_norm=l_norm,
+            method="ks_regularized",
+            steps=res.stats.steps,
+            max_energy_drift=float(np.max(np.abs(energy - 1))),
+            periapsis_error=float(abs(np.min(radii) - analytic_periapsis(l_norm))),
+            failed=res.status != "completed",
+        ))
+    return rows
 
 
-def _run_raw(l_norm, rtol, atol, max_steps) -> BenchRow:
-    w0 = ks_batch(seed_state(l_norm))[0]
+def _raw_rows(l_values, rtol, atol, max_steps) -> list:
     grid = np.linspace(0.0, 2 * math.pi, 2001)
-    res = integrate_ode(
-        lambda t, w: kepler_vector_field(w), w0, (0.0, 2 * math.pi),
+    runs = integrate_ode(
+        lambda t, w: kepler_vector_field(w),
+        ks_batch(np.array([seed_state(l) for l in l_values])),
+        (0.0, 2 * math.pi),
         rtol=rtol, atol=atol, max_steps=max_steps, t_eval=grid[1:-1],
-        event=lambda t, w: w[:3] @ w[:3] - COLLISION_GUARD**2,
+        event=lambda t, w: dot3(w, w) - COLLISION_GUARD**2,
     )
-    states = _collect_states(res).T
-    radii = norm3(states[:3])
-    energy = kepler_energy(states)
-    return BenchRow(
-        l_norm=l_norm,
-        method="raw_kepler",
-        steps=res.stats.steps,
-        max_energy_drift=float(np.max(np.abs(energy + 0.5))),
-        periapsis_error=float(abs(np.min(radii) - analytic_periapsis(l_norm))),
-        failed=res.status != "completed",
-    )
+    rows = []
+    for l_norm, res in zip(l_values, runs):
+        states = _collect_states(res).T
+        radii = norm3(states[:3])
+        rows.append(BenchRow(
+            l_norm=l_norm,
+            method="raw_kepler",
+            steps=res.stats.steps,
+            max_energy_drift=float(np.max(np.abs(kepler_energy(states) + 0.5))),
+            periapsis_error=float(abs(np.min(radii) - analytic_periapsis(l_norm))),
+            failed=res.status != "completed",
+        ))
+    return rows
 
 
 def run_benchmark(
@@ -124,12 +128,15 @@ def run_benchmark(
     atol: float = 1e-10,
     max_steps: int = 50_000,
 ) -> list:
-    """One raw and one regularized row per |L| value, raw first."""
-    rows = []
-    for l_norm in l_values:
-        rows.append(_run_raw(l_norm, rtol, atol, max_steps))
-        rows.append(_run_regularized(l_norm, rtol, atol, max_steps))
-    return rows
+    """One raw and one regularized row per |L| value, raw first.
+
+    Each method integrates all its seeds as one block of rows.
+    """
+    if not l_values:
+        return []
+    raw = _raw_rows(l_values, rtol, atol, max_steps)
+    regularized = _regularized_rows(l_values, rtol, atol, max_steps)
+    return [row for pair in zip(raw, regularized) for row in pair]
 
 
 def write_bench_csv(path, rows) -> None:

@@ -66,11 +66,15 @@ def _require_noncollision(x):
 
 
 def _field_point(w) -> tuple:
-    """Float x and y of one point off the collision set, and r = |x|."""
+    """Float x and y off the collision set, and r = |x|.
+
+    w is one point or (6, m) columns, for which r is an (m,) array.
+    """
     x, y = _columns(w)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return x, y, math.sqrt(_require_noncollision(x))
+    rr = _require_noncollision(x)
+    return x, y, np.sqrt(rr) if isinstance(rr, np.ndarray) else math.sqrt(rr)
 
 
 def kepler_energy(w) -> float:
@@ -111,7 +115,9 @@ def rescaled_kepler_vector_field(w) -> np.ndarray:
 def kepler_vector_field(w) -> np.ndarray:
     """The raw field dx/dt = y, dy/dt = -x/|x|^3, singular at x = 0."""
     x, y, r = _field_point(w)
-    return np.concatenate([y, -x / r**3])
+    # Products, not r**3: numpy's power of an array and Python's of a float
+    # can round differently, and a column must give its point's value.
+    return np.concatenate([y, -x / (r * r * r)])
 
 
 def angular_momentum(w):
@@ -145,12 +151,13 @@ def symplectic_scaling(w, k: float) -> tuple:
 def radial_ode_rhs(t, u) -> np.ndarray:
     """Collinear Kepler motion u = (r, rdot): d(r)/dt = rdot, d(rdot)/dt = -1/r^2.
 
-    Takes integrate_ode's arguments; t is unused.
+    Takes integrate_ode's arguments, one state or (2, m) columns; t is
+    unused.
     """
     r, rdot = u
-    if not r > 0:
+    if not np.all(r > 0):
         raise ValueError("r must be positive")
-    return np.array([rdot, -1 / r**2])
+    return np.array([rdot, -1 / (r * r)])  # r * r, not r**2: see kepler_vector_field
 
 
 def radial_collision_time(r0: float) -> float:

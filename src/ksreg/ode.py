@@ -4,6 +4,13 @@ A small embedded-pair integrator is used instead of an off-the-shelf
 one because the pipeline reports accepted and rejected step counts as
 first-class outputs, stops on sign-change events with a controlled
 localization scheme, and must behave identically across platforms.
+
+One step loop advances one state or an (n, d) block of rows in
+lockstep.  Each row keeps its own step size, error norm, accept/reject
+decision, event and sample grid (the step size control of Hairer,
+Norsett & Wanner, Solving ODEs I, II.4, applied per row), so a row
+takes the steps it takes alone, while the loop's fixed cost per step is
+paid once for all rows.
 """
 from __future__ import annotations
 
@@ -14,6 +21,7 @@ import numpy as np
 
 # Dormand-Prince 5(4) tableau.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_C_FLOATS = _C.tolist()  # a lone row's stage times are Python floats
 _A = np.array([
     [0, 0, 0, 0, 0, 0, 0],
     [1 / 5, 0, 0, 0, 0, 0, 0],
@@ -77,6 +85,72 @@ class OdeResult:
     eval_states: np.ndarray | None = None
 
 
+class OdeResults(tuple):
+    """The OdeResult of every row of a block run, in row order.
+
+    stats sums the rows' counts; eval_times is None without a sample
+    grid, else the rows' filled sample times end to end.
+    """
+
+    @property
+    def stats(self) -> IntegratorStats:
+        return IntegratorStats(
+            steps=sum(r.stats.steps for r in self),
+            rejected_steps=sum(r.stats.rejected_steps for r in self),
+            rhs_evaluations=sum(r.stats.rhs_evaluations for r in self),
+        )
+
+    @property
+    def eval_times(self) -> np.ndarray | None:
+        if self[0].eval_times is None:
+            return None
+        return np.concatenate([r.eval_times for r in self])
+
+
+class _Row:
+    """One row's control state, in Python floats, and its output so far.
+
+    The accepted states fill a preallocated array that doubles when full.
+    """
+
+    __slots__ = ("t", "h", "g", "steps", "rejected", "status", "event_time", "event_state",
+                 "times", "states", "filled", "eval_states")
+
+    def __init__(self, t0, y0, h, eval_size):
+        self.t, self.h, self.g = t0, h, None
+        self.steps = self.rejected = 0
+        self.status = "completed"
+        self.event_time = self.event_state = None
+        self.times = [t0]
+        self.states = np.empty((64, y0.size))
+        self.states[0] = y0
+        self.filled = 0
+        self.eval_states = None if eval_size is None else np.empty((eval_size, y0.size))
+
+    def record(self, t, y) -> None:
+        """Append an accepted step point, or the event point."""
+        n = len(self.times)
+        if n == len(self.states):
+            self.states = np.concatenate([self.states, np.empty_like(self.states)])
+        self.states[n] = y
+        self.times.append(t)
+
+    def result(self, t_eval) -> OdeResult:
+        # f runs once at t0 and six times per attempt: accepted, rejected,
+        # or the non-finite one that ends the row.
+        attempts = self.steps + self.rejected + (self.status == "nonfinite")
+        return OdeResult(
+            times=np.array(self.times),
+            states=self.states[:len(self.times)],
+            stats=IntegratorStats(self.steps, self.rejected, 1 + 6 * attempts),
+            status=self.status,
+            event_time=self.event_time,
+            event_state=self.event_state,
+            eval_times=t_eval[:self.filled].copy() if t_eval is not None else None,
+            eval_states=self.eval_states[:self.filled] if t_eval is not None else None,
+        )
+
+
 def _initial_step(t0, y0, f0, t1, rtol, atol):
     scale = atol + rtol * np.abs(y0)
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
@@ -90,6 +164,41 @@ def _dense(theta, y, Q):
     return y + (np.asarray(theta)[..., None] ** _POWERS) @ Q
 
 
+# A non-finite stage makes the sums below non-finite and the error norm
+# ends the row.  The step's own arithmetic runs with numpy's warnings off;
+# only f and event run under the caller's settings.
+@np.errstate(all="ignore")
+def _stage(Y, H, a, K):
+    """The input of the next stage: Y + h * (a @ k) per row."""
+    return Y + H * (a @ K)
+
+
+@np.errstate(all="ignore")
+def _step_end(Y, H, K, rtol, atol):
+    """The fifth-order end point and the sum of squares of the scaled error."""
+    Y_new = Y + H * (_B5 @ K)
+    scaled = H * (_ERR @ K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
+    return Y_new, np.vecdot(scaled, scaled)
+
+
+def _interpolants(H, K, block):
+    """Each row's interpolant coefficients h * P^T k, indexed by row."""
+    Q = _P.T @ K
+    return H[:, :, None] * Q if block else [H * Q]
+
+
+def _locate(event, side, t, h, y, Q):
+    """The time of the sign change of event(t, y) inside one step, by bisection."""
+    lo, hi = t, t + h
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if side * event(mid, _dense((mid - t) / h, y, Q)) <= 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 def integrate_ode(
     f,
     y0,
@@ -100,12 +209,13 @@ def integrate_ode(
     t_eval=None,
     event=None,
     first_step: float | None = None,
-) -> OdeResult:
+) -> OdeResult | OdeResults:
     """Integrate dy/dt = f(t, y) forward over t_span.
 
     Args:
       f: right-hand side returning an array like y.
-      y0: initial state.
+      y0: initial state of shape (d,), or an (n, d) block of n rows
+        stepped in lockstep (see below).
       t_span: finite (t0, t1) with t1 > t0.
       rtol, atol: finite positive error control per component, RMS-combined.
       max_steps: accepted-step budget; exceeding it ends the run with
@@ -122,6 +232,15 @@ def integrate_ode(
     Returns:
       OdeResult; times/states always include the initial point and the
       last accepted one (or the event point).
+
+    Block runs: for y0 of shape (n, d), every row is integrated as it
+    would be alone, with its own step size, error norm, accept/reject
+    decision, event, t_eval fill, stats and status.  f and event are
+    called on the m rows still running only, as f(t, y) with t an (m,)
+    array and y the (d, m) columns of their states; f returns (d, m)
+    and event returns (m,) values.  A row that ends drops out.  The
+    result is an OdeResults: the n rows' OdeResult objects in order,
+    whose stats sum the rows' counts.
     """
     t0, t1 = map(float, t_span)
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -130,110 +249,143 @@ def integrate_ode(
         raise ValueError("t_span must be increasing")
     if not (0 < rtol < math.inf and 0 < atol < math.inf):
         raise ValueError("rtol and atol must be finite and positive")
-    y = np.asarray(y0, dtype=float).copy()
-    t = t0
-    f0 = np.asarray(f(t, y), dtype=float)
-    stats = IntegratorStats(rhs_evaluations=1)
-    if first_step is None:
-        first_step = _initial_step(t0, y, f0, t1, rtol, atol)
-    h = min(first_step, t1 - t0)
-
-    times = [t0]
-    states = [y]
+    y0 = np.array(y0, dtype=float)
+    if y0.ndim not in (1, 2) or y0.size == 0:
+        raise ValueError("y0 must be a (d,) state or an (n, d) block of rows")
+    block = y0.ndim == 2
+    rows0 = y0 if block else y0[None]
+    n, d = rows0.shape
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
         if np.any(np.diff(t_eval) <= 0):
             raise ValueError("t_eval must be strictly increasing")
         if t_eval.size and (t_eval[0] < t0 - 1e-12 or t_eval[-1] > t1 + 1e-12):
             raise ValueError("t_eval must lie inside t_span")
-        eval_states = np.empty((t_eval.size, y.size))
-    filled = 0
-    status = "completed"
-    event_time = None
-    event_state = None
-    g_prev = event(t, y) if event is not None else None
-    if g_prev == 0.0:
-        status, event_time, event_state = "event", t0, y
-        if t_eval is not None:
-            filled = int(np.searchsorted(t_eval, t0 + 1e-14, side="right"))
-            eval_states[:filled] = y
 
-    k = np.empty((7, y.size))
-    while status == "completed" and t < t1 - 1e-14 * max(1.0, abs(t1)):
-        if stats.steps >= max_steps:
-            status = "step_budget_exhausted"
-            break
-        if h < 1e-14 * max(1.0, abs(t)):
-            status = "step_size_underflow"
-            break
-        h = min(h, t1 - t)
-        # A non-finite stage makes the sums below non-finite and the error
-        # norm ends the run: only f runs under the caller's numpy settings.
-        k[0] = f0
+    # A block holds the running rows' states as the rows of Y, shape
+    # (m, d), and calls f and event on Y.T; a 1-D run holds its state as
+    # Y itself and calls them on it, with float times, as a lone row.
+    # The stage sums are (stacked) matmuls, one (d,)-wide product per
+    # row, so a row's arithmetic does not depend on the rows beside it.
+    if block:
+        def rhs(T, Y):
+            return np.transpose(f(T, Y.T))
+
+        def sign(T, Y):
+            return np.asarray(event(T, Y.T), dtype=float).tolist()
+
+        def point(t, y):
+            return event(np.array([t]), y[:, None])[0]
+    else:
+        rhs, point = f, event
+
+        def sign(T, Y):
+            return [event(T, Y)]
+
+    Y = y0
+    T0 = np.full(n, t0) if block else t0
+    F0 = np.asarray(rhs(T0, Y), dtype=float)
+    rows = []
+    for start, f0 in zip(rows0, F0.reshape(n, d)):
+        h = first_step if first_step is not None else _initial_step(
+            t0, start, f0, t1, rtol, atol)
+        rows.append(_Row(t0, start, min(h, t1 - t0), None if t_eval is None else t_eval.size))
+    if event is not None:
+        for r, g in zip(rows, sign(T0, Y)):
+            r.g = g
+            if g == 0.0:
+                r.status, r.event_time, r.event_state = "event", t0, r.states[0].copy()
+                if t_eval is not None:
+                    r.filled = int(np.searchsorted(t_eval, t0 + 1e-14, side="right"))
+                    r.eval_states[:r.filled] = r.event_state
+
+    t_end = t1 - 1e-14 * max(1.0, abs(t1))
+    run = rows
+    while True:
+        # A row that is done or cannot take another step leaves the run.
+        keep = []
+        for p, r in enumerate(run):
+            if r.status != "completed" or r.t >= t_end:
+                continue
+            if r.steps >= max_steps:
+                r.status = "step_budget_exhausted"
+            elif r.h < 1e-14 * max(1.0, abs(r.t)):
+                r.status = "step_size_underflow"
+            else:
+                r.h = min(r.h, t1 - r.t)
+                keep.append(p)
+        if len(keep) < len(run):
+            if not keep:
+                break
+            run = [run[p] for p in keep]
+            Y, F0 = Y[keep], F0[keep]
+        m = len(run)
+        if block:  # step sizes and start times as (m, 1) columns; TS[i] stage times
+            H, T = np.array([[r.h] for r in run]), np.array([[r.t] for r in run])
+            TS = (T + H * _C).T
+        else:
+            H, T = run[0].h, run[0].t
+            TS = [T + c * H for c in _C_FLOATS]
+        K = np.empty(Y.shape[:-1] + (7, d))
+        K[..., 0, :] = F0
         for i in range(1, 7):
-            with np.errstate(all="ignore"):
-                yi = y + h * (_A[i, :i] @ k[:i])
-            k[i] = f(t + _C[i] * h, yi)
-        stats.rhs_evaluations += 6
-        with np.errstate(all="ignore"):
-            y_new = y + h * (_B5 @ k)
-            scaled = h * (_ERR @ k) / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
-            err = math.sqrt(scaled @ scaled / scaled.size)
+            K[..., i, :] = rhs(TS[i], _stage(Y, H, _A[i, :i], K[..., :i, :]))
+        Y_new, squares = _step_end(Y, H, K, rtol, atol)
+        squares = squares.tolist() if block else [squares]
 
-        if not math.isfinite(err):
-            status = "nonfinite"
-            break
-        if err > 1.0:
-            stats.rejected_steps += 1
-            h *= max(0.2, 0.9 * err ** -0.2)
+        accepted, errs = [], []
+        for p, r, s in zip(range(m), run, squares):
+            err = math.sqrt(s / d)
+            if not math.isfinite(err):
+                r.status = "nonfinite"
+                if block:  # its stages leave the arithmetic the rows share below
+                    K[p] = 0.0
+            elif err > 1.0:
+                r.rejected += 1
+                r.h *= max(0.2, 0.9 * err ** -0.2)
+            else:
+                r.steps += 1
+                accepted.append(p)
+                errs.append(err)
+        if not accepted:
             continue
-
-        stats.steps += 1
-        t_new = t + h
-        Q = h * (_P.T @ k)
-
+        every = len(accepted) == m
+        starts, ends = (Y, Y_new) if block else ([Y], [Y_new])
         if event is not None:
-            g_new = event(t_new, y_new)
-            # Signs, not the product g_prev * g_new, which can underflow to 0.
-            side = math.copysign(1.0, g_prev)
-            if side * g_new <= 0:
-                lo, hi = t, t_new
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    if side * event(mid, _dense((mid - t) / h, y, Q)) <= 0:
-                        hi = mid
-                    else:
-                        lo = mid
-                event_time = 0.5 * (lo + hi)
-                event_state = _dense((event_time - t) / h, y, Q)
-                status = "event"
-            g_prev = g_new
+            g_new = sign(TS[6], Y_new) if every else sign(TS[6][accepted], Y_new[accepted])
+        else:
+            g_new = [None] * len(accepted)
+        Q = None if t_eval is None else _interpolants(H, K, block)
+        for p, err, g in zip(accepted, errs, g_new):
+            r = run[p]
+            horizon = r.t + r.h
+            if event is not None:
+                # Signs, not the product g_prev * g_new, which can underflow to 0.
+                side = math.copysign(1.0, r.g)
+                r.g = g
+                if side * g <= 0:
+                    Q = _interpolants(H, K, block) if Q is None else Q
+                    horizon = r.event_time = _locate(point, side, r.t, r.h, starts[p], Q[p])
+                    r.event_state = _dense((horizon - r.t) / r.h, starts[p], Q[p])
+                    r.status = "event"
+            if t_eval is not None:
+                stop = int(np.searchsorted(t_eval, horizon + 1e-14, side="right"))
+                if stop > r.filled:
+                    theta = (t_eval[r.filled:stop] - r.t) / r.h
+                    r.eval_states[r.filled:stop] = _dense(theta, starts[p], Q[p])
+                    r.filled = stop
+            if r.status == "event":
+                r.record(r.event_time, r.event_state)
+            else:
+                r.t = horizon
+                r.record(horizon, ends[p])
+                r.h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+        if every:
+            Y, F0 = Y_new, K[..., 6, :]
+        else:
+            took = np.zeros((m, 1), dtype=bool)
+            took[accepted] = True
+            Y, F0 = np.where(took, Y_new, Y), np.where(took, K[:, 6], F0)
 
-        horizon = t_new if event_time is None else event_time
-        if t_eval is not None:
-            stop = int(np.searchsorted(t_eval, horizon + 1e-14, side="right"))
-            if stop > filled:
-                eval_states[filled:stop] = _dense((t_eval[filled:stop] - t) / h, y, Q)
-                filled = stop
-
-        if status == "event":
-            times.append(event_time)
-            states.append(event_state)
-            break
-
-        times.append(t_new)
-        states.append(y_new)
-        # A rejected next attempt overwrites k[6] before its retry reads f0.
-        t, y, f0 = t_new, y_new, k[6].copy()
-        h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
-
-    return OdeResult(
-        times=np.array(times),
-        states=np.array(states),
-        stats=stats,
-        status=status,
-        event_time=event_time,
-        event_state=event_state,
-        eval_times=t_eval[:filled].copy() if t_eval is not None else None,
-        eval_states=eval_states[:filled] if t_eval is not None else None,
-    )
+    results = [r.result(t_eval) for r in rows]
+    return OdeResults(results) if block else results[0]

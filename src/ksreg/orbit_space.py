@@ -172,7 +172,7 @@ def reduced_momentum(g, tol: float = 1e-9) -> WedgePoint:
     cannot happen for points of the orbit space.
     """
     h2, xi = g[H2], g[XI]
-    if abs(xi) > h2 + tol:
+    if not abs(xi) <= h2 + tol:  # written so that NaN fails it
         raise ValueError(f"wedge violation: |Xi| = {abs(xi)} exceeds H2 = {h2}")
     return WedgePoint(h=h2, xi=xi)
 
@@ -185,7 +185,7 @@ def classify_reduced_space(w: WedgePoint, tol: float = 1e-9):
     radius h, and the vertex a point.
     """
     h, xi = w.h, w.xi
-    if h < -tol or abs(xi) > h + tol * max(1, abs(h)):
+    if not (h >= -tol and abs(xi) <= h + tol * max(1, abs(h))):  # NaN fails it
         raise ValueError(f"({h}, {xi}) lies outside the wedge")
     if abs(h) <= tol:
         return Point()
@@ -199,12 +199,13 @@ def _check_sphere_preconditions(U, V, h, tol):
         raise ValueError("U and V must have 4 components")
     if not h > 0:
         raise ValueError("h must be positive")
+    # Each test is written so that a NaN entry of U or V fails it.
     scale = max(1, abs(h)) ** 2
-    if abs(_dot(U, U) - h * h) > tol * scale:
+    if not abs(_dot(U, U) - h * h) <= tol * scale:
         raise ValueError("<U,U> != h^2 beyond tolerance")
-    if abs(_dot(V, V) - h * h) > tol * scale:
+    if not abs(_dot(V, V) - h * h) <= tol * scale:
         raise ValueError("<V,V> != h^2 beyond tolerance")
-    if abs(_dot(U, V)) > tol * scale:
+    if not abs(_dot(U, V)) <= tol * scale:
         raise ValueError("<U,V> != 0 beyond tolerance")
 
 

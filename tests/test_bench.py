@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ksreg import bench
 from ksreg.bench import (
     BENCH_CSV_HEADER,
     BenchRow,
@@ -15,6 +16,7 @@ from ksreg.bench import (
 )
 from ksreg.invariants import H2, L, XI, eval_generators
 from ksreg.ks_map import ks
+from ksreg.ode import integrate_ode
 
 
 class TestSeedFamily:
@@ -84,6 +86,23 @@ class TestBenchmarkRun:
     def test_step_counts_are_positive(self, rows):
         for row in rows:
             assert row.steps > 0
+
+
+class TestBlockRuns:
+    def test_default_grid_runs_as_two_blocks_with_the_serial_step_counts(self, monkeypatch):
+        # The step counts of the rows integrated one at a time: the block
+        # run must not change any row's step control.
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(integrate_ode(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(bench, "integrate_ode", spy)
+        rows = run_benchmark()
+        assert len(runs) == 2
+        assert [r.steps for r in rows] == [454, 69, 747, 69, 456, 69, 440, 69]
+        assert sum(r.stats.steps for r in runs) == sum(r.steps for r in rows)
 
 
 class TestCsvOutput:

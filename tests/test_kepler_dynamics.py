@@ -21,7 +21,9 @@ from ksreg.kepler_dynamics import (
     symplectic_scaling,
     write_trajectory_csv,
 )
+from ksreg import verify
 from ksreg.ode import integrate_ode
+from ksreg.verify import fall_time_rows
 
 CIRCULAR = (0, 0, 1, 1, 0, 0)
 APOAPSIS = (0, 0, 2, 0, 0, 0)
@@ -125,6 +127,12 @@ class TestVectorFields:
         assert np.allclose(field, [1, 0, 0, 0, 0, -1], atol=1e-15)
 
 
+    def test_raw_field_on_columns_gives_the_single_point_values(self):
+        w = np.random.default_rng(3).uniform(-1.0, 1.0, (6, 50))
+        cols = kepler_vector_field(w)
+        assert np.array_equal(cols, np.stack([kepler_vector_field(c) for c in w.T], axis=1))
+
+
 class TestConservedQuantities:
     def test_circular_invariants(self):
         assert angular_momentum(CIRCULAR) == (0, 1, 0)
@@ -184,6 +192,13 @@ class TestRadialFall:
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError):
             radial_ode_rhs(0.0, np.array([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            radial_ode_rhs(np.zeros(2), np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+    def test_columns_give_the_single_state_values(self):
+        u = np.random.default_rng(7).uniform(1e-6, 2.0, (2, 50))
+        cols = radial_ode_rhs(np.zeros(50), u)
+        assert np.array_equal(cols, np.stack([radial_ode_rhs(0.0, c) for c in u.T], axis=1))
 
     def test_energy_relation_preserved_during_fall(self):
         res = integrate_ode(
@@ -227,6 +242,21 @@ class TestRadialFall:
             )
             assert res.status == "event"
             assert abs(res.event_time - radial_collision_time(r0)) <= 1e-5
+
+    def test_verify_fall_rows_keep_the_serial_step_counts(self, monkeypatch):
+        # ksreg verify integrates the five falls as one block; each row must
+        # take the steps it takes alone.
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(integrate_ode(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(verify, "integrate_ode", spy)
+        fall_time_rows()
+        assert len(runs) == 1
+        assert [r.stats.steps for r in runs[0]] == [377, 398, 420, 436, 458]
+        assert [r.stats.rejected_steps for r in runs[0]] == [0] * 5
 
     def test_fall_time_bound(self):
         for r0 in (0.25, 0.5, 1.0, 1.5):

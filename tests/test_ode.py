@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from ksreg.bench import seed_state
-from ksreg.kepler_dynamics import kepler_vector_field, preregularized_vector_field
+from ksreg.bench import COLLISION_GUARD, seed_state
+from ksreg.kepler_dynamics import (dot3, kepler_vector_field, preregularized_vector_field,
+                                   radial_ode_rhs)
 from ksreg.ks_map import ks_batch
-from ksreg.ode import integrate_ode
+from ksreg.ode import OdeResults, integrate_ode
+from ksreg.verify import FALL_GRID
 
 
 def _decay(t, y):
@@ -207,3 +209,118 @@ class TestAgainstDop853:
         ref = _dop853(_kepler_field, w0, 2 * math.pi, [2 * math.pi])
         assert res.stats.rejected_steps > 0
         assert np.max(np.abs(res.states[-1] - ref[-1])) <= 1e-5
+
+
+def _fall_block():
+    """The five fall-time seeds of ksreg verify as one (5, 2) block."""
+    r0 = np.array(FALL_GRID)
+    return np.column_stack([r0, -np.sqrt(2 / r0 - 1)])
+
+
+def _fall_event(t, u):
+    return u[0] - 1e-6
+
+
+def _raw_event(t, w):
+    return dot3(w, w) - COLLISION_GUARD**2
+
+
+def _mixed_field(t, y):
+    """y = (x, kind): kind 1 blows up after t = 0.5, kind 2 decays fast,
+    any other kind drifts at unit speed; one state or (2, m) columns."""
+    x, kind = y
+    dx = np.where(kind == 1, np.where(t > 0.5, np.inf, 1.0), np.where(kind == 2, -30 * x, 1.0))
+    return np.array([dx, np.zeros_like(x)])
+
+
+def _mixed_event(t, y):
+    """x for kind 0, which crosses 0 at t = 1 from x0 = -1; -1 otherwise."""
+    x, kind = y
+    return np.where(kind == 0, x, -1.0)
+
+
+def _assert_same_run(row, alone):
+    assert row.status == alone.status
+    assert row.stats == alone.stats
+    assert row.event_time == alone.event_time
+    assert np.array_equal(row.times, alone.times)
+    assert np.allclose(row.states, alone.states, rtol=0, atol=1e-9)
+    if alone.eval_times is None:
+        assert row.eval_times is None
+    else:
+        assert np.array_equal(row.eval_times, alone.eval_times)
+        assert np.allclose(row.eval_states, alone.eval_states, rtol=0, atol=1e-9)
+
+
+class TestBlock:
+    """An (n, d) y0 steps n rows in lockstep, each as it would run alone."""
+
+    def test_fall_rows_match_their_lone_runs(self):
+        y0 = _fall_block()
+        runs = integrate_ode(radial_ode_rhs, y0, (0.0, 4.0), event=_fall_event)
+        assert isinstance(runs, OdeResults) and len(runs) == len(FALL_GRID)
+        for row, start in zip(runs, y0):
+            alone = integrate_ode(radial_ode_rhs, start, (0.0, 4.0), event=_fall_event)
+            assert row.status == "event"
+            _assert_same_run(row, alone)
+
+    def test_raw_bench_row_matches_its_lone_run(self):
+        # |L| = 0.1 runs the whole period next to a colliding |L| = 1e-3 row.
+        w0 = ks_batch(np.array([seed_state(1e-1), seed_state(1e-3)]))
+        grid = np.linspace(0.0, 2 * math.pi, 2001)[1:-1]
+        runs = integrate_ode(_kepler_field, w0, (0.0, 2 * math.pi), t_eval=grid,
+                             event=_raw_event)
+        alone = integrate_ode(_kepler_field, w0[0], (0.0, 2 * math.pi), t_eval=grid,
+                              event=_raw_event)
+        assert [r.status for r in runs] == ["completed", "event"]
+        _assert_same_run(runs[0], alone)
+
+    def test_rows_that_end_early_drop_out(self):
+        calls = []
+
+        def field(t, y):
+            calls.append(y.shape[1])
+            return _mixed_field(t, y)
+
+        y0 = np.array([[-1.0, 0.0], [0.0, 1.0], [1.0, 2.0], [0.0, 3.0]])
+        runs = integrate_ode(field, y0, (0.0, 2.0), max_steps=40, event=_mixed_event)
+        assert [r.status for r in runs] == ["event", "nonfinite", "step_budget_exhausted",
+                                            "completed"]
+        assert calls[0] == 4 and calls[-1] < 4
+        for row, start in zip(runs, y0):
+            alone = integrate_ode(_mixed_field, start, (0.0, 2.0), max_steps=40,
+                                  event=_mixed_event)
+            _assert_same_run(row, alone)
+        assert runs[2].stats.steps == 40
+        assert abs(runs[0].event_time - 1.0) < 1e-9
+
+    def test_block_stats_sum_the_rows_as_ints(self):
+        runs = integrate_ode(radial_ode_rhs, _fall_block(), (0.0, 4.0), event=_fall_event)
+        for field in ("steps", "rejected_steps", "rhs_evaluations"):
+            total = getattr(runs.stats, field)
+            assert type(total) is int
+            assert total == sum(getattr(r.stats, field) for r in runs)
+        assert runs.eval_times is None
+
+    def test_event_at_t0_and_t_eval_hold_per_row(self):
+        grid = np.linspace(0.0, 2.0, 9)
+        y0 = np.array([[0.0, 0.0], [-1.0, 0.0], [0.0, 3.0]])
+        runs = integrate_ode(_mixed_field, y0, (0.0, 2.0), t_eval=grid, event=_mixed_event)
+        first, crossing, plain = runs
+        assert first.status == "event" and first.event_time == 0.0
+        assert first.stats.steps == 0 and first.stats.rhs_evaluations == 1
+        assert np.array_equal(first.eval_times, [0.0])
+        assert np.array_equal(first.event_state, [0.0, 0.0])
+        assert crossing.status == "event"
+        assert crossing.eval_times[-1] <= crossing.event_time + 1e-12
+        assert crossing.eval_times.size == 5
+        assert plain.status == "completed" and np.array_equal(plain.eval_times, grid)
+        assert runs.eval_times.size == 1 + 5 + grid.size
+        for row, start in zip(runs, y0):
+            _assert_same_run(row, integrate_ode(_mixed_field, start, (0.0, 2.0),
+                                                t_eval=grid, event=_mixed_event))
+
+    def test_y0_must_be_a_state_or_a_block(self):
+        for bad in (np.zeros((2, 2, 2)), np.zeros((0, 2)), np.zeros(0)):
+            with pytest.raises(ValueError):
+                integrate_ode(_decay, bad, (0.0, 1.0))

@@ -5,6 +5,7 @@ evaluation of the bilinear formulas, and the exact fiber graph property
 over rational points projected onto the zero level of the circle
 momentum.
 """
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -153,6 +154,15 @@ class TestReducedMomentum:
         with pytest.raises(ValueError):
             reduced_momentum(g)
 
+    def test_nan_momentum_raises(self):
+        # A NaN comparison is False, so the guards must be written to fail on it.
+        g = [0] * 16
+        g[H2], g[XI] = math.nan, math.nan
+        with pytest.raises(ValueError):
+            reduced_momentum(g)
+        with pytest.raises(ValueError):
+            classify_reduced_space(WedgePoint(h=math.nan, xi=math.nan))
+
 
 class TestClassification:
     def test_interior(self):
@@ -250,6 +260,18 @@ class TestFiberBoundary:
             reconstruct_fiber_boundary((1, 0, 0, 0), (1, 0, 0, 0), 1, sign=1)
         with pytest.raises(ValueError):
             reconstruct_fiber_boundary((1, 0, 0, 0), (0, 1, 0, 0), 1, sign=2)
+
+
+class TestSpherePreconditions:
+    @pytest.mark.parametrize("U, V", [((math.nan, 0, 0, 0), (0, 1, 0, 0)),
+                                      ((1, 0, 0, 0), (0, math.nan, 0, 0))])
+    def test_nan_entry_rejected(self, U, V):
+        with pytest.raises(ValueError):
+            reconstruct_fiber_interior(U, V, 1)
+        with pytest.raises(ValueError):
+            reconstruct_fiber_boundary(U, V, 1, sign=1)
+        with pytest.raises(ValueError):
+            tangent_sphere_chart(U, V, 1)
 
 
 class TestNormalization:
