@@ -15,13 +15,13 @@ paid once for all rows.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 # Dormand-Prince 5(4) tableau.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_C_FLOATS = _C.tolist()  # a lone row's stage times are Python floats
 _A = np.array([
     [0, 0, 0, 0, 0, 0, 0],
     [1 / 5, 0, 0, 0, 0, 0, 0],
@@ -35,6 +35,7 @@ _B5 = _A[6]  # first same as last: the last stage sits at the step's end
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                 187 / 2100, 1 / 40])
 _ERR = _B5 - _B4
+_STAGES = [(i, _A[i, :i]) for i in range(1, 7)]
 # Fourth-order continuous extension of the pair: the interpolant over an
 # accepted step is y0 + h * k^T P (theta, theta^2, theta^3, theta^4).
 _POWERS = np.arange(1, 5)
@@ -178,13 +179,13 @@ def _step_end(Y, H, K, rtol, atol):
     """The fifth-order end point and the sum of squares of the scaled error."""
     Y_new = Y + H * (_B5 @ K)
     scaled = H * (_ERR @ K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
-    return Y_new, np.vecdot(scaled, scaled)
+    # Each row's dot product scaled @ scaled, as a stack of (1, d) @ (d, 1).
+    return Y_new, (scaled[:, None, :] @ scaled[:, :, None])[:, 0, 0]
 
 
-def _interpolants(H, K, block):
+def _interpolants(H, K):
     """Each row's interpolant coefficients h * P^T k, indexed by row."""
-    Q = _P.T @ K
-    return H[:, :, None] * Q if block else [H * Q]
+    return H[:, :, None] * (_P.T @ K)
 
 
 def _locate(event, side, t, h, y, Q):
@@ -214,8 +215,9 @@ def integrate_ode(
 
     Args:
       f: right-hand side returning an array like y.
-      y0: initial state of shape (d,), or an (n, d) block of n rows
-        stepped in lockstep (see below).
+      y0: initial state of shape (d,), run as a one-row block whose f
+        and event get a float t and the (d,) state; or an (n, d) block
+        of n rows stepped in lockstep (see below).
       t_span: finite (t0, t1) with t1 > t0.
       rtol, atol: finite positive error control per component, RMS-combined.
       max_steps: accepted-step budget; exceeding it ends the run with
@@ -253,20 +255,21 @@ def integrate_ode(
     if y0.ndim not in (1, 2) or y0.size == 0:
         raise ValueError("y0 must be a (d,) state or an (n, d) block of rows")
     block = y0.ndim == 2
-    rows0 = y0 if block else y0[None]
-    n, d = rows0.shape
+    Y = np.atleast_2d(y0)
+    n, d = Y.shape
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
         if np.any(np.diff(t_eval) <= 0):
             raise ValueError("t_eval must be strictly increasing")
         if t_eval.size and (t_eval[0] < t0 - 1e-12 or t_eval[-1] > t1 + 1e-12):
             raise ValueError("t_eval must lie inside t_span")
+        eval_times = t_eval.tolist()
 
-    # A block holds the running rows' states as the rows of Y, shape
-    # (m, d), and calls f and event on Y.T; a 1-D run holds its state as
-    # Y itself and calls them on it, with float times, as a lone row.
-    # The stage sums are (stacked) matmuls, one (d,)-wide product per
-    # row, so a row's arithmetic does not depend on the rows beside it.
+    # The running rows' states are the rows of Y, shape (m, d), and their
+    # step sizes the (m, 1) column H.  A block calls f and event on Y.T; a
+    # 1-D run calls them on its lone row, with a float time.  The stage
+    # sums are stacked matmuls, one (d,)-wide product per row, so a row's
+    # arithmetic does not depend on the rows beside it.
     if block:
         def rhs(T, Y):
             return np.transpose(f(T, Y.T))
@@ -277,16 +280,18 @@ def integrate_ode(
         def point(t, y):
             return event(np.array([t]), y[:, None])[0]
     else:
-        rhs, point = f, event
+        point = event
+
+        def rhs(T, Y):
+            return f(T[0], Y[0])
 
         def sign(T, Y):
-            return [event(T, Y)]
+            return [event(T[0], Y[0])]
 
-    Y = y0
-    T0 = np.full(n, t0) if block else t0
-    F0 = np.asarray(rhs(T0, Y), dtype=float)
+    T0 = np.full(n, t0)
+    F0 = np.asarray(rhs(T0, Y), dtype=float).reshape(n, d)
     rows = []
-    for start, f0 in zip(rows0, F0.reshape(n, d)):
+    for start, f0 in zip(Y, F0):
         h = first_step if first_step is not None else _initial_step(
             t0, start, f0, t1, rtol, atol)
         rows.append(_Row(t0, start, min(h, t1 - t0), None if t_eval is None else t_eval.size))
@@ -296,7 +301,7 @@ def integrate_ode(
             if g == 0.0:
                 r.status, r.event_time, r.event_state = "event", t0, r.states[0].copy()
                 if t_eval is not None:
-                    r.filled = int(np.searchsorted(t_eval, t0 + 1e-14, side="right"))
+                    r.filled = bisect_right(eval_times, t0 + 1e-14)
                     r.eval_states[:r.filled] = r.event_state
 
     t_end = t1 - 1e-14 * max(1.0, abs(t1))
@@ -320,26 +325,21 @@ def integrate_ode(
             run = [run[p] for p in keep]
             Y, F0 = Y[keep], F0[keep]
         m = len(run)
-        if block:  # step sizes and start times as (m, 1) columns; TS[i] stage times
-            H, T = np.array([[r.h] for r in run]), np.array([[r.t] for r in run])
-            TS = (T + H * _C).T
-        else:
-            H, T = run[0].h, run[0].t
-            TS = [T + c * H for c in _C_FLOATS]
-        K = np.empty(Y.shape[:-1] + (7, d))
-        K[..., 0, :] = F0
-        for i in range(1, 7):
-            K[..., i, :] = rhs(TS[i], _stage(Y, H, _A[i, :i], K[..., :i, :]))
+        HT = np.array([(r.h, r.t) for r in run])
+        H = HT[:, :1]
+        TS = (HT[:, 1:] + H * _C).T  # TS[i]: the rows' times of stage i
+        K = np.empty((m, 7, d))
+        K[:, 0] = F0
+        for i, a in _STAGES:
+            K[:, i] = rhs(TS[i], _stage(Y, H, a, K[:, :i]))
         Y_new, squares = _step_end(Y, H, K, rtol, atol)
-        squares = squares.tolist() if block else [squares]
 
         accepted, errs = [], []
-        for p, r, s in zip(range(m), run, squares):
+        for p, r, s in zip(range(m), run, squares.tolist()):
             err = math.sqrt(s / d)
             if not math.isfinite(err):
                 r.status = "nonfinite"
-                if block:  # its stages leave the arithmetic the rows share below
-                    K[p] = 0.0
+                K[p] = 0.0  # its stages leave the arithmetic the rows share below
             elif err > 1.0:
                 r.rejected += 1
                 r.h *= max(0.2, 0.9 * err ** -0.2)
@@ -350,12 +350,11 @@ def integrate_ode(
         if not accepted:
             continue
         every = len(accepted) == m
-        starts, ends = (Y, Y_new) if block else ([Y], [Y_new])
         if event is not None:
             g_new = sign(TS[6], Y_new) if every else sign(TS[6][accepted], Y_new[accepted])
         else:
             g_new = [None] * len(accepted)
-        Q = None if t_eval is None else _interpolants(H, K, block)
+        Q = None
         for p, err, g in zip(accepted, errs, g_new):
             r = run[p]
             horizon = r.t + r.h
@@ -364,24 +363,25 @@ def integrate_ode(
                 side = math.copysign(1.0, r.g)
                 r.g = g
                 if side * g <= 0:
-                    Q = _interpolants(H, K, block) if Q is None else Q
-                    horizon = r.event_time = _locate(point, side, r.t, r.h, starts[p], Q[p])
-                    r.event_state = _dense((horizon - r.t) / r.h, starts[p], Q[p])
+                    Q = _interpolants(H, K) if Q is None else Q
+                    horizon = r.event_time = _locate(point, side, r.t, r.h, Y[p], Q[p])
+                    r.event_state = _dense((horizon - r.t) / r.h, Y[p], Q[p])
                     r.status = "event"
             if t_eval is not None:
-                stop = int(np.searchsorted(t_eval, horizon + 1e-14, side="right"))
+                stop = bisect_right(eval_times, horizon + 1e-14)
                 if stop > r.filled:
+                    Q = _interpolants(H, K) if Q is None else Q
                     theta = (t_eval[r.filled:stop] - r.t) / r.h
-                    r.eval_states[r.filled:stop] = _dense(theta, starts[p], Q[p])
+                    r.eval_states[r.filled:stop] = _dense(theta, Y[p], Q[p])
                     r.filled = stop
             if r.status == "event":
                 r.record(r.event_time, r.event_state)
             else:
                 r.t = horizon
-                r.record(horizon, ends[p])
+                r.record(horizon, Y_new[p])
                 r.h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
         if every:
-            Y, F0 = Y_new, K[..., 6, :]
+            Y, F0 = Y_new, K[:, 6]
         else:
             took = np.zeros((m, 1), dtype=bool)
             took[accepted] = True

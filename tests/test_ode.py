@@ -9,7 +9,7 @@ from ksreg.bench import COLLISION_GUARD, seed_state
 from ksreg.kepler_dynamics import (dot3, kepler_vector_field, preregularized_vector_field,
                                    radial_ode_rhs)
 from ksreg.ks_map import ks_batch
-from ksreg.ode import OdeResults, integrate_ode
+from ksreg.ode import OdeResult, OdeResults, integrate_ode
 from ksreg.verify import FALL_GRID
 
 
@@ -319,6 +319,21 @@ class TestBlock:
         for row, start in zip(runs, y0):
             _assert_same_run(row, integrate_ode(_mixed_field, start, (0.0, 2.0),
                                                 t_eval=grid, event=_mixed_event))
+
+    def test_a_lone_row_calls_f_and_event_on_one_state(self):
+        seen = []
+
+        def field(t, y):
+            seen.append((t, y.shape))
+            return _rotor(t, y)
+
+        def crossing(t, y):
+            seen.append((t, y.shape))
+            return y[0]
+
+        res = integrate_ode(field, [1.0, 0.0], (0.0, 4.0), t_eval=[1.0, 2.0], event=crossing)
+        assert isinstance(res, OdeResult) and res.status == "event"
+        assert all(isinstance(t, float) and shape == (2,) for t, shape in seen)
 
     def test_y0_must_be_a_state_or_a_block(self):
         for bad in (np.zeros((2, 2, 2)), np.zeros((0, 2)), np.zeros(0)):
