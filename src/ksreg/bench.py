@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .invariants import H2, V1, XI, eval_generators_batch
+from .invariants import H2, V1, XI, eval_generator_columns
 from .kepler_dynamics import dot3, kepler_energy, kepler_vector_field, norm3
 from .ks_map import ks_batch
 from .ode import integrate_ode
@@ -68,74 +68,55 @@ def _oscillator_field(t, z):
     return np.concatenate([z[4:], -z[:4]])
 
 
-def _collect_states(res) -> np.ndarray:
-    parts = [res.states]
-    if res.eval_states is not None and res.eval_states.size:
-        parts.append(res.eval_states)
-    return np.vstack(parts)
+def _raw_measure(S):
+    """Energy drift and radius along (6, m) Kepler-side columns."""
+    return kepler_energy(S) + 0.5, norm3(S[:3])
 
 
-def _regularized_rows(l_values, rtol, atol, max_steps) -> list:
-    grid = np.linspace(0.0, math.pi, 2001)
+def _regularized_measure(S):
+    """Energy drift and radius along (8, m) oscillator columns, through the image identities."""
+    g = eval_generator_columns(S)
+    radii = g[H2] + g[V1]
+    return g[H2] - g[XI] * g[XI] / (2 * radii) - 1, radii
+
+
+def _block_rows(method, field, starts, t_end, event, measure, l_values, rtol, atol) -> list:
+    """One row per |L| value: its start integrated over (0, t_end) in one block of rows."""
+    grid = np.linspace(0.0, t_end, 2001)
     runs = integrate_ode(
-        _oscillator_field, np.array([seed_state(l) for l in l_values]), (0.0, math.pi),
-        rtol=rtol, atol=atol, max_steps=max_steps, t_eval=grid[1:-1],
+        field, starts, (0.0, t_end),
+        rtol=rtol, atol=atol, max_steps=50_000, t_eval=grid[1:-1], event=event,
     )
     rows = []
     for l_norm, res in zip(l_values, runs):
-        gens = eval_generators_batch(_collect_states(res))
-        h2, xi, v1 = gens[:, H2], gens[:, XI], gens[:, V1]
-        radii = h2 + v1
-        energy = h2 - xi * xi / (2 * radii)
+        drift, radii = measure(np.vstack([res.states, res.eval_states]).T)
         rows.append(BenchRow(
             l_norm=l_norm,
-            method="ks_regularized",
+            method=method,
             steps=res.stats.steps,
-            max_energy_drift=float(np.max(np.abs(energy - 1))),
+            max_energy_drift=float(np.max(np.abs(drift))),
             periapsis_error=float(abs(np.min(radii) - analytic_periapsis(l_norm))),
             failed=res.status != "completed",
         ))
     return rows
 
 
-def _raw_rows(l_values, rtol, atol, max_steps) -> list:
-    grid = np.linspace(0.0, 2 * math.pi, 2001)
-    runs = integrate_ode(
-        lambda t, w: kepler_vector_field(w),
-        ks_batch(np.array([seed_state(l) for l in l_values])),
-        (0.0, 2 * math.pi),
-        rtol=rtol, atol=atol, max_steps=max_steps, t_eval=grid[1:-1],
-        event=lambda t, w: dot3(w, w) - COLLISION_GUARD**2,
-    )
-    rows = []
-    for l_norm, res in zip(l_values, runs):
-        states = _collect_states(res).T
-        radii = norm3(states[:3])
-        rows.append(BenchRow(
-            l_norm=l_norm,
-            method="raw_kepler",
-            steps=res.stats.steps,
-            max_energy_drift=float(np.max(np.abs(kepler_energy(states) + 0.5))),
-            periapsis_error=float(abs(np.min(radii) - analytic_periapsis(l_norm))),
-            failed=res.status != "completed",
-        ))
-    return rows
-
-
-def run_benchmark(
-    l_values=DEFAULT_GRID,
-    rtol: float = 1e-10,
-    atol: float = 1e-10,
-    max_steps: int = 50_000,
-) -> list:
+def run_benchmark(l_values=DEFAULT_GRID, rtol: float = 1e-10, atol: float = 1e-10) -> list:
     """One raw and one regularized row per |L| value, raw first.
 
     Each method integrates all its seeds as one block of rows.
     """
     if not l_values:
         return []
-    raw = _raw_rows(l_values, rtol, atol, max_steps)
-    regularized = _regularized_rows(l_values, rtol, atol, max_steps)
+    seeds = np.array([seed_state(l) for l in l_values])
+    raw = _block_rows(
+        "raw_kepler", lambda t, w: kepler_vector_field(w), ks_batch(seeds), 2 * math.pi,
+        lambda t, w: dot3(w, w) - COLLISION_GUARD**2, _raw_measure, l_values, rtol, atol,
+    )
+    regularized = _block_rows(
+        "ks_regularized", _oscillator_field, seeds, math.pi, None, _regularized_measure,
+        l_values, rtol, atol,
+    )
     return [row for pair in zip(raw, regularized) for row in pair]
 
 

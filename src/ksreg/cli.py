@@ -15,7 +15,7 @@ import numpy as np
 
 from .bench import DEFAULT_GRID, run_benchmark, write_bench_csv
 from .flows import ks_relatedness_harness
-from .invariants import H2, XI, eval_generators_batch
+from .invariants import H2, XI, eval_generator_columns
 from .kepler_dynamics import write_trajectory_csv
 from .quadratic_poisson import reference_table_diff
 from .sampling import RNG_ALGORITHM
@@ -23,7 +23,8 @@ from .verify import run_suites
 
 
 def _write_oscillator_csv(path, times, chart) -> None:
-    table = np.column_stack([times, chart, eval_generators_batch(chart)[:, [H2, XI]]])
+    g = eval_generator_columns(chart.T)
+    table = np.column_stack([times, chart, g[H2], g[XI]])
     with open(path, "w") as fh:
         fh.write("t,q1,q2,q3,q4,p1,p2,p3,p4,H2,Xi\n")
         for row in table:

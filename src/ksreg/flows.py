@@ -199,12 +199,9 @@ def _doubled_field(t, w):
 def ks_relatedness_harness(
     z0,
     t_max: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-10,
     samples: int = 256,
     guard: float = 1e-6,
     max_steps: int = 100_000,
-    tol: float = 1e-9,
 ) -> HarnessResult:
     """Compare the pushed oscillator flow with the integrated field.
 
@@ -212,11 +209,13 @@ def ks_relatedness_harness(
     dw/dt = 2 * (regularized field) from the shared start.  Returns the
     sup over sampled parameters of the euclidean gap.  Seeds whose
     orbit meets {q = 0} yield a partial result truncated at the |x|
-    guard, carrying the closed-form physical collision time.
+    guard, carrying the closed-form physical collision time.  The start
+    must lie on the (1, 0) level within 1e-9; the integrator runs at
+    rtol = atol = 1e-10.
     """
     z0 = point8(z0)
     g = eval_generators(z0)
-    require_level_set(g[H2], g[XI], tol)
+    require_level_set(g[H2], g[XI], 1e-9)
     if all(v == 0 for v in z0[:4]):
         raise ValueError("the start itself sits at q = 0, outside the chart")
     if not 0 <= t_max < math.inf:
@@ -231,8 +230,8 @@ def ks_relatedness_harness(
             _doubled_field,
             w0_flat,
             (0.0, t_max),
-            rtol=rtol,
-            atol=atol,
+            rtol=1e-10,
+            atol=1e-10,
             max_steps=max_steps,
             t_eval=np.linspace(0.0, t_max, samples + 1)[1:],
             event=lambda t, w: w[:3] @ w[:3] - guard * guard,
@@ -246,7 +245,7 @@ def ks_relatedness_harness(
 
     collision_time = None
     if status == "event":
-        tau = first_collision_time(z0, tol=tol)
+        tau = first_collision_time(z0)
         if tau is not None:
             collision_time = physical_time_of_flight(z0, tau)
     return HarnessResult(

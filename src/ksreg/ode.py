@@ -209,7 +209,6 @@ def integrate_ode(
     max_steps: int = 100_000,
     t_eval=None,
     event=None,
-    first_step: float | None = None,
 ) -> OdeResult | OdeResults:
     """Integrate dy/dt = f(t, y) forward over t_span.
 
@@ -229,7 +228,6 @@ def integrate_ode(
         by bisection on the same continuous extension.  A function that
         is exactly 0 at t0 is an event at t0: the run ends there with
         status event, event_state y0 and no step taken.
-      first_step: optional initial step size.
 
     Returns:
       OdeResult; times/states always include the initial point and the
@@ -292,8 +290,7 @@ def integrate_ode(
     F0 = np.asarray(rhs(T0, Y), dtype=float).reshape(n, d)
     rows = []
     for start, f0 in zip(Y, F0):
-        h = first_step if first_step is not None else _initial_step(
-            t0, start, f0, t1, rtol, atol)
+        h = _initial_step(t0, start, f0, t1, rtol, atol)
         rows.append(_Row(t0, start, min(h, t1 - t0), None if t_eval is None else t_eval.size))
     if event is not None:
         for r, g in zip(rows, sign(T0, Y)):

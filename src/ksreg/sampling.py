@@ -26,9 +26,9 @@ def _rescale_to_level(z: np.ndarray, h: float) -> np.ndarray:
     return z * np.sqrt(h / h2)[:, None]
 
 
-def sample_phase_points(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+def sample_phase_points(rng: np.random.Generator, n: int) -> np.ndarray:
     """Unconstrained (n, 8) standard-normal phase points."""
-    return scale * rng.standard_normal((n, 8))
+    return rng.standard_normal((n, 8))
 
 
 def sample_xi_zero(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -69,11 +69,10 @@ def sample_even_integers(rng: np.random.Generator, n: int, limit: int = 50) -> n
     return 2 * rng.integers(-limit, limit + 1, size=(n, 8), dtype=np.int64)
 
 
-def sample_fractions(rng: np.random.Generator, n: int, max_numerator: int = 12,
-                     max_denominator: int = 6) -> list:
-    """n exact rational phase points as 8-tuples of Fraction."""
-    nums = rng.integers(-max_numerator, max_numerator + 1, size=(n, 8))
-    dens = rng.integers(1, max_denominator + 1, size=(n, 8))
+def sample_fractions(rng: np.random.Generator, n: int) -> list:
+    """n exact rational 8-tuples of Fraction, numerators in [-12, 12], denominators in [1, 6]."""
+    nums = rng.integers(-12, 13, size=(n, 8))
+    dens = rng.integers(1, 7, size=(n, 8))
     return [
         tuple(Fraction(int(a), int(b)) for a, b in zip(row_n, row_d))
         for row_n, row_d in zip(nums, dens)

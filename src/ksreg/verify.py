@@ -2,8 +2,10 @@
 
 Each suite returns {"name", "passed", "details"}.  The sampling suites
 draw from one shared generator in a fixed order, so a report is a pure
-function of the seed, the sample count and the tolerance.  The float
-suites push all their points through the batch bodies in one call each.
+function of the seed, the sample count and the tolerance.  Each float
+check is one body that takes the points its caller drew and returns the
+raw worst values; the suites and the acceptance tests apply their own
+bounds to them.
 """
 from __future__ import annotations
 
@@ -44,12 +46,42 @@ def _suite_so4():
     )
 
 
-def _suite_orbit_relations(rng, samples, tol):
-    points = sample_phase_points(rng, samples)
-    G = eval_generators_batch(points)
-    residuals, h2, gap = relation_residuals_batch(G)
+def worst_relations(points) -> tuple:
+    """Largest |relation residual|, smallest H2 and smallest wedge gap over (n, 8) points."""
+    residuals, h2, gap = relation_residuals_batch(eval_generators_batch(points))
     worst = max(float(np.abs(v).max()) for v in residuals.values())
-    h2_min, gap_min = float(h2.min()), float(gap.min())
+    return worst, float(h2.min()), float(gap.min())
+
+
+def worst_lagrange(points) -> tuple:
+    """Largest |lhs - rhs| of the Lagrange identities, and largest |lhs - rhs| / max(1, |rhs|)."""
+    pairs = lagrange_identity_batch(eval_generators_batch(points)).values()
+    gaps = [(np.abs(lhs - rhs), np.maximum(1.0, np.abs(rhs))) for lhs, rhs in pairs]
+    return max(float(g.max()) for g, _ in gaps), max(float((g / s).max()) for g, s in gaps)
+
+
+def worst_pullbacks(points) -> tuple:
+    """Worst gap per pullback identity, and the relative gap between the two ks paths."""
+    worst = {k: float(v.max()) for k, v in pullback_gaps_batch(points).items()}
+    direct = ks_batch(points)
+    by_generators = ks_from_generators_batch(eval_generators_batch(points))
+    form_gap = np.abs(direct - by_generators) / (1 + np.abs(direct) + np.abs(by_generators))
+    return worst, float(form_gap.max())
+
+
+def worst_poisson(points) -> tuple:
+    """Largest |Poisson residual| over (n, 8) points, and its largest in the position block."""
+    res = np.abs(poisson_residual_batch(points))
+    return float(res.max()), float(res[:, :3, :3].max())
+
+
+def collision_points(rng, half: int) -> np.ndarray:
+    """half collision-slice points, then half level-set points."""
+    return np.concatenate([sample_collision_slice(rng, half), sample_level_set(rng, half)])
+
+
+def _suite_orbit_relations(rng, samples, tol):
+    worst, h2_min, gap_min = worst_relations(sample_phase_points(rng, samples))
     return _suite(
         "orbit_relations",
         worst <= tol and h2_min >= 0.0 and gap_min >= -tol,
@@ -60,20 +92,12 @@ def _suite_orbit_relations(rng, samples, tol):
 
 
 def _suite_lagrange(rng, samples, tol):
-    points = sample_phase_points(rng, samples)
-    checks = lagrange_identity_batch(eval_generators_batch(points))
-    worst = max(float(np.abs(lhs - rhs).max()) for lhs, rhs in checks.values())
+    worst, _ = worst_lagrange(sample_phase_points(rng, samples))
     return _suite("lagrange_identities", worst <= tol, max_residual=worst)
 
 
 def _suite_pullbacks(rng, samples, tol):
-    points = sample_level_set(rng, samples)
-    worst = {k: float(v.max()) for k, v in pullback_gaps_batch(points).items()}
-    direct = ks_batch(points)
-    by_generators = ks_from_generators_batch(eval_generators_batch(points))
-    form_gap = float(
-        (np.abs(direct - by_generators) / (1 + np.abs(direct) + np.abs(by_generators))).max()
-    )
+    worst, form_gap = worst_pullbacks(sample_level_set(rng, samples))
     return _suite(
         "pullbacks",
         max(worst.values()) <= tol and form_gap <= GENERATOR_FORM_TOL,
@@ -85,9 +109,7 @@ def _suite_pullbacks(rng, samples, tol):
 def _suite_poisson(rng, samples, tol):
     n = min(samples, 200)
     points = sample_xi_zero(rng, n)
-    res = np.abs(poisson_residual_batch(points))
-    worst = float(res.max())
-    worst_xx = float(res[:, :3, :3].max())
+    worst, worst_xx = worst_poisson(points)
     sweep = poisson_residual_xi_sweep(points[0], np.linspace(-0.5, 0.5, 9))
     return _suite(
         "poisson_matrix",
@@ -100,10 +122,7 @@ def _suite_poisson(rng, samples, tol):
 
 
 def _suite_collision(rng, samples, tol):
-    half = max(samples // 2, 1)
-    points = np.concatenate(
-        [sample_collision_slice(rng, half), sample_level_set(rng, half)]
-    )
+    points = collision_points(rng, max(samples // 2, 1))
     member, falls, collinear_image = collision_triple_batch(points)
     disagreements = int(np.count_nonzero((member != falls) | (member != collinear_image)))
     return _suite(

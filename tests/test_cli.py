@@ -27,17 +27,28 @@ class TestVerify:
         assert result.exit_code == 0
         report = json.loads(out.read_text())
         assert report["passed"] is True
-        names = [s["name"] for s in report["suites"]]
-        assert names == [
-            "so4_relations",
-            "orbit_relations",
-            "lagrange_identities",
-            "pullbacks",
-            "poisson_matrix",
-            "collision_theorem",
-            "fall_times",
-        ]
         assert "pass" in result.output
+
+    def test_the_suites_in_order_with_their_details_keys(self, runner, tmp_path):
+        # perfbench's verify check reads max_residual and max_gaps.
+        out = tmp_path / "report.json"
+        runner.invoke(main, ["verify", "--samples", "20", "--out", str(out)])
+        suites = json.loads(out.read_text())["suites"]
+        assert [(s["name"], sorted(s["details"])) for s in suites] == [
+            ("so4_relations", ["brackets_checked", "split_basis_factors"]),
+            ("orbit_relations", ["max_residual", "min_h2", "min_wedge_gap"]),
+            ("lagrange_identities", ["max_residual"]),
+            ("pullbacks", ["generator_form_gap", "max_gaps"]),
+            ("poisson_matrix",
+             ["max_position_block_residual", "max_residual", "off_level_sweep", "points"]),
+            ("collision_theorem", ["disagreements", "points"]),
+            ("fall_times", ["apex_value_exact", "below_apex_bound", "grid", "max_event_gap",
+                            "max_quadrature_gap"]),
+        ]
+        pullbacks = next(s for s in suites if s["name"] == "pullbacks")
+        assert sorted(pullbacks["details"]["max_gaps"]) == [
+            "angular_momentum", "eccentricity", "hamiltonian", "inner_product",
+        ]
 
     def test_zero_tolerance_fails_the_float_suites(self, runner, tmp_path):
         out = tmp_path / "report.json"
