@@ -14,7 +14,7 @@ through the image identities, where no cancellation occurs.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,19 +36,6 @@ class BenchRow:
     max_energy_drift: float
     periapsis_error: float
     failed: bool
-
-    def to_csv_row(self) -> str:
-        return ",".join([
-            format(self.l_norm, ".17g"),
-            self.method,
-            str(self.steps),
-            format(self.max_energy_drift, ".17g"),
-            format(self.periapsis_error, ".17g"),
-            "true" if self.failed else "false",
-        ])
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def seed_state(l_norm: float) -> np.ndarray:
@@ -121,7 +108,11 @@ def run_benchmark(l_values=DEFAULT_GRID, rtol: float = 1e-10, atol: float = 1e-1
 
 
 def write_bench_csv(path, rows) -> None:
+    """One line per BenchRow under BENCH_CSV_HEADER; floats round-trip exactly."""
     with open(path, "w") as fh:
         fh.write(BENCH_CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row.to_csv_row() + "\n")
+        for r in rows:
+            fh.write(
+                f"{r.l_norm:.17g},{r.method},{r.steps},{r.max_energy_drift:.17g},"
+                f"{r.periapsis_error:.17g},{'true' if r.failed else 'false'}\n"
+            )

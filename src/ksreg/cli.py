@@ -9,6 +9,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -20,6 +21,12 @@ from .kepler_dynamics import write_trajectory_csv
 from .quadratic_poisson import reference_table_diff
 from .sampling import RNG_ALGORITHM
 from .verify import run_suites
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_oscillator_csv(path, times, chart) -> None:
@@ -77,9 +84,7 @@ def verify(seed, tolerance, samples, out):
         "suites": suites,
         "passed": all(s["passed"] for s in suites),
     }
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out, report)
     for s in suites:
         click.echo(f"{s['name']}: {'pass' if s['passed'] else 'FAIL'}")
     click.echo(f"report written to {out}")
@@ -147,12 +152,17 @@ def orbit(state, t_max, samples, out_dir):
     write_trajectory_csv(paths["ks_image"], result.times, result.ks_image)
     write_trajectory_csv(paths["kepler_integrated"], result.times, result.integrated)
 
-    report = result.to_json_dict()
-    report["state"] = [float(v) for v in values]
-    report["files"] = {k: v for k, v in paths.items() if k != "report"}
-    with open(paths["report"], "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    report = {
+        "state": list(values),
+        "t_max": result.t_max,
+        "max_deviation": result.max_deviation,
+        "integrator_stats": asdict(result.stats),
+        "status": result.status,
+        "files": {k: v for k, v in paths.items() if k != "report"},
+    }
+    if result.collision_time is not None:
+        report["collision_time"] = result.collision_time
+    _write_json(paths["report"], report)
 
     click.echo(
         f"status {result.status}: max deviation {result.max_deviation:.3e} "
@@ -205,9 +215,7 @@ def bench(grid, tolerance, out, fmt):
     if fmt == "csv":
         write_bench_csv(out, rows)
     else:
-        with open(out, "w") as fh:
-            json.dump([r.to_json_dict() for r in rows], fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out, [asdict(r) for r in rows])
     for r in rows:
         flag = "FAILED" if r.failed else "ok"
         click.echo(
@@ -235,14 +243,7 @@ def table(out, fmt):
     diff = reference_table_diff()
     mismatches = sum(1 for r in diff if not r["match"])
     if fmt == "json":
-        payload = {
-            "rows": diff,
-            "row_count": len(diff),
-            "mismatch_count": mismatches,
-        }
-        with open(out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out, {"rows": diff, "row_count": len(diff), "mismatch_count": mismatches})
     else:
         with open(out, "w") as fh:
             fh.write("field,component,transcribed,regenerated,match\n")

@@ -180,17 +180,6 @@ class HarnessResult:
     status: str
     t_max: float
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "t_max": self.t_max,
-            "max_deviation": self.max_deviation,
-            "integrator_stats": self.stats.to_json_dict(),
-            "status": self.status,
-        }
-        if self.collision_time is not None:
-            out["collision_time"] = self.collision_time
-        return out
-
 
 def _doubled_field(t, w):
     return 2 * preregularized_vector_field(w)

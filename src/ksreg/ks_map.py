@@ -144,10 +144,11 @@ def ks_jacobian_batch(Z) -> np.ndarray:
 def KS(z, tol: float = 1e-9) -> tuple:
     """ks restricted to the zero level of the circle momentum.
 
-    Same formula, smaller domain: inputs with |Xi| > tol are rejected.
+    Same formula, smaller domain: inputs with |Xi| > tol, or Xi NaN, are
+    rejected.
     """
     xi = eval_generators(z)[XI]
-    if abs(xi) > tol:
+    if not abs(xi) <= tol:  # written so that NaN fails it
         raise ValueError(f"Xi = {xi} is off the zero level beyond tol = {tol}")
     return ks(z)
 

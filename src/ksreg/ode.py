@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,9 +60,6 @@ class IntegratorStats:
     steps: int = 0
     rejected_steps: int = 0
     rhs_evaluations: int = 0
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -257,9 +254,10 @@ def integrate_ode(
     n, d = Y.shape
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
-        if np.any(np.diff(t_eval) <= 0):
+        # Both tests are written so that a NaN sample time fails them.
+        if not np.all(np.diff(t_eval) > 0):
             raise ValueError("t_eval must be strictly increasing")
-        if t_eval.size and (t_eval[0] < t0 - 1e-12 or t_eval[-1] > t1 + 1e-12):
+        if t_eval.size and not (t0 - 1e-12 <= t_eval[0] and t_eval[-1] <= t1 + 1e-12):
             raise ValueError("t_eval must lie inside t_span")
         eval_times = t_eval.tolist()
 

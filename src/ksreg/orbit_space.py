@@ -43,26 +43,16 @@ class RelationResidual:
     h2: object
     wedge_gap: object
 
-    @property
-    def ineq_flags(self) -> tuple:
-        return (self.h2 >= 0, self.wedge_gap >= 0)
-
-    def max_abs_residual(self):
-        return max(abs(v) for v in self.residuals.values())
-
     def on_orbit_space(self, tol: float = 1e-9) -> bool:
-        """Membership test: residuals within tol, inequalities within slack."""
+        """Membership test: residuals within tol, inequalities within slack.
+
+        Each test is written so that a NaN value fails it.
+        """
         return (
-            self.max_abs_residual() <= tol
+            all(abs(v) <= tol for v in self.residuals.values())
             and self.h2 >= -tol
             and self.wedge_gap >= -tol * max(1, abs(self.h2)) ** 2
         )
-
-    def to_json_list(self) -> list:
-        return [
-            {"relation_name": name, "residual": float(value)}
-            for name, value in self.residuals.items()
-        ]
 
 
 def _wedge_bilinears(U, V):
@@ -142,14 +132,6 @@ def lagrange_identity_batch(G: np.ndarray) -> dict:
 
 
 @dataclass(frozen=True)
-class WedgePoint:
-    """A value (h, xi) of the reduced momentum map."""
-
-    h: object
-    xi: object
-
-
-@dataclass(frozen=True)
 class ProductOfSpheres:
     r_plus: object
     r_minus: object
@@ -165,8 +147,8 @@ class Point:
     pass
 
 
-def reduced_momentum(g, tol: float = 1e-9) -> WedgePoint:
-    """Project a generator 16-vector to (H2, Xi).
+def reduced_momentum(g, tol: float = 1e-9) -> tuple:
+    """Project a generator 16-vector to the wedge point (h, xi) = (H2, Xi).
 
     Raises ValueError when |Xi| exceeds H2 beyond tolerance, which
     cannot happen for points of the orbit space.
@@ -174,17 +156,17 @@ def reduced_momentum(g, tol: float = 1e-9) -> WedgePoint:
     h2, xi = g[H2], g[XI]
     if not abs(xi) <= h2 + tol:  # written so that NaN fails it
         raise ValueError(f"wedge violation: |Xi| = {abs(xi)} exceeds H2 = {h2}")
-    return WedgePoint(h=h2, xi=xi)
+    return h2, xi
 
 
-def classify_reduced_space(w: WedgePoint, tol: float = 1e-9):
-    """Classify the doubly reduced space over a wedge point.
+def classify_reduced_space(w, tol: float = 1e-9):
+    """Classify the doubly reduced space over a wedge point w = (h, xi).
 
     Interior points give a product of spheres with radii (h+xi)/2 and
     (h-xi)/2, boundary points away from the vertex a single sphere of
     radius h, and the vertex a point.
     """
-    h, xi = w.h, w.xi
+    h, xi = w
     if not (h >= -tol and abs(xi) <= h + tol * max(1, abs(h))):  # NaN fails it
         raise ValueError(f"({h}, {xi}) lies outside the wedge")
     if abs(h) <= tol:
@@ -237,9 +219,6 @@ class BoundaryFiber:
     eta_paired: tuple
     sign: int
     mismatch: object
-
-    def consistent(self, tol: float = 1e-9) -> bool:
-        return self.mismatch <= tol
 
 
 def reconstruct_fiber_boundary(U, V, h, sign: int, tol: float = 1e-9) -> BoundaryFiber:

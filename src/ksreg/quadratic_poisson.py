@@ -243,45 +243,28 @@ def verify_so4_relations() -> dict:
     return {"so4": so4_rows, "xi_eta": xi_eta_rows}
 
 
-@dataclass(frozen=True)
-class InducedVectorField:
-    """Vector field on the orbit space induced by a generator function.
+def induced_vector_field(name: str) -> dict:
+    """Induced field on the orbit space of one generator G.
 
-    The component on coordinate c is the bracket {c, G}, expressed over
-    the generators.  Only nonzero components are stored.
+    Returns {coordinate: {generator: coefficient}}: the component on
+    coordinate c is the bracket {c, G} decomposed over the generators.
+    Only nonzero components are present.
     """
-
-    generator: str
-    components: dict
-
-    def expression(self, coord: str) -> str:
-        return format_linear(self.components.get(coord, {}))
-
-    def expressions(self) -> dict:
-        """Canonical strings for all 16 coordinates, zeros included."""
-        return {c: self.expression(c) for c in GENERATOR_NAMES}
-
-
-def induced_vector_field(name: str) -> InducedVectorField:
-    """Induced field of one generator, one decomposed bracket per coordinate."""
     g = GENERATOR_FORMS[name]
     components = {}
     for coord in GENERATOR_NAMES:
         br = poisson_bracket(GENERATOR_FORMS[coord], g)
         if not br.is_zero():
             components[coord] = decompose(br)
-    return InducedVectorField(generator=name, components=components)
+    return components
 
 
 def regenerated_induced_field_table() -> dict:
     """All 16 induced fields as {generator: {coordinate: expression}}."""
-    table = {}
-    for name in GENERATOR_NAMES:
-        field = induced_vector_field(name)
-        table[name] = {
-            c: field.expression(c) for c in GENERATOR_NAMES if c in field.components
-        }
-    return table
+    return {
+        name: {c: format_linear(coeffs) for c, coeffs in induced_vector_field(name).items()}
+        for name in GENERATOR_NAMES
+    }
 
 
 # Verbatim transcription of the reference component table for the

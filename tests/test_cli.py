@@ -121,6 +121,22 @@ class TestOrbit:
         assert abs(report["collision_time"] - (3 * math.pi / 2 + 1)) < 1e-9
         assert "collision" in result.output
 
+    def test_report_keys_of_a_completed_and_an_event_run(self, runner, tmp_path):
+        # The keys perfbench's orbit check reads; collision_time only on an event.
+        keys = {"state", "t_max", "max_deviation", "integrator_stats", "status", "files"}
+        for state, status, extra in (("1,0,0,0,0,0,1,0", "completed", set()),
+                                     ("1,0,0,0,1,0,0,0", "event", {"collision_time"})):
+            out = tmp_path / status
+            result = runner.invoke(
+                main, ["orbit", "--state", state, "--t-max", "3", "--out-dir", str(out)]
+            )
+            assert result.exit_code == 0
+            report = json.loads((out / "orbit_report.json").read_text())
+            assert report["status"] == status
+            assert set(report) == keys | extra
+            assert set(report["integrator_stats"]) == {"steps", "rejected_steps",
+                                                       "rhs_evaluations"}
+
     def test_the_three_csvs_share_one_time_grid(self, runner, tmp_path):
         result = runner.invoke(
             main,

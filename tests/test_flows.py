@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksreg.flows import (
-    HarnessResult,
     Trajectory,
     collision_set_membership,
     collision_triple_batch,
@@ -134,6 +133,10 @@ class TestInducedFlow:
         bad[H2] *= 1.5
         with pytest.raises(ValueError):
             induced_flow_on_orbit_space(bad, 1.0)
+        nan_k1 = list(g)
+        nan_k1[0] = math.nan
+        with pytest.raises(ValueError):
+            induced_flow_on_orbit_space(nan_k1, 1.0)
 
     def test_conjugate_to_upstairs_flow_at_double_parameter(self):
         rng = np.random.default_rng(37)
@@ -151,7 +154,7 @@ class TestInducedFlow:
         g = eval_generators((1, 2, 0, 1, 0, 1, 1, -1))
         for u in np.linspace(0.0, 2 * math.pi, 17):
             moved = induced_flow_on_orbit_space(g, float(u))
-            assert relation_residuals(moved).max_abs_residual() <= 1e-12
+            assert all(abs(v) <= 1e-12 for v in relation_residuals(moved).residuals.values())
 
 
 class TestCollisionSet:
@@ -280,13 +283,3 @@ class TestHarness:
         assert res.status == "step_budget_exhausted"
         assert res.stats.steps == 3
         assert res.collision_time is None
-        assert "collision_time" not in res.to_json_dict()
-
-    def test_report_shape(self):
-        res = ks_relatedness_harness(APOAPSIS, 2 * math.pi)
-        report = res.to_json_dict()
-        assert set(report) == {"t_max", "max_deviation", "integrator_stats",
-                               "status", "collision_time"}
-        assert set(report["integrator_stats"]) == {"steps", "rejected_steps", "rhs_evaluations"}
-        clean = ks_relatedness_harness(CIRCULAR, 1.0).to_json_dict()
-        assert "collision_time" not in clean

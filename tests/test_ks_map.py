@@ -181,6 +181,8 @@ class TestFiberAction:
         bad = (1, 0, 0, 0, 0, 1, 0, 0)  # Xi = 1
         with pytest.raises(ValueError):
             KS(bad)
+        with pytest.raises(ValueError):
+            KS((math.nan, 0, 0, 0, 0, 0, 1, 0))  # Xi = NaN
 
 
 class TestHamiltonianPullback:
