@@ -76,14 +76,17 @@ def _block_rows(method, field, starts, t_end, event, measure, l_values, rtol, at
     )
     rows = []
     for l_norm, res in zip(l_values, runs):
-        drift, radii = measure(np.vstack([res.states, res.eval_states]).T)
+        # A radius that underflows to 0 makes the drift NaN, which fails the row.
+        with np.errstate(all="ignore"):
+            drift, radii = measure(np.vstack([res.states, res.eval_states]).T)
+        max_drift = float(np.max(np.abs(drift)))
         rows.append(BenchRow(
             l_norm=l_norm,
             method=method,
             steps=res.stats.steps,
-            max_energy_drift=float(np.max(np.abs(drift))),
+            max_energy_drift=max_drift,
             periapsis_error=float(abs(np.min(radii) - analytic_periapsis(l_norm))),
-            failed=res.status != "completed",
+            failed=res.status != "completed" or not math.isfinite(max_drift),
         ))
     return rows
 

@@ -63,7 +63,7 @@ def oscillator_flow(z, t: float) -> tuple:
 def oscillator_flow_batch(z0, t_grid) -> np.ndarray:
     """The closed-form flow from one start over a time grid, (n, 8) floats."""
     t = np.asarray(t_grid, dtype=float)
-    return np.column_stack(oscillator_rotation(z0, np.cos(t), np.sin(t)))
+    return np.column_stack(oscillator_rotation(np.asarray(z0, dtype=float), np.cos(t), np.sin(t)))
 
 
 def oscillator_trajectory(z0, t_grid) -> Trajectory:

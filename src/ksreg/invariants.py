@@ -184,8 +184,6 @@ def divide(v, d: int):
             raise ValueError(f"integer batch is not divisible by {d}: use even entries "
                              "so that half-integer coefficients stay exact")
         return v // d
-    if isinstance(v, Fraction):
-        return v / d
     if isinstance(v, (int, np.integer)):
         return Fraction(v, d)
     return v / d
@@ -194,9 +192,11 @@ def divide(v, d: int):
 def point8(z) -> tuple:
     """A phase point (q1..q4, p1..p4) as an 8-tuple of its entries.
 
-    Raises ValueError unless z has exactly 8 components.
+    int and numpy integer entries become Fractions, so every exact
+    result is a Fraction.  Raises ValueError unless z has exactly 8
+    components.
     """
-    z = tuple(z)
+    z = tuple(Fraction(v) if isinstance(v, (int, np.integer)) else v for v in z)
     if len(z) != 8:
         raise ValueError(f"a phase point has 8 components (q, p), got {len(z)}")
     return z
@@ -223,16 +223,18 @@ def eval_pi_batch(Z: np.ndarray) -> np.ndarray:
 def eval_generator_columns(z) -> tuple:
     """The generators at eight columns (numbers or (n,) arrays).
 
-    The one body behind eval_generators and eval_generators_batch;
-    integral Fractions come back as int, integer arrays must be even.
+    The one body behind eval_generators and eval_generators_batch.
+    Fraction columns give Fractions, float columns floats, and integer
+    arrays, which must be even, integer arrays.
     """
-    return tuple(_demote(divide(eval_monomials(terms, z), d)) for d, terms in _GEN_TERMS)
+    return tuple(divide(eval_monomials(terms, z), d) for d, terms in _GEN_TERMS)
 
 
 def eval_generators(z: Sequence) -> tuple:
     """Evaluate (K, L, H2, Xi; U, V) at a phase point, in GENERATOR_NAMES order.
 
-    Uses the direct (q,p)-monomial form; generators_from_pi(eval_pi(z))
+    Fractions for a point of ints and Fractions, floats for a float
+    point.  Uses the direct (q,p)-monomial form; generators_from_pi(eval_pi(z))
     must agree exactly and the test suite holds the two paths together.
     """
     return eval_generator_columns(point8(z))
@@ -247,13 +249,6 @@ def eval_generators_batch(Z: np.ndarray) -> np.ndarray:
     return np.stack(eval_generator_columns(np.asarray(Z).T), axis=1)
 
 
-def _demote(v):
-    """Collapse integral Fractions to int so exact paths stay fast."""
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return int(v)
-    return v
-
-
 def _apply_linear(matrix, values) -> tuple:
     values = tuple(values)
     if len(values) != 16:
@@ -264,7 +259,7 @@ def _apply_linear(matrix, values) -> tuple:
         for c, v in zip(row, values):
             if c:
                 acc = acc + c * v
-        out.append(_demote(acc))
+        out.append(acc)
     return tuple(out)
 
 
@@ -281,6 +276,6 @@ def pi_from_generators(g: Sequence) -> tuple:
 def reduce(g: Sequence) -> tuple:
     """The doubly reduced coordinates (xi, eta) = ((K+L)/2, (K-L)/2)."""
     pairs = tuple(zip(g[K], g[L]))
-    xi = tuple(_demote(divide(k + l, 2)) for k, l in pairs)
-    eta = tuple(_demote(divide(k - l, 2)) for k, l in pairs)
+    xi = tuple(divide(k + l, 2) for k, l in pairs)
+    eta = tuple(divide(k - l, 2) for k, l in pairs)
     return xi, eta

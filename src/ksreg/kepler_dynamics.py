@@ -39,8 +39,7 @@ def norm3(v):
         f = Fraction(s)
         rn, rd = math.isqrt(f.numerator), math.isqrt(f.denominator)
         if rn * rn == f.numerator and rd * rd == f.denominator:
-            root = Fraction(rn, rd)
-            return int(root) if root.denominator == 1 else root
+            return Fraction(rn, rd)
     return math.sqrt(s)
 
 

@@ -25,7 +25,6 @@ from .invariants import (
     V1,
     XI,
     combine_monomials,
-    divide,
     eval_generator_columns,
     eval_generators,
     eval_generators_batch,
@@ -198,7 +197,7 @@ def _pullback_pairs(z, tol) -> dict:
     w = _image(_table(z))
     return {
         "hamiltonian": (preregularized_hamiltonian(w),
-                        h2 - divide(xi * xi, 2) / (h2 + g[V1])),
+                        h2 - xi * xi / 2 / (h2 + g[V1])),
         "angular_momentum": (angular_momentum(w), g[L]),
         "eccentricity": (eccentricity(w), g[K]),
         "inner_product": (dot3(w[:3], w[3:]), -g[U1]),

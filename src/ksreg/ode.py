@@ -69,8 +69,9 @@ class OdeResult:
     times/states hold every accepted step point; eval_times (a copy) and
     eval_states hold the given sample grid up to where the run ended.
     status is one of completed, event, step_budget_exhausted,
-    step_size_underflow, nonfinite (a step produced a non-finite error
-    estimate; the last accepted state is the one before it).
+    step_size_underflow, nonfinite (a step's error estimate was NaN, or
+    infinite at a non-finite end point; the last accepted state is the
+    one before it).
     """
 
     times: np.ndarray
@@ -149,12 +150,15 @@ class _Row:
         )
 
 
+# Under a tiny rtol and atol the norms overflow and leave h infinite or
+# NaN.  Like the step helpers below, this runs with numpy's warnings off.
+@np.errstate(all="ignore")
 def _initial_step(t0, y0, f0, t1, rtol, atol):
     scale = atol + rtol * np.abs(y0)
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2))
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
-    return min(h, (t1 - t0) / 10)
+    return min(h if math.isfinite(h) else 1e-6, (t1 - t0) / 10)
 
 
 def _dense(theta, y, Q):
@@ -332,7 +336,9 @@ def integrate_ode(
         accepted, errs = [], []
         for p, r, s in zip(range(m), run, squares.tolist()):
             err = math.sqrt(s / d)
-            if not math.isfinite(err):
+            # An error norm that overflows at a finite end point (tiny rtol
+            # and atol) rejects the step; a non-finite end point ends the row.
+            if math.isnan(err) or err == math.inf and not np.isfinite(Y_new[p]).all():
                 r.status = "nonfinite"
                 K[p] = 0.0  # its stages leave the arithmetic the rows share below
             elif err > 1.0:

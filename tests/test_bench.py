@@ -1,6 +1,7 @@
 """Tests for the near-collision benchmark."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,15 @@ class TestBenchmarkRun:
     def test_step_counts_are_positive(self, rows):
         for row in rows:
             assert row.steps > 0
+
+    def test_a_nan_drift_fails_the_row(self):
+        """At |L| = 1e-300, rho = H2 + V1 underflows to 0 at the collision sample."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raw, regularized = run_benchmark(l_values=(1e-300,))
+        assert raw.failed
+        assert math.isnan(regularized.max_energy_drift)
+        assert regularized.failed
 
 
 class TestBlockRuns:

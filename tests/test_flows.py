@@ -122,8 +122,8 @@ class TestInducedFlow:
     def test_half_turn_negates_uv(self):
         g = eval_generators(CIRCULAR)
         moved = induced_flow_on_orbit_space(g, math.pi)
-        assert np.allclose(moved[U], np.negative(g[U]), atol=1e-15)
-        assert np.allclose(moved[V], np.negative(g[V]), atol=1e-15)
+        assert np.allclose(moved[U], np.negative(np.array(g[U], dtype=float)), atol=1e-15)
+        assert np.allclose(moved[V], np.negative(np.array(g[V], dtype=float)), atol=1e-15)
         assert moved[K] == g[K]
         assert moved[L] == g[L]
 
@@ -240,6 +240,7 @@ class TestHarness:
         res = ks_relatedness_harness(CIRCULAR, 2 * math.pi)
         assert res.status == "completed"
         assert res.max_deviation <= 1e-6
+        assert res.chart.dtype == res.ks_image.dtype == np.float64
 
     def test_zero_horizon(self):
         res = ks_relatedness_harness(CIRCULAR, 0.0)

@@ -203,6 +203,15 @@ class TestDataShapes:
             with pytest.raises(ValueError):
                 eval_generators(bad)
 
+    def test_int_entries_become_fractions(self):
+        """Exact values have one type: a later `/` keeps them exact."""
+        z = point8([1, np.int64(2), Fraction(1, 2), 0.5, 0, 0, 1, 0])
+        assert [type(v) for v in z] == [Fraction] * 3 + [float] + [Fraction] * 4
+        for point in [(1, 2, 0, 0, 3, 0, 1, 0), np.array([1, 2, 0, 0, 3, 0, 1, 0])]:
+            g = eval_generators(point)
+            xi, eta = reduce(g)
+            assert all(type(v) is Fraction for v in g + xi + eta)
+
     def test_column_constants_name_the_generators(self):
         assert GENERATOR_NAMES[K] == ("K1", "K2", "K3")
         assert GENERATOR_NAMES[L] == ("L1", "L2", "L3")

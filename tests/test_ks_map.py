@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ksreg.invariants import (H2, V1, XI, eval_generators, eval_generators_batch, eval_pi,
@@ -89,6 +89,12 @@ class TestKsMap:
             pt = ks(z)
             assert all(type(v) is Fraction for v in pt)
             assert np.allclose(w, np.array(pt, dtype=float), rtol=1e-14, atol=1e-14)
+        # Int rows, Python or numpy: the same Fractions as the row as Fractions.
+        for z in np.random.default_rng(27).integers(-5, 6, (40, 8)):
+            if any(z[:4]):
+                pt = ks(z)
+                assert pt == ks(tuple(int(v) for v in z)) == ks(tuple(map(Fraction, z)))
+                assert all(type(v) is Fraction for v in pt)
 
     def test_batch_rejects_a_collision_row(self):
         Z = np.random.default_rng(30).standard_normal((4, 8))
@@ -122,6 +128,7 @@ class TestKsMap:
         assert norm3(pt[:3]) == rho == g[H2] + g[V1]
 
     @given(point_st)
+    @example(tuple(Fraction(v) for v in (0, 0, 0, 5, 0, 0, 0, 1)))
     @settings(max_examples=80, deadline=None)
     def test_y_norm_identity_exact(self, z):
         assume(any(z[:4]))
@@ -202,6 +209,7 @@ class TestHamiltonianPullback:
         assert rhs == Fraction(1, 2)
 
     @given(point_st)
+    @example((1, 2, 0, 0, 3, 0, 1, 0))
     @settings(max_examples=80, deadline=None)
     def test_identity_holds_everywhere_exactly(self, z):
         """The pullback identity needs no level-set restriction."""
@@ -211,6 +219,14 @@ class TestHamiltonianPullback:
 
 
 class TestLevelSetPullbacks:
+    def test_int_points_give_fractions(self):
+        for z in [(1, 0, 0, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0, 0, 0, 1)]:
+            for pullback in (pullback_kepler_hamiltonian, pullback_angular_momentum,
+                             pullback_eccentricity, pullback_inner_product):
+                lhs, rhs = pullback(z)
+                assert lhs == rhs
+                assert all(type(v) is Fraction for v in np.ravel([lhs, rhs]))
+
     def test_angular_momentum_circular(self):
         J, L = pullback_angular_momentum((1, 0, 0, 0, 0, 0, 1, 0))
         assert J == (0, 1, 0)

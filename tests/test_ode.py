@@ -1,5 +1,6 @@
 """Integrator behavior on problems with closed-form answers."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,16 @@ class TestAccounting:
         assert res.status == "nonfinite"
         assert res.times[-1] <= 0.5
         assert np.all(np.isfinite(res.states))
+
+    @pytest.mark.parametrize("tol", [1e-200, 1e-300])
+    def test_overflowing_error_norm_rejects_the_step(self, tol):
+        """A finite field under a tolerance the error norm overflows on."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = integrate_ode(_decay, [1.0], (0.0, 1.0), rtol=tol, atol=tol)
+        assert res.status == "step_size_underflow"
+        assert (res.stats.steps, res.stats.rejected_steps) == (0, 12)
+        assert np.array_equal(res.states, [[1.0]])
 
     def test_rhs_evaluation_count_is_exact(self):
         res = integrate_ode(_rotor, np.array([1.0, 0.0]), (0.0, 7.0))

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ksreg.invariants import H2, K, L, U, V, XI, eval_generators, eval_generators_batch
@@ -211,6 +211,8 @@ class TestFiberInterior:
         assert all(v == 0 for v in relation_residuals(g).residuals.values())
 
     @given(point_st)
+    @example((Fraction(-4, 5), Fraction(3, 5), Fraction(3), Fraction(-2),
+              Fraction(0), Fraction(5), Fraction(3), Fraction(4)))
     @settings(max_examples=60, deadline=None)
     def test_fiber_graph_property(self, z):
         """Reconstruction over the zero level recovers (K, L) exactly."""
