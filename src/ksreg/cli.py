@@ -17,7 +17,7 @@ import numpy as np
 from .bench import DEFAULT_GRID, run_benchmark, write_bench_csv
 from .flows import ks_relatedness_harness
 from .invariants import H2, XI, eval_generator_columns
-from .kepler_dynamics import write_trajectory_csv
+from .kepler_dynamics import write_csv, write_trajectory_csv
 from .quadratic_poisson import reference_table_diff
 from .sampling import RNG_ALGORITHM
 from .verify import run_suites
@@ -32,10 +32,7 @@ def _write_json(path, obj) -> None:
 def _write_oscillator_csv(path, times, chart) -> None:
     g = eval_generator_columns(chart.T)
     table = np.column_stack([times, chart, g[H2], g[XI]])
-    with open(path, "w") as fh:
-        fh.write("t,q1,q2,q3,q4,p1,p2,p3,p4,H2,Xi\n")
-        for row in table:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    write_csv(path, "t,q1,q2,q3,q4,p1,p2,p3,p4,H2,Xi", table)
 
 
 @click.group()

@@ -69,6 +69,14 @@ def _field_point(w) -> tuple:
 
     w is one point or (6, m) columns, for which r is an (m,) array.
     """
+    if isinstance(w, np.ndarray) and w.shape == (6,) and w.dtype == float:
+        # The integrator's lone-row case: the same test and r as below, in
+        # Python floats, which round as numpy's float64 scalars do.
+        x0, x1, x2 = w[:3].tolist()
+        rr = x0 * x0 + x1 * x1 + x2 * x2
+        if rr == 0:
+            raise ValueError("x = 0 is the collision point, outside the domain")
+        return w[:3], w[3:], math.sqrt(rr)
     x, y = _columns(w)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -95,7 +103,10 @@ def preregularized_vector_field(w) -> np.ndarray:
     dx/ds = |x| y, dy/ds = -(|y|^2 + 1) x / (2|x|).
     """
     x, y, r = _field_point(w)
-    return np.concatenate([r * y, -(y @ y + 1) / 2 * x / r])
+    c = -(y @ y + 1) / 2
+    # Entry by entry: at one point these are scalar operations, which cost
+    # far less than array operations on 3-vectors.
+    return np.array([r * y[0], r * y[1], r * y[2], c * x[0] / r, c * x[1] / r, c * x[2] / r])
 
 
 def rescaled_kepler_vector_field(w) -> np.ndarray:
@@ -245,7 +256,18 @@ def write_trajectory_csv(path, times: np.ndarray, states: np.ndarray) -> None:
         times, states, kepler_energy(states.T),
         *angular_momentum(states.T), *eccentricity(states.T),
     ])
-    rows = [",".join(format(v, ".17g") for v in row) for row in table]
+    write_csv(path, header, table)
+
+
+def write_csv(path, header: str, table) -> None:
+    """Write a header line, then one CSV line per row of a 2-D float table.
+
+    Each value is written as format(v, ".17g"), which reads back as the
+    same float; the whole table is one %-format call.
+    """
+    table = np.asarray(table, dtype=float)
+    rows, cols = table.shape
+    line = ",".join(["%.17g"] * cols) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.write("\n".join(rows) + "\n")
+        fh.write(line * rows % tuple(table.ravel().tolist()))

@@ -31,14 +31,19 @@ _A = np.array([
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
     [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
 ])
-_B5 = _A[6]  # first same as last: the last stage sits at the step's end
+# First same as last: the fifth-order weights are the last stage's row,
+# so that stage's input is the step's end point and its slope the next
+# step's first.
+_B5 = _A[6]
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                 187 / 2100, 1 / 40])
 _ERR = _B5 - _B4
 _STAGES = [(i, _A[i, :i]) for i in range(1, 7)]
+_C_FLOATS = _C.tolist()
 # Fourth-order continuous extension of the pair: the interpolant over an
 # accepted step is y0 + h * k^T P (theta, theta^2, theta^3, theta^4).
-_POWERS = np.arange(1, 5)
+# Float exponents give the powers integer ones do, without a cast per call.
+_POWERS = np.arange(1.0, 5.0)
 _P = np.array([
     [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
      -12715105075 / 11282082432],
@@ -69,9 +74,9 @@ class OdeResult:
     times/states hold every accepted step point; eval_times (a copy) and
     eval_states hold the given sample grid up to where the run ended.
     status is one of completed, event, step_budget_exhausted,
-    step_size_underflow, nonfinite (a step's error estimate was NaN, or
-    infinite at a non-finite end point; the last accepted state is the
-    one before it).
+    step_size_underflow, nonfinite (a step's end point was not finite, or
+    its error estimate was NaN; the last accepted state is the one before
+    it).
     """
 
     times: np.ndarray
@@ -151,7 +156,7 @@ class _Row:
 
 
 # Under a tiny rtol and atol the norms overflow and leave h infinite or
-# NaN.  Like the step helpers below, this runs with numpy's warnings off.
+# NaN.  Like the step arithmetic, this runs with numpy's warnings off.
 @np.errstate(all="ignore")
 def _initial_step(t0, y0, f0, t1, rtol, atol):
     scale = atol + rtol * np.abs(y0)
@@ -162,13 +167,15 @@ def _initial_step(t0, y0, f0, t1, rtol, atol):
 
 
 def _dense(theta, y, Q):
-    """The step's interpolant at theta = (tau - t)/h, a number or an (m,) array."""
+    """The step's interpolant at theta = (tau - t)/h, a number or a sequence."""
     return y + (np.asarray(theta)[..., None] ** _POWERS) @ Q
 
 
-# A non-finite stage makes the sums below non-finite and the error norm
-# ends the row.  The step's own arithmetic runs with numpy's warnings off;
-# only f and event run under the caller's settings.
+# A non-finite stage makes the sums below non-finite, and the row ends.
+# Only the step's own arithmetic runs with numpy's warnings off: f and
+# event run between its sums under the caller's settings, so each sum
+# enters errstate on its own.  The decorated form enters it for less than
+# a with block, which builds a new errstate object each time.
 @np.errstate(all="ignore")
 def _stage(Y, H, a, K):
     """The input of the next stage: Y + h * (a @ k) per row."""
@@ -176,12 +183,11 @@ def _stage(Y, H, a, K):
 
 
 @np.errstate(all="ignore")
-def _step_end(Y, H, K, rtol, atol):
-    """The fifth-order end point and the sum of squares of the scaled error."""
-    Y_new = Y + H * (_B5 @ K)
-    scaled = H * (_ERR @ K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
+def _squared_errors(Y, S, H, K, rtol, atol):
+    """Each row's sum of squares of the scaled error, S its end point."""
+    scaled = H * (_ERR @ K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(S)))
     # Each row's dot product scaled @ scaled, as a stack of (1, d) @ (d, 1).
-    return Y_new, (scaled[:, None, :] @ scaled[:, :, None])[:, 0, 0]
+    return (scaled[:, None, :] @ scaled[:, :, None])[:, 0, 0].tolist()
 
 
 def _interpolants(H, K):
@@ -190,10 +196,16 @@ def _interpolants(H, K):
 
 
 def _locate(event, side, t, h, y, Q):
-    """The time of the sign change of event(t, y) inside one step, by bisection."""
+    """The time of the sign change of event(t, y) inside one step, by bisection.
+
+    Once the midpoint rounds onto lo or hi the bracket cannot move its
+    midpoint any more, so the search stops there with that midpoint.
+    """
     lo, hi = t, t + h
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         if side * event(mid, _dense((mid - t) / h, y, Q)) <= 0:
             hi = mid
         else:
@@ -238,8 +250,8 @@ def integrate_ode(
     would be alone, with its own step size, error norm, accept/reject
     decision, event, t_eval fill, stats and status.  f and event are
     called on the m rows still running only, as f(t, y) with t an (m,)
-    array and y the (d, m) columns of their states; f returns (d, m)
-    and event returns (m,) values.  A row that ends drops out.  The
+    array and y the (d, m) columns of their states; f returns a (d, m)
+    array and event (m,) values.  A row that ends drops out.  The
     result is an OdeResults: the n rows' OdeResult objects in order,
     whose stats sum the rows' counts.
     """
@@ -266,13 +278,19 @@ def integrate_ode(
         eval_times = t_eval.tolist()
 
     # The running rows' states are the rows of Y, shape (m, d), and their
-    # step sizes the (m, 1) column H.  A block calls f and event on Y.T; a
-    # 1-D run calls them on its lone row, with a float time.  The stage
-    # sums are stacked matmuls, one (d,)-wide product per row, so a row's
-    # arithmetic does not depend on the rows beside it.
+    # step sizes the (m, 1) column H.  A block calls f and event on Y.T with
+    # an (m,) array of times; a 1-D run calls them on its lone row with a
+    # float time.  The stage sums are stacked matmuls, one (d,)-wide product
+    # per row, so a row's arithmetic does not depend on the rows beside it.
     if block:
+        def clocks(run):
+            """H and the stage times: stage i of row p starts at times[i][p]."""
+            HT = np.array([(r.h, r.t) for r in run])
+            H = HT[:, :1]
+            return H, (HT[:, 1:] + H * _C).T
+
         def rhs(T, Y):
-            return np.transpose(f(T, Y.T))
+            return f(T, Y.T).T
 
         def sign(T, Y):
             return np.asarray(event(T, Y.T), dtype=float).tolist()
@@ -282,13 +300,17 @@ def integrate_ode(
     else:
         point = event
 
-        def rhs(T, Y):
-            return f(T[0], Y[0])
+        def clocks(run):
+            t, h = run[0].t, run[0].h
+            return np.array([[h]]), [t + h * c for c in _C_FLOATS]
 
-        def sign(T, Y):
-            return [event(T[0], Y[0])]
+        def rhs(t, Y):
+            return f(t, Y[0])
 
-    T0 = np.full(n, t0)
+        def sign(t, Y):
+            return [event(t, Y[0])]
+
+    T0 = np.full(n, t0) if block else t0
     F0 = np.asarray(rhs(T0, Y), dtype=float).reshape(n, d)
     rows = []
     for start, f0 in zip(Y, F0):
@@ -324,21 +346,23 @@ def integrate_ode(
             run = [run[p] for p in keep]
             Y, F0 = Y[keep], F0[keep]
         m = len(run)
-        HT = np.array([(r.h, r.t) for r in run])
-        H = HT[:, :1]
-        TS = (HT[:, 1:] + H * _C).T  # TS[i]: the rows' times of stage i
+        H, TS = clocks(run)
         K = np.empty((m, 7, d))
         K[:, 0] = F0
         for i, a in _STAGES:
-            K[:, i] = rhs(TS[i], _stage(Y, H, a, K[:, :i]))
-        Y_new, squares = _step_end(Y, H, K, rtol, atol)
+            S = _stage(Y, H, a, K[:, :i])
+            K[:, i] = rhs(TS[i], S)
+        # S, the last stage's input, is the fifth-order end point.
+        squares = _squared_errors(Y, S, H, K, rtol, atol)
+        finite = np.isfinite(S).all(axis=1).tolist()
 
         accepted, errs = [], []
-        for p, r, s in zip(range(m), run, squares.tolist()):
+        for p, r, s, ok in zip(range(m), run, squares, finite):
             err = math.sqrt(s / d)
-            # An error norm that overflows at a finite end point (tiny rtol
-            # and atol) rejects the step; a non-finite end point ends the row.
-            if math.isnan(err) or err == math.inf and not np.isfinite(Y_new[p]).all():
+            # A non-finite end point ends the row, whatever its error norm
+            # reads; an error norm that overflows at a finite end point (tiny
+            # rtol and atol) rejects the step.
+            if not ok or math.isnan(err):
                 r.status = "nonfinite"
                 K[p] = 0.0  # its stages leave the arithmetic the rows share below
             elif err > 1.0:
@@ -352,7 +376,7 @@ def integrate_ode(
             continue
         every = len(accepted) == m
         if event is not None:
-            g_new = sign(TS[6], Y_new) if every else sign(TS[6][accepted], Y_new[accepted])
+            g_new = sign(TS[6], S) if every else sign(TS[6][accepted], S[accepted])
         else:
             g_new = [None] * len(accepted)
         Q = None
@@ -372,21 +396,21 @@ def integrate_ode(
                 stop = bisect_right(eval_times, horizon + 1e-14)
                 if stop > r.filled:
                     Q = _interpolants(H, K) if Q is None else Q
-                    theta = (t_eval[r.filled:stop] - r.t) / r.h
+                    theta = [(tau - r.t) / r.h for tau in eval_times[r.filled:stop]]
                     r.eval_states[r.filled:stop] = _dense(theta, Y[p], Q[p])
                     r.filled = stop
             if r.status == "event":
                 r.record(r.event_time, r.event_state)
             else:
                 r.t = horizon
-                r.record(horizon, Y_new[p])
+                r.record(horizon, S[p])
                 r.h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
         if every:
-            Y, F0 = Y_new, K[:, 6]
+            Y, F0 = S, K[:, 6]
         else:
             took = np.zeros((m, 1), dtype=bool)
             took[accepted] = True
-            Y, F0 = np.where(took, Y_new, Y), np.where(took, K[:, 6], F0)
+            Y, F0 = np.where(took, S, Y), np.where(took, K[:, 6], F0)
 
     results = [r.result(t_eval) for r in rows]
     return OdeResults(results) if block else results[0]

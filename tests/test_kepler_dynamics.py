@@ -19,6 +19,7 @@ from ksreg.kepler_dynamics import (
     sundman_reparametrize,
     sundman_time,
     symplectic_scaling,
+    write_csv,
     write_trajectory_csv,
 )
 from ksreg import verify
@@ -52,19 +53,19 @@ class TestEnergies:
         assert abs(value) <= 1e-6
 
     def test_collision_point_rejected(self):
-        bad = (0, 0, 0, 1, 0, 0)
-        for fn in (kepler_energy, preregularized_vector_field,
-                   kepler_vector_field, angular_momentum, eccentricity):
-            with pytest.raises(ValueError):
-                fn(bad)
+        for bad in ((0, 0, 0, 1, 0, 0), np.array([0.0, 0, 0, 1, 0, 0])):
+            for fn in (kepler_energy, preregularized_vector_field,
+                       kepler_vector_field, angular_momentum, eccentricity):
+                with pytest.raises(ValueError):
+                    fn(bad)
 
     def test_underflowing_radius_rejected(self):
         """|x|^2 underflows to 0 at |x| = 1e-170: rejected, not divided by."""
-        bad = (1e-170, 0, 0, 1, 0, 0)
-        for fn in (kepler_energy, preregularized_vector_field,
-                   rescaled_kepler_vector_field, kepler_vector_field):
-            with pytest.raises(ValueError):
-                fn(bad)
+        for bad in ((1e-170, 0, 0, 1, 0, 0), np.array([1e-170, 0, 0, 1, 0, 0])):
+            for fn in (kepler_energy, preregularized_vector_field,
+                       rescaled_kepler_vector_field, kepler_vector_field):
+                with pytest.raises(ValueError):
+                    fn(bad)
 
     def test_flat_input_of_the_wrong_length_rejected(self):
         for fn in (kepler_energy, preregularized_hamiltonian, preregularized_vector_field,
@@ -121,6 +122,16 @@ class TestVectorFields:
             a = preregularized_vector_field(w)
             raw = kepler_vector_field(w)
             assert np.max(np.abs(a - r * raw)) < 1e-12
+
+    def test_single_point_field_is_the_array_formula_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for _ in range(2000):
+            w = rng.standard_normal(6) * 10.0 ** rng.integers(-4, 5)
+            x, y = w[:3], w[3:]
+            r = math.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+            former = np.concatenate([r * y, -(y @ y + 1) / 2 * x / r])
+            assert preregularized_vector_field(w).tobytes() == former.tobytes()
+            assert preregularized_vector_field(tuple(w)).tobytes() == former.tobytes()
 
     def test_raw_field_example(self):
         field = kepler_vector_field(CIRCULAR)
@@ -392,3 +403,30 @@ class TestTrajectoryCsv:
         assert first[7] == kepler_energy(states[0])
         assert tuple(first[8:11]) == angular_momentum(states[0])
         assert tuple(first[11:14]) == eccentricity(states[0])
+
+    def test_fixed_table_bytes(self, tmp_path):
+        path = tmp_path / "path.csv"
+        times = np.array([0.0, 0.25])
+        states = np.array([
+            [0.0, 0.0, 1.0, 1.0, 0.0, 0.0],
+            [0.1, 0.0, 1.0, 1.0, 0.05, 0.0],
+        ])
+        write_trajectory_csv(path, times, states)
+        assert path.read_text() == (
+            "t,x1,x2,x3,y1,y2,y3,energy,J1,J2,J3,e1,e2,e3\n"
+            "0,0,0,1,1,0,0,-0.5,0,1,0,0,0,0\n"
+            "0.25,0.10000000000000001,0,1,1,0.050000000000000003,0,-0.49378719020998929,"
+            "-0.050000000000000003,1,0.005000000000000001,-0.099253719020998929,"
+            "-0.005000000000000001,0.0074628097900106827\n"
+        )
+
+
+class TestWriteCsv:
+    EDGES = [-0.0, 5e-324, 1e308, 0.1, 1 / 3, float(2**60), math.inf, -math.inf, math.nan]
+
+    def test_each_value_is_format_17g(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        table = [self.EDGES, self.EDGES[::-1]]
+        write_csv(path, "a,b", table)
+        lines = [",".join(format(v, ".17g") for v in row) for row in table]
+        assert path.read_text() == "a,b\n" + "".join(line + "\n" for line in lines)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from ksreg import ode
 from ksreg.bench import COLLISION_GUARD, seed_state
 from ksreg.kepler_dynamics import (dot3, kepler_vector_field, preregularized_vector_field,
                                    radial_ode_rhs)
@@ -20,6 +21,18 @@ def _decay(t, y):
 
 def _rotor(t, y):
     return np.array([y[1], -y[0]])
+
+
+def _overflow(t, y):
+    """Finite everywhere, but a step from y = 1e308 overflows to inf."""
+    return np.full_like(y, 1e308)
+
+
+def _overflow_or_decay(t, y):
+    """y = (x, kind): x runs at the speed 1e308 for kind 1, as in _overflow,
+    and decays for any other kind; one state or (2, m) columns."""
+    x, kind = y
+    return np.array([np.where(kind == 1, 1e308, -x), np.zeros_like(x)])
 
 
 class TestAccuracy:
@@ -147,6 +160,27 @@ class TestAccounting:
         assert res.status == "nonfinite"
         assert res.times[-1] <= 0.5
         assert np.all(np.isfinite(res.states))
+
+    def test_overflowing_end_point_ends_the_run(self):
+        """The scaled error divides by the inf end point and reads 0; the
+        step must still not be accepted."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = integrate_ode(_overflow, [1e308], (0.0, 1.0))
+        assert res.status == "nonfinite"
+        assert np.all(np.isfinite(res.states))
+        assert res.stats.rhs_evaluations == 1 + 6 * (res.stats.steps + 1)
+
+    def test_overflowing_block_row_ends_alone(self):
+        y0 = np.array([[1e308, 1.0], [0.5, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = integrate_ode(_overflow_or_decay, y0, (0.0, 1.0))
+            alone = integrate_ode(_overflow_or_decay, y0[1], (0.0, 1.0))
+        assert [r.status for r in runs] == ["nonfinite", "completed"]
+        assert np.all(np.isfinite(runs[0].states))
+        _assert_same_run(runs[1], alone)
+        assert np.array_equal(runs[1].states, alone.states)
 
     @pytest.mark.parametrize("tol", [1e-200, 1e-300])
     def test_overflowing_error_norm_rejects_the_step(self, tol):
@@ -346,3 +380,83 @@ class TestBlock:
         for bad in (np.zeros((2, 2, 2)), np.zeros((0, 2)), np.zeros(0)):
             with pytest.raises(ValueError):
                 integrate_ode(_decay, bad, (0.0, 1.0))
+
+
+def _full_bisection(event, side, t, h, y, Q):
+    """The event search without its early stop: all 80 halvings."""
+    lo, hi = t, t + h
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if side * event(mid, ode._dense((mid - t) / h, y, Q)) <= 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _counted(event, calls):
+    def wrapped(t, y):
+        calls.append(t)
+        return event(t, y)
+    return wrapped
+
+
+_EVENT_RUNS = {
+    "linear": (lambda t, y: np.array([1.0]), [-1.0], 5.0, lambda t, y: y[0]),
+    "tiny": (lambda t, y: np.array([1.0]), [-1.0], 5.0, lambda t, y: 1e-200 * y[0]),
+    "rotor": (_rotor, [1.0, 0.0], 10.0, lambda t, y: y[0]),
+    "orbit_collision": (_doubled_field, None, 3.0,
+                        lambda t, w: w[:3] @ w[:3] - 1e-6 * 1e-6),  # the harness's guard
+}
+
+
+class TestEventSearchStopsEarly:
+    """The bisection stops once its midpoint rounds onto an end of the
+    bracket; it returns the time the full 80 halvings return."""
+
+    @pytest.mark.parametrize("name", sorted(_EVENT_RUNS))
+    def test_event_time_is_the_full_bisection_time(self, monkeypatch, name):
+        f, y0, t1, event = _EVENT_RUNS[name]
+        if y0 is None:
+            y0 = ks_batch([1.0, 0, 0, 0, 1.0, 0, 0, 0])[0]
+        grid = np.linspace(0.0, t1, 17)[1:]
+        early_calls, full_calls = [], []
+        early = integrate_ode(f, y0, (0.0, t1), t_eval=grid, event=_counted(event, early_calls))
+        monkeypatch.setattr(ode, "_locate", _full_bisection)
+        full = integrate_ode(f, y0, (0.0, t1), t_eval=grid, event=_counted(event, full_calls))
+        assert early.status == full.status == "event"
+        assert early.event_time == full.event_time
+        assert np.array_equal(early.event_state, full.event_state)
+        assert np.array_equal(early.eval_states, full.eval_states)
+        assert len(early_calls) < len(full_calls)
+
+    def test_fall_rows_match_the_full_bisection(self, monkeypatch):
+        early = integrate_ode(radial_ode_rhs, _fall_block(), (0.0, 4.0), event=_fall_event)
+        monkeypatch.setattr(ode, "_locate", _full_bisection)
+        full = integrate_ode(radial_ode_rhs, _fall_block(), (0.0, 4.0), event=_fall_event)
+        assert [r.event_time for r in early] == [r.event_time for r in full]
+
+
+def _noisy_decay(t, y):
+    np.log(np.zeros(1))  # a RuntimeWarning under numpy's default settings
+    return -y
+
+
+def _noisy_crossing(t, y):
+    np.log(np.zeros(1))
+    return y[0] - 0.5
+
+
+class TestCallerWarnings:
+    """Only the step's own arithmetic runs with numpy's warnings off: a
+    warning raised inside f or event reaches the caller."""
+
+    @pytest.mark.parametrize("y0", [[1.0], [[1.0], [2.0]]], ids=["lone", "block"])
+    def test_a_warning_in_f_reaches_the_caller(self, y0):
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            integrate_ode(_noisy_decay, y0, (0.0, 1.0))
+
+    @pytest.mark.parametrize("y0", [[1.0], [[1.0], [2.0]]], ids=["lone", "block"])
+    def test_a_warning_in_event_reaches_the_caller(self, y0):
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            integrate_ode(_decay, y0, (0.0, 1.0), event=_noisy_crossing)
