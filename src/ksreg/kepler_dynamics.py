@@ -69,19 +69,14 @@ def _field_point(w) -> tuple:
 
     w is one point or (6, m) columns, for which r is an (m,) array.
     """
-    if isinstance(w, np.ndarray) and w.shape == (6,) and w.dtype == float:
-        # The integrator's lone-row case: the same test and r as below, in
-        # Python floats, which round as numpy's float64 scalars do.
-        x0, x1, x2 = w[:3].tolist()
-        rr = x0 * x0 + x1 * x1 + x2 * x2
-        if rr == 0:
-            raise ValueError("x = 0 is the collision point, outside the domain")
-        return w[:3], w[3:], math.sqrt(rr)
     x, y = _columns(w)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    rr = _require_noncollision(x)
-    return x, y, np.sqrt(rr) if isinstance(rr, np.ndarray) else math.sqrt(rr)
+    if x.ndim == 1:
+        # One point: the test and r in Python floats, which round as numpy's
+        # float64 scalars do at a fraction of their cost.
+        return x, y, math.sqrt(_require_noncollision(x.tolist()))
+    return x, y, np.sqrt(_require_noncollision(x))
 
 
 def kepler_energy(w) -> float:

@@ -171,7 +171,8 @@ def _dense(theta, y, Q):
     return y + (np.asarray(theta)[..., None] ** _POWERS) @ Q
 
 
-# A non-finite stage makes the sums below non-finite, and the row ends.
+# A non-finite stage makes the sums below non-finite: the row ends, or,
+# if only the last stage is, the error norm is inf and the step rejected.
 # Only the step's own arithmetic runs with numpy's warnings off: f and
 # event run between its sums under the caller's settings, so each sum
 # enters errstate on its own.  The decorated form enters it for less than
@@ -359,12 +360,16 @@ def integrate_ode(
         accepted, errs = [], []
         for p, r, s, ok in zip(range(m), run, squares, finite):
             err = math.sqrt(s / d)
+            if not (ok and math.isfinite(err)):
+                # Its stages may not be finite (at a finite end point only
+                # the last can be), so they leave the arithmetic the rows
+                # share below.
+                K[p] = 0.0
             # A non-finite end point ends the row, whatever its error norm
             # reads; an error norm that overflows at a finite end point (tiny
-            # rtol and atol) rejects the step.
+            # rtol and atol, or f infinite there) rejects the step.
             if not ok or math.isnan(err):
                 r.status = "nonfinite"
-                K[p] = 0.0  # its stages leave the arithmetic the rows share below
             elif err > 1.0:
                 r.rejected += 1
                 r.h *= max(0.2, 0.9 * err ** -0.2)

@@ -182,6 +182,31 @@ class TestAccounting:
         _assert_same_run(runs[1], alone)
         assert np.array_equal(runs[1].states, alone.states)
 
+    def test_infinite_slope_at_a_finite_end_point_rejects_the_row_alone(self):
+        """f is inf for row 0 at its first end point only: that row's step is
+        rejected, and the interpolants the other row's samples need stay
+        free of its inf."""
+        calls = []
+
+        def spike_at_first_end_point(t, y):
+            calls.append(t)
+            dy = -y
+            if len(calls) == 7:  # f at t0, then stages 1-6 of the first attempt
+                dy[0, 0] = np.inf
+            return dy
+
+        y0 = np.array([[1.0], [1.0]])
+        grid = np.linspace(0.0, 1.0, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = integrate_ode(spike_at_first_end_point, y0, (0.0, 1.0), t_eval=grid)
+            alone = integrate_ode(_decay, y0[1], (0.0, 1.0), t_eval=grid)
+        assert [r.status for r in runs] == ["completed", "completed"]
+        assert runs[0].stats.rejected_steps == alone.stats.rejected_steps + 1
+        assert np.all(np.isfinite(runs[0].eval_states))
+        _assert_same_run(runs[1], alone)
+        assert np.array_equal(runs[1].eval_states, alone.eval_states)
+
     @pytest.mark.parametrize("tol", [1e-200, 1e-300])
     def test_overflowing_error_norm_rejects_the_step(self, tol):
         """A finite field under a tolerance the error norm overflows on."""
