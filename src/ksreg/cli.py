@@ -41,7 +41,7 @@ def main():
 
 
 @main.command()
-@click.option("--seed", type=int, default=0, show_default=True, help="RNG seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="RNG seed.")
 @click.option(
     "--tolerance",
     type=float,
@@ -129,8 +129,6 @@ def orbit(state, t_max, samples, out_dir):
         values = tuple(float(s) for s in state.split(","))
     except ValueError:
         raise click.UsageError("--state must be a comma-separated list of numbers")
-    if samples < 2:
-        raise click.UsageError("--samples must be at least 2")
     try:
         result = ks_relatedness_harness(values, t_max, samples=samples)
     except ValueError as exc:

@@ -199,7 +199,8 @@ def ks_relatedness_harness(
     sup over sampled parameters of the euclidean gap.  Seeds whose
     orbit meets {q = 0} yield a partial result truncated at the |x|
     guard, carrying the closed-form physical collision time.  The start
-    must lie on the (1, 0) level within 1e-9; the integrator runs at
+    must lie on the (1, 0) level within 1e-9.  The comparison grid holds
+    samples + 1 times, with samples at least 2.  The integrator runs at
     rtol = atol = 1e-10.
     """
     z0 = point8(z0)
@@ -209,6 +210,8 @@ def ks_relatedness_harness(
         raise ValueError("the start itself sits at q = 0, outside the chart")
     if not 0 <= t_max < math.inf:
         raise ValueError("t_max must be finite and nonnegative")
+    if samples < 2:
+        raise ValueError("samples must be at least 2")
 
     w0_flat = ks_batch(z0)[0]
     if t_max == 0:

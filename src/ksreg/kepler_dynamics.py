@@ -1,10 +1,8 @@
 """Kepler-side Hamiltonians, vector fields, and collision-time formulas.
 
 The raw Kepler field is singular at x = 0; the preregularized field is
-its time-and-space rescaling by |x|, with the new curve parameter s
-related to physical time by dt/ds = |x|/k.  The energy scale k is fixed
-to 1 internally; other values are reached through the symplectic
-scaling (x, y) -> (x/k, k*y).
+its time-and-space rescaling by |x| at the energy scale k = 1, with the
+new curve parameter s related to physical time by dt/ds = |x|.
 """
 from __future__ import annotations
 
@@ -141,18 +139,6 @@ def eccentricity(w):
     return tuple(-xi / r + w_ for xi, w_ in zip(x, yxj))
 
 
-def symplectic_scaling(w, k: float) -> tuple:
-    """The coordinate change (x, y) -> (x/k, k*y).
-
-    Composing the energy-k regularized Hamiltonian |x|(|y|^2 + k^2)/(2k)
-    with this change yields the k = 1 form |x|(|y|^2 + 1)/2 exactly.
-    """
-    if not k > 0:
-        raise ValueError("k must be positive")
-    x, y = _columns(w)
-    return tuple(v / k for v in x) + tuple(k * v for v in y)
-
-
 def radial_ode_rhs(t, u) -> np.ndarray:
     """Collinear Kepler motion u = (r, rdot): d(r)/dt = rdot, d(rdot)/dt = -1/r^2.
 
@@ -192,17 +178,15 @@ def radial_collision_time_quadrature(r0: float) -> float:
     return value
 
 
-def sundman_time(s_grid: np.ndarray, states: np.ndarray, k: float = 1.0) -> np.ndarray:
-    """Physical time along an s-parametrized path: t(s) = int |x|/k ds.
+def sundman_time(s_grid: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Physical time along an s-parametrized path: t(s) = int |x| ds.
 
-    The integrand is dt/ds = |x|/k, so time runs slower than s near the
+    The integrand is dt/ds = |x|, so time runs slower than s near the
     center; a path reaching x = 0 is rejected because the relation
     degenerates there.
     """
     from scipy import integrate
 
-    if not k > 0:
-        raise ValueError("k must be positive")
     s_grid = np.asarray(s_grid, dtype=float)
     states = np.asarray(states, dtype=float)
     radii = np.linalg.norm(states[:, :3], axis=1)
@@ -211,32 +195,8 @@ def sundman_time(s_grid: np.ndarray, states: np.ndarray, k: float = 1.0) -> np.n
     if s_grid.size == 1:
         return np.zeros(1)
     return np.concatenate([
-        [0.0], integrate.cumulative_simpson(radii / k, x=s_grid)
+        [0.0], integrate.cumulative_simpson(radii, x=s_grid)
     ])
-
-
-def sundman_reparametrize(
-    t_grid: np.ndarray,
-    s_grid: np.ndarray,
-    states: np.ndarray,
-    k: float = 1.0,
-) -> np.ndarray:
-    """Resample an s-parametrized path at requested physical times.
-
-    t(s) is accumulated from dt/ds = |x|/k and inverted monotonically;
-    requested times outside [t(s0), t(s_end)] are rejected.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    s_grid = np.asarray(s_grid, dtype=float)
-    states = np.asarray(states, dtype=float)
-    t_of_s = sundman_time(s_grid, states, k=k)
-    if np.any(t_grid < t_of_s[0] - 1e-12) or np.any(t_grid > t_of_s[-1] + 1e-12):
-        raise ValueError("requested times fall outside the covered span")
-    s_of_t = np.interp(t_grid, t_of_s, s_grid)
-    resampled = np.empty((t_grid.size, states.shape[1]))
-    for col in range(states.shape[1]):
-        resampled[:, col] = np.interp(s_of_t, s_grid, states[:, col])
-    return resampled
 
 
 def write_trajectory_csv(path, times: np.ndarray, states: np.ndarray) -> None:

@@ -243,11 +243,6 @@ def pullback_gaps_batch(Z) -> dict:
     }
 
 
-def ks_gradients(z) -> np.ndarray:
-    """Analytic gradients of the six components of ks, shape (6, 8)."""
-    return ks_jacobian_batch(point8(z))[0]
-
-
 # The target structure matrix [[0, 2I], [-2I, 0]].
 _POISSON_TARGET = np.kron([[0.0, 2.0], [-2.0, 0.0]], np.eye(3))
 

@@ -6,8 +6,8 @@ membership residuals, the reduced momentum map onto the closed wedge
 0 <= |xi| <= h, the classification of reduced spaces over the wedge,
 and the fiber reconstructions that realize level sets as graphs.
 
-All formulas are polymorphic over floats and Fractions; a separate
-vectorized path handles large numpy batches.
+All formulas are polymorphic over floats and Fractions; the batch
+functions run the same formulas on the columns of an (n, 16) array.
 """
 from __future__ import annotations
 
@@ -205,40 +205,13 @@ def reconstruct_fiber_interior(U, V, h, tol: float = 1e-9):
     return K, L
 
 
-@dataclass(frozen=True)
-class BoundaryFiber:
-    """Result of the boundary reconstruction formulas.
+def reconstruct_fiber_boundary(U, V, h, sign: int, tol: float = 1e-9) -> tuple:
+    """Evaluate the boundary formula eta = -sign * B/h on sphere-bundle data.
 
-    eta comes from the primary expression -sign * B/h, eta_paired from
-    the sign-independent B'/h.  The two agree only on a locus that is
-    empty for h > 0, so the mismatch is reported as a diagnostic and
-    never raised.
-    """
-
-    eta: tuple
-    eta_paired: tuple
-    sign: int
-    mismatch: object
-
-
-def reconstruct_fiber_boundary(U, V, h, sign: int, tol: float = 1e-9) -> BoundaryFiber:
-    """Evaluate the boundary formulas for eta on sphere-bundle data.
-
-    Preconditions are those of the interior case.  The primary value is
-    eta = -sign * B/h; the paired expression B'/h is returned alongside
-    with their maximum componentwise difference as a diagnostic.
+    Preconditions are those of the interior case; sign is +1 or -1.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     _check_sphere_preconditions(U, V, h, tol)
-    B, B_prime = _wedge_bilinears(U, V)
-    eta = tuple(-sign * b / h for b in B)
-    eta_paired = tuple(b / h for b in B_prime)
-    mismatch = max(abs(a - b) for a, b in zip(eta, eta_paired))
-    return BoundaryFiber(eta=eta, eta_paired=eta_paired, sign=sign, mismatch=mismatch)
-
-
-def tangent_sphere_chart(U, V, h, tol: float = 1e-9):
-    """Normalize sphere-bundle data to a unit base point: (U/h, V)."""
-    _check_sphere_preconditions(U, V, h, tol)
-    return tuple(u / h for u in U), tuple(V)
+    B, _ = _wedge_bilinears(U, V)
+    return tuple(-sign * b / h for b in B)

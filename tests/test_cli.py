@@ -67,6 +67,7 @@ class TestVerify:
         assert runner.invoke(main, ["verify", "--samples", "0"]).exit_code == 2
         assert runner.invoke(main, ["verify", "--tolerance", "-1"]).exit_code == 2
         assert runner.invoke(main, ["verify", "--tolerance", "nan"]).exit_code == 2
+        assert runner.invoke(main, ["verify", "--seed", "-1"]).exit_code == 2
 
     def test_reports_are_deterministic_per_seed(self, runner, tmp_path):
         texts = []

@@ -21,7 +21,7 @@ from ksreg.flows import (
     physical_time_of_flight,
 )
 from ksreg.invariants import H2, K, L, U, V, XI, eval_generators
-from ksreg.kepler_dynamics import radial_collision_time
+from ksreg.kepler_dynamics import radial_collision_time, sundman_time
 from ksreg.ks_map import ks
 from ksreg.sampling import sample_collision_slice, sample_level_set
 
@@ -278,6 +278,24 @@ class TestHarness:
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError):
             ks_relatedness_harness(CIRCULAR, -1.0)
+
+    @pytest.mark.parametrize("samples", [1, 0, -5])
+    def test_fewer_than_two_samples_rejected(self, samples):
+        with pytest.raises(ValueError):
+            ks_relatedness_harness(CIRCULAR, 1.0, samples=samples)
+
+    @pytest.mark.parametrize("z0, t_max, status", [
+        (CIRCULAR, 2 * math.pi, "completed"),
+        ((1, 0, 0, 0, 1, 0, 0, 0), 3.0, "event"),
+    ])
+    def test_sundman_clock_matches_the_time_of_flight(self, z0, t_max, status):
+        # The harness integrates twice the preregularized field, so its
+        # physical clock runs at dt/ds = 2|x|.
+        res = ks_relatedness_harness(z0, t_max)
+        assert res.status == status
+        t = 2 * sundman_time(res.times, res.integrated)
+        flight = [physical_time_of_flight(z0, s) for s in res.times]
+        assert np.max(np.abs(t - flight)) <= 1e-6
 
     def test_step_budget_status_passes_through(self):
         res = ks_relatedness_harness(CIRCULAR, 2 * math.pi, max_steps=3)

@@ -16,9 +16,7 @@ from ksreg.kepler_dynamics import (
     radial_collision_time_quadrature,
     radial_ode_rhs,
     rescaled_kepler_vector_field,
-    sundman_reparametrize,
     sundman_time,
-    symplectic_scaling,
     write_csv,
     write_trajectory_csv,
 )
@@ -74,8 +72,6 @@ class TestEnergies:
             for w in ([0.0, 0, 1, 1, 0], np.array([0.0, 0, 1, 1, 0, 0, 0])):
                 with pytest.raises(ValueError):
                     fn(w)
-        with pytest.raises(ValueError):
-            symplectic_scaling([0.0, 0, 1, 1, 0], 2.0)
 
     def test_regularized_energy_examples(self):
         assert preregularized_hamiltonian(CIRCULAR) == 1
@@ -314,11 +310,6 @@ class TestSundmanTime:
         t = sundman_time(s_grid, res.eval_states)
         assert np.max(np.abs(t - (s_grid + np.sin(s_grid)))) < 1e-6
 
-    def test_scale_parameter_divides_time(self):
-        s = np.linspace(0.0, 1.0, 51)
-        t = sundman_time(s, _circle_path(1.0, s), k=2.0)
-        assert np.max(np.abs(t - s / 2)) < 1e-12
-
     def test_collision_touching_path_rejected(self):
         s = np.linspace(0.0, 1.0, 11)
         states = _circle_path(1.0, s)
@@ -326,61 +317,10 @@ class TestSundmanTime:
         with pytest.raises(ValueError):
             sundman_time(s, states)
 
-    def test_nonpositive_scale_rejected(self):
-        s = np.linspace(0.0, 1.0, 11)
-        with pytest.raises(ValueError):
-            sundman_time(s, _circle_path(1.0, s), k=0.0)
-
     def test_single_point_path(self):
         t = sundman_time(np.array([0.0]), _circle_path(1.0, np.array([0.0])))
         assert t.shape == (1,)
         assert t[0] == 0.0
-
-
-class TestSundmanResampling:
-    def test_unit_circle_resamples_exactly(self):
-        s = np.linspace(0.0, 2 * math.pi, 4001)
-        states = _circle_path(1.0, s)
-        out = sundman_reparametrize(np.array([0.5, 1.0, 2.0]), s, states)
-        for t_req, row in zip([0.5, 1.0, 2.0], out):
-            assert abs(row[0] - math.cos(t_req)) < 1e-6
-            assert abs(row[1] - math.sin(t_req)) < 1e-6
-
-    def test_cycloid_resample_hits_known_radius(self):
-        s = np.linspace(0.0, 2.5, 2501)
-        states = np.zeros((s.size, 6))
-        states[:, 2] = 1 + np.cos(s)
-        # t = pi/2 + 1 corresponds to s = pi/2, where the radius is 1
-        out = sundman_reparametrize(np.array([math.pi / 2 + 1]), s, states)
-        assert abs(out[0, 2] - 1.0) < 1e-6
-
-    def test_out_of_span_times_rejected(self):
-        s = np.linspace(0.0, 1.0, 51)
-        states = _circle_path(1.0, s)
-        with pytest.raises(ValueError):
-            sundman_reparametrize(np.array([5.0]), s, states)
-
-
-class TestScaling:
-    def test_scaled_energy_composes_to_unit_form(self):
-        rng = np.random.default_rng(23)
-        for _ in range(25):
-            w = rng.uniform(-2, 2, 6)
-            if np.linalg.norm(w[:3]) < 0.1:
-                continue
-            k = rng.uniform(0.2, 5.0)
-            scaled = np.array(symplectic_scaling(w, k))
-            x, y = scaled[:3], scaled[3:]
-            lifted = np.linalg.norm(x) * (y @ y + k * k) / (2 * k)
-            assert abs(lifted - preregularized_hamiltonian(w)) < 1e-12
-
-    def test_unit_scale_is_identity(self):
-        w = (1, 2, 3, 4, 5, 6)
-        assert symplectic_scaling(w, 1.0) == w
-
-    def test_nonpositive_scale_rejected(self):
-        with pytest.raises(ValueError):
-            symplectic_scaling(CIRCULAR, 0.0)
 
 
 class TestTrajectoryCsv:

@@ -22,7 +22,6 @@ from ksreg.ks_map import (
     ks_batch,
     ks_fiber_action,
     ks_from_generators_batch,
-    ks_gradients,
     ks_jacobian_batch,
     poisson_property_residual,
     poisson_residual_batch,
@@ -327,14 +326,12 @@ class TestPoissonProperty:
         Z = rng.standard_normal((10, 8))
         batch = ks_jacobian_batch(Z)
         for z, jac in zip(Z, batch):
-            grads = ks_gradients(tuple(z))
             for i in range(8):
                 zp, zm = z.copy(), z.copy()
                 zp[i] += step
                 zm[i] -= step
                 fp, fm = ks(tuple(zp)), ks(tuple(zm))
                 fd = (np.array(fp) - np.array(fm)) / (2 * step)
-                assert np.allclose(grads[:, i], fd, atol=1e-6)
                 assert np.allclose(jac[:, i], fd, atol=1e-6)
 
     def test_residual_vanishes_on_zero_level(self):

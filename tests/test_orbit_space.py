@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from ksreg.invariants import H2, K, L, U, V, XI, eval_generators, eval_generators_batch
 from ksreg.orbit_space import (
-    BoundaryFiber,
     Point,
     ProductOfSpheres,
     SingleSphere,
@@ -27,7 +26,6 @@ from ksreg.orbit_space import (
     reduced_momentum,
     relation_residuals,
     relation_residuals_batch,
-    tangent_sphere_chart,
 )
 from ksreg.sampling import sample_even_integers
 
@@ -236,18 +234,13 @@ class TestFiberInterior:
 class TestFiberBoundary:
     def test_recorded_example(self):
         out = reconstruct_fiber_boundary((0, 0, 0, 1), (0, 1, 0, 0), 1, sign=1)
-        assert isinstance(out, BoundaryFiber)
-        assert out.eta == (0, 0, 0)
-        assert out.eta_paired == (0, -1, 0)
-        assert out.mismatch == 1
+        assert out == (0, 0, 0)
 
     def test_sign_symmetry(self):
         plus = reconstruct_fiber_boundary((1, 0, 0, 0), (0, 1, 0, 0), 1, sign=1)
         minus = reconstruct_fiber_boundary((1, 0, 0, 0), (0, 1, 0, 0), 1, sign=-1)
-        assert plus.eta == tuple(-v for v in minus.eta)
-        assert plus.eta == (1, 0, 0)
-        # The paired expression does not depend on the sign choice.
-        assert plus.eta_paired == minus.eta_paired
+        assert plus == tuple(-v for v in minus)
+        assert plus == (1, 0, 0)
 
     def test_degenerate_input_rejected(self):
         with pytest.raises(ValueError):
@@ -264,12 +257,3 @@ class TestSpherePreconditions:
             reconstruct_fiber_interior(U, V, 1)
         with pytest.raises(ValueError):
             reconstruct_fiber_boundary(U, V, 1, sign=1)
-        with pytest.raises(ValueError):
-            tangent_sphere_chart(U, V, 1)
-
-
-class TestNormalization:
-    def test_tangent_sphere_chart(self):
-        u, v = tangent_sphere_chart((0, 0, 2, 0), (0, 2, 0, 0), 2)
-        assert u == (0, 0, 1, 0)
-        assert v == (0, 2, 0, 0)
