@@ -175,8 +175,14 @@ def eval_monomials(monomials, z: Sequence) -> object:
 def divide(v, d: int):
     """v / d, exact on int and Fraction numbers and on integer arrays.
 
+    An int gives a Fraction, also for d = 1.  An object array is divided
+    entry by entry by the same rule, so Python-int entries give Fractions.
     Raises ValueError when an integer array is not divisible by d.
     """
+    if isinstance(v, np.ndarray) and v.dtype == object:
+        return np.frompyfunc(lambda x: divide(x, d), 1, 1)(v)
+    if isinstance(v, (int, np.integer)):
+        return Fraction(v, d)
     if d == 1:
         return v
     if isinstance(v, np.ndarray) and v.dtype.kind in "iu":
@@ -184,8 +190,6 @@ def divide(v, d: int):
             raise ValueError(f"integer batch is not divisible by {d}: use even entries "
                              "so that half-integer coefficients stay exact")
         return v // d
-    if isinstance(v, (int, np.integer)):
-        return Fraction(v, d)
     return v / d
 
 
@@ -223,9 +227,11 @@ def eval_pi_batch(Z: np.ndarray) -> np.ndarray:
 def eval_generator_columns(z) -> tuple:
     """The generators at eight columns (numbers or (n,) arrays).
 
-    The one body behind eval_generators and eval_generators_batch.
-    Fraction columns give Fractions, float columns floats, and integer
-    arrays, which must be even, integer arrays.
+    The body behind eval_generators_batch, and behind eval_generators
+    for a point that is not all Fractions.
+    Fraction columns give Fractions, float columns floats, integer
+    arrays, which must be even, integer arrays, and object arrays of
+    Python ints or Fractions arrays of Fractions.
     """
     return tuple(divide(eval_monomials(terms, z), d) for d, terms in _GEN_TERMS)
 
@@ -236,8 +242,17 @@ def eval_generators(z: Sequence) -> tuple:
     Fractions for a point of ints and Fractions, floats for a float
     point.  Uses the direct (q,p)-monomial form; generators_from_pi(eval_pi(z))
     must agree exactly and the test suite holds the two paths together.
+    A point of Fractions runs in ints: its entries times the lcm D of
+    their denominators, each generator divided once by d D^2 at the end,
+    which gives the Fractions eval_generator_columns gives.  Any other
+    point runs eval_generator_columns.
     """
-    return eval_generator_columns(point8(z))
+    z = point8(z)
+    if not all(isinstance(v, Fraction) for v in z):
+        return eval_generator_columns(z)
+    den = math.lcm(*(v.denominator for v in z))
+    n = tuple(v.numerator * (den // v.denominator) for v in z)
+    return tuple(Fraction(eval_monomials(terms, n), d * den * den) for d, terms in _GEN_TERMS)
 
 
 def eval_generators_batch(Z: np.ndarray) -> np.ndarray:

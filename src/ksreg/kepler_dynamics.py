@@ -96,7 +96,7 @@ def preregularized_vector_field(w) -> np.ndarray:
     dx/ds = |x| y, dy/ds = -(|y|^2 + 1) x / (2|x|).
     """
     x, y, r = _field_point(w)
-    c = -(y @ y + 1) / 2
+    c = -(dot3(y, y) + 1) / 2
     # Entry by entry: at one point these are scalar operations, which cost
     # far less than array operations on 3-vectors.
     return np.array([r * y[0], r * y[1], r * y[2], c * x[0] / r, c * x[1] / r, c * x[2] / r])
@@ -110,7 +110,7 @@ def rescaled_kepler_vector_field(w) -> np.ndarray:
     gradient; the cross-validation lives in the tests.
     """
     x, y, r = _field_point(w)
-    energy = (y @ y) / 2 - 1 / r
+    energy = dot3(y, y) / 2 - 1 / r
     dy = -x / r**2 - (energy + 0.5) * x / r
     return np.concatenate([r * y, dy])
 

@@ -6,15 +6,24 @@ terms dropped.  That is the representation the invariant tables use, so
 the generators enter the engine unchanged and equal forms compare equal.
 Brackets close on this class and every identity below is checked
 without rounding.  Invariant forms decompose uniquely over the generator
-set; that is how the induced vector fields on the orbit space are
-computed.  A verbatim transcription of the reference component table
-ships alongside the regenerated one, and discrepancies are reported,
-never silently edited.
+set.
+
+poisson_bracket and decompose are the general engine, for any forms,
+and the reference the generator algebra is tested against.  The algebra
+itself is read from one integer tensor: structure_constants() takes the
+generators' Hessians, whose Gram matrix is 8 I, brackets them as
+matrices and projects back, so {G_a, G_b} = sum_k T[a, b, k] G_k / 8.
+The induced vector fields and the so(4) report read that tensor.  A
+verbatim transcription of the reference component table ships alongside
+the regenerated one, and discrepancies are reported, never silently
+edited.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .invariants import (GEN_MONOMIALS, GENERATOR_NAMES, PI_FROM_GEN_TABLE, PI_MONOMIALS,
                          PI_NAMES, combine_monomials)
@@ -41,9 +50,6 @@ class QuadraticForm:
         order, with i > j, repeated, or cancelling.
         """
         return cls(combine_monomials({0: 1}, (monomials,)))
-
-    def scaled(self, c) -> "QuadraticForm":
-        return QuadraticForm(combine_monomials({0: Fraction(c)}, (self.terms,)))
 
     def __add__(self, other: "QuadraticForm") -> "QuadraticForm":
         return QuadraticForm(combine_monomials({0: 1, 1: 1}, (self.terms, other.terms)))
@@ -135,6 +141,53 @@ def decompose(form: QuadraticForm) -> dict:
     return named
 
 
+#: The Gram matrix of the generators' Hessians is _GRAM times the identity.
+_GRAM = 8
+# {f, g} = grad f . J grad g in z = (q, p).
+_J = np.kron([[0, 1], [-1, 0]], np.eye(4, dtype=np.int64))
+
+
+def structure_constants() -> np.ndarray:
+    """The generator algebra as one (16, 16, 16) integer tensor T.
+
+    {G_a, G_b} = sum_k T[a, b, k] G_k / 8, with indices in
+    GENERATOR_NAMES order.  The Hessian M = form.a of each generator is
+    an integer matrix, and the bracket of two quadratic forms has the
+    Hessian H_ab = M_a J M_b - M_b J M_a.  The Hessians have the Gram
+    matrix 8 I, so T[a, b, k] = <M_k, H_ab>.  The tensor is then expanded
+    back, and DecompositionError is raised unless sum_k T[a, b, k] M_k
+    equals 8 H_ab in integers for every pair.  Built on each call.
+    """
+    entries = [v for name in GENERATOR_NAMES for row in GENERATOR_FORMS[name].a for v in row]
+    if any(v.denominator != 1 for v in entries):
+        raise DecompositionError("a generator Hessian is not an integer matrix")
+    m = np.array([v.numerator for v in entries], dtype=np.int64).reshape(-1, _DIM, _DIM)
+    h = (m @ _J)[:, None] @ m[None]
+    h = h - h.transpose(1, 0, 2, 3)
+    t = np.einsum("kij,abij->abk", m, h)
+    if not np.array_equal(np.einsum("abk,kij->abij", t, m), _GRAM * h):
+        raise DecompositionError(
+            "a generator bracket is not a linear combination of the generators"
+        )
+    return t
+
+
+def _tensor_bracket(rows, f: dict, g: dict) -> dict:
+    """{f, g} over the generators, for f and g given as {name: coefficient}.
+
+    rows is structure_constants().tolist(); the bracket is bilinear, so it
+    is the coefficients' combination of the tensor's rows.  Zero entries
+    are omitted, as decompose omits them.
+    """
+    acc = [0] * len(GENERATOR_NAMES)
+    for a, ca in f.items():
+        for b, cb in g.items():
+            for k, t in enumerate(rows[GENERATOR_NAMES.index(a)][GENERATOR_NAMES.index(b)]):
+                if t:
+                    acc[k] += ca * cb * t
+    return {name: Fraction(c, _GRAM) for name, c in zip(GENERATOR_NAMES, acc) if c}
+
+
 def format_linear(coeffs: dict, order=GENERATOR_NAMES) -> str:
     """Render a {name: coeff} dict as a canonical expression string.
 
@@ -176,14 +229,6 @@ _SO4_EXPECTED = (
 _EPS = {(1, 2): (3, 1), (1, 3): (2, -1), (2, 3): (1, 1)}
 
 
-def _xi_form(i: int) -> QuadraticForm:
-    return linear_combination({f"K{i}": Fraction(1, 2), f"L{i}": Fraction(1, 2)})
-
-
-def _eta_form(i: int) -> QuadraticForm:
-    return linear_combination({f"K{i}": Fraction(1, 2), f"L{i}": Fraction(-1, 2)})
-
-
 def verify_so4_relations() -> dict:
     """Check the bracket table of (K, L) and the split basis (xi, eta).
 
@@ -192,12 +237,12 @@ def verify_so4_relations() -> dict:
     xi_eta row carries the computed scale factor next to the documented
     one (1, -1, 0), with a flag saying whether they agree; the computed
     factors are 2, -2, 0, and the report keeps both without editing.
+    Every bracket is read from structure_constants().
     """
+    rows = structure_constants().tolist()
     so4_rows = []
     for a, b, expected in _SO4_EXPECTED:
-        computed = decompose(
-            poisson_bracket(GENERATOR_FORMS[a], GENERATOR_FORMS[b])
-        )
+        computed = _tensor_bracket(rows, {a: 1}, {b: 1})
         so4_rows.append({
             "pair": f"{{{a},{b}}}",
             "expected": format_linear(expected),
@@ -205,20 +250,19 @@ def verify_so4_relations() -> dict:
             "match": computed == {k: Fraction(v) for k, v in expected.items()},
         })
 
-    xi = {i: _xi_form(i) for i in (1, 2, 3)}
-    eta = {i: _eta_form(i) for i in (1, 2, 3)}
+    half = Fraction(1, 2)
+    xi = {i: {f"K{i}": half, f"L{i}": half} for i in (1, 2, 3)}
+    eta = {i: {f"K{i}": half, f"L{i}": -half} for i in (1, 2, 3)}
     xi_eta_rows = []
-
-    def _proportional_factor(bracket: QuadraticForm, target: QuadraticForm):
-        # Canonical terms line up, so a multiple of target leads with the
-        # multiple of target's leading coefficient.
-        factor = bracket.terms[0][0] / target.terms[0][0] if bracket.terms else Fraction(0)
-        return factor if target.scaled(factor) == bracket else None
-
     for family, forms, doc in (("xi", xi, 1), ("eta", eta, -1)):
         for (i, j), (k, eps) in _EPS.items():
-            br = poisson_bracket(forms[i], forms[j])
-            factor = _proportional_factor(br, forms[k].scaled(eps))
+            br = _tensor_bracket(rows, forms[i], forms[j])
+            # The factor that would make br a multiple of eps * forms[k],
+            # read on its K_k entry, kept only if the whole of br agrees.
+            target = {name: eps * c for name, c in forms[k].items()}
+            factor = br.get(f"K{k}", 0) / target[f"K{k}"]
+            if br != {name: factor * c for name, c in target.items() if factor}:
+                factor = None
             name_k = f"{family}{k}"
             xi_eta_rows.append({
                 "pair": f"{{{family}{i},{family}{j}}}",
@@ -231,11 +275,11 @@ def verify_so4_relations() -> dict:
             })
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            br = poisson_bracket(xi[i], eta[j])
-            factor = Fraction(0) if br.is_zero() else None
+            br = _tensor_bracket(rows, xi[i], eta[j])
+            factor = None if br else Fraction(0)
             xi_eta_rows.append({
                 "pair": f"{{xi{i},eta{j}}}",
-                "computed": "0" if br.is_zero() else format_linear(decompose(br)),
+                "computed": format_linear(br),
                 "factor": float(factor) if factor is not None else None,
                 "documented_factor": 0.0,
                 "matches_documented": factor == 0,
@@ -243,26 +287,29 @@ def verify_so4_relations() -> dict:
     return {"so4": so4_rows, "xi_eta": xi_eta_rows}
 
 
+def _induced_field(rows, name: str) -> dict:
+    return {
+        coord: component
+        for coord in GENERATOR_NAMES
+        if (component := _tensor_bracket(rows, {coord: 1}, {name: 1}))
+    }
+
+
 def induced_vector_field(name: str) -> dict:
     """Induced field on the orbit space of one generator G.
 
     Returns {coordinate: {generator: coefficient}}: the component on
-    coordinate c is the bracket {c, G} decomposed over the generators.
-    Only nonzero components are present.
+    coordinate c is the bracket {c, G} over the generators, read from
+    structure_constants().  Only nonzero components are present.
     """
-    g = GENERATOR_FORMS[name]
-    components = {}
-    for coord in GENERATOR_NAMES:
-        br = poisson_bracket(GENERATOR_FORMS[coord], g)
-        if not br.is_zero():
-            components[coord] = decompose(br)
-    return components
+    return _induced_field(structure_constants().tolist(), name)
 
 
 def regenerated_induced_field_table() -> dict:
     """All 16 induced fields as {generator: {coordinate: expression}}."""
+    rows = structure_constants().tolist()
     return {
-        name: {c: format_linear(coeffs) for c, coeffs in induced_vector_field(name).items()}
+        name: {c: format_linear(coeffs) for c, coeffs in _induced_field(rows, name).items()}
         for name in GENERATOR_NAMES
     }
 

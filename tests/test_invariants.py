@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ksreg.sampling import sample_fractions
@@ -24,6 +24,7 @@ from ksreg.invariants import (
     V,
     V1,
     XI,
+    eval_generator_columns,
     eval_generators,
     eval_generators_batch,
     eval_pi,
@@ -110,6 +111,25 @@ class TestGeneratorValues:
         via_pi = generators_from_pi(eval_pi(z))
         assert direct == via_pi
 
+    @given(point_st)
+    @example((1, -2, 0, 3, 4, -5, 6, 7))
+    @example((Fraction(1, 3), 0, Fraction(-2, 5), Fraction(7, 4), Fraction(1, 6),
+              Fraction(-3, 8), Fraction(5, 2), Fraction(-1, 9)))
+    @example((Fraction(1, 3), Fraction(4), Fraction(-2, 5), Fraction(7, 4), Fraction(1, 6),
+              Fraction(-3, 8), Fraction(5, 2), Fraction(-1, 9)))
+    @settings(max_examples=100, deadline=None)
+    def test_common_denominator_path_is_the_column_body(self, z):
+        """A Fraction point runs in ints over one denominator, with the same Fractions."""
+        g = eval_generators(z)
+        assert g == eval_generator_columns(point8(z))
+        assert all(type(v) is Fraction for v in g)
+
+    def test_one_float_entry_gives_floats(self):
+        z = (Fraction(1, 3), 0, Fraction(-2, 5), 1, 0.5, Fraction(7, 4), 0, 2)
+        g = eval_generators(z)
+        assert all(type(v) is float for v in g)
+        assert g == eval_generator_columns(point8(z))
+
 
 class TestChangeOfBasis:
     def test_matrices_are_exact_inverses(self):
@@ -162,6 +182,13 @@ class TestBatchEvaluation:
         for row, zrow in zip(batch, Z):
             exact = eval_generators(tuple(int(v) for v in zrow))
             assert tuple(int(v) for v in row) == exact
+
+    def test_python_int_batch_gives_fractions(self):
+        """An object array of Python ints stays exact, as a Python-int point does."""
+        Z = np.array([[2, 4, 6, 8, 10, 12, 14, 16], [1, 0, -3, 5, 0, 7, 2, -1]], dtype=object)
+        batch = eval_generators_batch(Z)
+        assert all(type(v) is Fraction for v in batch.ravel())
+        assert batch.tolist() == [list(eval_generators(row)) for row in Z]
 
     def test_non_integral_integer_batch_is_rejected(self):
         # H2 = 1/2 here, which has no exact int64 representation.

@@ -125,7 +125,8 @@ class TestVectorFields:
             w = rng.standard_normal(6) * 10.0 ** rng.integers(-4, 5)
             x, y = w[:3], w[3:]
             r = math.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
-            former = np.concatenate([r * y, -(y @ y + 1) / 2 * x / r])
+            yy = y[0] * y[0] + y[1] * y[1] + y[2] * y[2]
+            former = np.concatenate([r * y, -(yy + 1) / 2 * x / r])
             assert preregularized_vector_field(w).tobytes() == former.tobytes()
             assert preregularized_vector_field(tuple(w)).tobytes() == former.tobytes()
 
@@ -133,6 +134,13 @@ class TestVectorFields:
         field = kepler_vector_field(CIRCULAR)
         assert np.allclose(field, [1, 0, 0, 0, 0, -1], atol=1e-15)
 
+    def test_regularized_fields_on_columns_give_the_single_point_values(self):
+        rng = np.random.default_rng(5)
+        w = rng.uniform(-1.0, 1.0, (6, 50)) * 10.0 ** rng.integers(-4, 5, 50)
+        for field in (preregularized_vector_field, rescaled_kepler_vector_field):
+            cols = field(w)
+            per_point = np.stack([field(c) for c in w.T], axis=1)
+            assert cols.tobytes() == per_point.tobytes(), field.__name__
 
     def test_raw_field_on_columns_gives_the_single_point_values(self):
         w = np.random.default_rng(3).uniform(-1.0, 1.0, (6, 50))

@@ -14,6 +14,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ksreg import quadratic_poisson
 from ksreg.invariants import GENERATOR_NAMES
 from ksreg.quadratic_poisson import (
     DecompositionError,
@@ -26,6 +27,7 @@ from ksreg.quadratic_poisson import (
     poisson_bracket,
     reference_table_diff,
     regenerated_induced_field_table,
+    structure_constants,
     verify_so4_relations,
 )
 
@@ -133,6 +135,62 @@ class TestBracketEngine:
         for a in GENERATOR_NAMES:
             for b in GENERATOR_NAMES:
                 decompose(poisson_bracket(GENERATOR_FORMS[a], GENERATOR_FORMS[b]))
+
+
+class TestStructureConstants:
+    """The integer tensor against the term engine, and the algebra it encodes."""
+
+    def test_every_pair_is_the_reference_decomposition(self):
+        t = structure_constants()
+        assert t.shape == (16, 16, 16) and t.dtype.kind == "i"
+        for a, name_a in enumerate(GENERATOR_NAMES):
+            for b, name_b in enumerate(GENERATOR_NAMES):
+                reference = decompose(
+                    poisson_bracket(GENERATOR_FORMS[name_a], GENERATOR_FORMS[name_b]))
+                row = {GENERATOR_NAMES[k]: Fraction(int(c), 8)
+                       for k, c in enumerate(t[a, b]) if c}
+                assert row == reference, (name_a, name_b)
+
+    def test_antisymmetric(self):
+        t = structure_constants()
+        assert np.array_equal(t, -t.transpose(1, 0, 2))
+
+    def test_jacobi_identity_in_integers(self):
+        """{{a, b}, c} + {{b, c}, a} + {{c, a}, b} = 0 for all 4096 triples.
+
+        Entries are at most 16 in size, so the int64 sums stay below 2^14.
+        """
+        t = structure_constants()
+        assert np.abs(t).max() <= 16
+        cyclic = (np.einsum("abm,mck->abck", t, t) + np.einsum("bcm,mak->abck", t, t)
+                  + np.einsum("cam,mbk->abck", t, t))
+        assert not cyclic.any()
+
+    def test_center_is_exactly_xi(self):
+        """Xi brackets to zero, and no other direction does: the rest has rank 15."""
+        t = structure_constants()
+        xi = GENERATOR_NAMES.index("Xi")
+        assert not t[xi].any()
+        assert sympy.Matrix(t.reshape(16, -1).tolist()).rank() == 15
+
+    def test_induced_fields_match_the_reference_engine(self):
+        for name in GENERATOR_NAMES:
+            reference = {}
+            for coord in GENERATOR_NAMES:
+                br = poisson_bracket(GENERATOR_FORMS[coord], GENERATOR_FORMS[name])
+                if not br.is_zero():
+                    reference[coord] = decompose(br)
+            assert induced_vector_field(name) == reference, name
+
+    def test_a_form_outside_the_algebra_is_rejected(self, monkeypatch):
+        lone = QuadraticForm.from_monomials(((Fraction(1), 0, 4),))  # q1*p1 alone
+        monkeypatch.setitem(quadratic_poisson.GENERATOR_FORMS, "K1", lone)
+        with pytest.raises(DecompositionError, match="linear combination"):
+            structure_constants()
+        half = QuadraticForm.from_monomials(((Fraction(1, 2), 0, 4),))
+        monkeypatch.setitem(quadratic_poisson.GENERATOR_FORMS, "K1", half)
+        with pytest.raises(DecompositionError, match="integer"):
+            structure_constants()
 
 
 class TestCanonicalForm:
