@@ -200,14 +200,12 @@ def ks_relatedness_harness(
     orbit meets {q = 0} yield a partial result truncated at the |x|
     guard, carrying the closed-form physical collision time.  The start
     must lie on the (1, 0) level within 1e-9.  The comparison grid holds
-    samples + 1 times, with samples at least 2.  The integrator runs at
-    rtol = atol = 1e-10.
+    samples + 1 times, with samples at least 2, and ks_batch rejects a
+    start at q = 0.  The integrator runs at rtol = atol = 1e-10.
     """
     z0 = point8(z0)
     g = eval_generators(z0)
     require_level_set(g[H2], g[XI], 1e-9)
-    if all(v == 0 for v in z0[:4]):
-        raise ValueError("the start itself sits at q = 0, outside the chart")
     if not 0 <= t_max < math.inf:
         raise ValueError("t_max must be finite and nonnegative")
     if samples < 2:

@@ -80,40 +80,25 @@ GEN_FROM_PI_TABLE: dict[str, dict[str, Fraction]] = {
     "V4": {"pi5": Fraction(1), "pi6": Fraction(-1)},
 }
 
-# The inverse map.  The pi11 row is the true inverse entry; a naive
-# transcription of the published list gets its sign pattern wrong, and
-# the exactness test against a computed matrix inverse pins it down.
-PI_FROM_GEN_TABLE: dict[str, dict[str, Fraction]] = {
-    "pi1": {"H2": HALF, "K3": -HALF, "U4": HALF, "V1": HALF},
-    "pi2": {"H2": HALF, "K3": HALF, "U4": -HALF, "V1": HALF},
-    "pi3": {"H2": HALF, "K3": -HALF, "U4": -HALF, "V1": -HALF},
-    "pi4": {"H2": HALF, "K3": HALF, "U4": HALF, "V1": -HALF},
-    "pi5": {"V4": HALF, "U1": -HALF},
-    "pi6": {"U1": -HALF, "V4": -HALF},
-    "pi7": {"Xi": HALF, "L3": -HALF},
-    "pi8": {"Xi": HALF, "L3": HALF},
-    "pi9": {"U3": HALF, "K2": -HALF},
-    "pi10": {"U2": HALF, "K1": -HALF},
-    "pi11": {"U3": -HALF, "K2": -HALF},
-    "pi12": {"U2": -HALF, "K1": -HALF},
-    "pi13": {"V3": HALF, "L1": -HALF},
-    "pi14": {"V2": HALF, "L2": HALF},
-    "pi15": {"V3": HALF, "L1": HALF},
-    "pi16": {"V2": HALF, "L2": -HALF},
-}
+#: The Hessians of the generators have the Gram matrix GENERATOR_GRAM times I.
+GENERATOR_GRAM = 8
 
 
-def _table_to_matrix(table, row_names, col_names):
-    m = [[Fraction(0)] * len(col_names) for _ in row_names]
-    for i, rname in enumerate(row_names):
-        for cname, coeff in table[rname].items():
-            m[i][col_names.index(cname)] = coeff
-    return tuple(tuple(row) for row in m)
+def _hessian_square_norm(monomials) -> int:
+    """<A, A> for the Hessian A of sum c z_i z_j: 4c^2 per square, 2c^2 per cross term."""
+    return sum((4 if i == j else 2) * c * c for c, i, j in monomials)
 
 
 #: 16x16 exact matrices for the two directions of the linear change of basis.
-GEN_FROM_PI_MATRIX = _table_to_matrix(GEN_FROM_PI_TABLE, GENERATOR_NAMES, PI_NAMES)
-PI_FROM_GEN_MATRIX = _table_to_matrix(PI_FROM_GEN_TABLE, PI_NAMES, GENERATOR_NAMES)
+#: The pi Hessians have disjoint supports, so their Gram matrix is a diagonal
+#: D; with M = GEN_FROM_PI_MATRIX, M D M^T = 8 I, and the inverse is D M^T / 8.
+GEN_FROM_PI_MATRIX = tuple(
+    tuple(Fraction(GEN_FROM_PI_TABLE[g].get(p, 0)) for p in PI_NAMES) for g in GENERATOR_NAMES
+)
+PI_FROM_GEN_MATRIX = tuple(
+    tuple(m * _hessian_square_norm(monomials) / GENERATOR_GRAM for m in column)
+    for monomials, column in zip(PI_MONOMIALS, zip(*GEN_FROM_PI_MATRIX))
+)
 
 
 def combine_monomials(coeffs: dict, table: dict) -> tuple:
@@ -193,6 +178,19 @@ def divide(v, d: int):
     return v / d
 
 
+def exact_ints(A, bound: int) -> np.ndarray:
+    """A as an array, turned to Python ints if an integer entry exceeds +-bound.
+
+    numpy integers wrap silently.  A batch body that multiplies passes the
+    largest entry for which its int64 partial sums stay below 2^63; past it
+    the same body runs on Python ints, which divide keeps exact.
+    """
+    A = np.asarray(A)
+    if A.dtype.kind in "iu" and A.size and (A.max() > bound or A.min() < -bound):
+        return A.astype(object)
+    return A
+
+
 def point8(z) -> tuple:
     """A phase point (q1..q4, p1..p4) as an 8-tuple of its entries.
 
@@ -259,9 +257,12 @@ def eval_generators_batch(Z: np.ndarray) -> np.ndarray:
     """Evaluate the generators over an (n, 8) array, returning (n, 16).
 
     For exact integer input use an even-integer array: the four
-    generators with half-integer coefficients then stay integral.
+    generators with half-integer coefficients then stay integral.  An
+    integer array with an entry beyond 2^29 runs in Python ints and gives
+    Fractions: each generator sums at most 8 products of two entries with
+    coefficient +-1, and 8 * (2^29)^2 = 2^61 stays below the int64 limit.
     """
-    return np.stack(eval_generator_columns(np.asarray(Z).T), axis=1)
+    return np.stack(eval_generator_columns(exact_ints(Z, 2**29).T), axis=1)
 
 
 def _apply_linear(matrix, values) -> tuple:

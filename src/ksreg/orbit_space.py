@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import H2, K, L, U, V, XI
+from .invariants import H2, K, L, U, V, XI, exact_ints
 
 RELATION_NAMES = (
     "UU", "VV", "UV",
@@ -92,19 +92,22 @@ def relation_residuals(g) -> RelationResidual:
     )
 
 
-def _columns(G) -> tuple:
+def _columns(G, bound: int) -> tuple:
     # The scalar formulas are polymorphic, so they run unchanged on the
-    # sixteen columns of an (n, 16) generator array.
-    return tuple(np.asarray(G).T)
+    # sixteen columns of an (n, 16) generator array, in Python ints when
+    # an integer entry exceeds the bound that keeps int64 from wrapping.
+    return tuple(exact_ints(G, bound).T)
 
 
 def relation_residuals_batch(G: np.ndarray):
     """Vectorized residuals over an (n, 16) generator array.
 
     Columns follow GENERATOR_NAMES order.  Returns (residuals dict of
-    (n,) arrays, h2 column, wedge gap column).
+    (n,) arrays, h2 column, wedge gap column).  The relations are of
+    degree 2, with partial sums at most 6 g^2 in the largest entry g, so
+    int64 stays exact up to g = 2^29.
     """
-    res = relation_residuals(_columns(G))
+    res = relation_residuals(_columns(G, 2**29))
     return res.residuals, res.h2, res.wedge_gap
 
 
@@ -127,8 +130,13 @@ def lagrange_identity_check(g) -> dict:
 
 
 def lagrange_identity_batch(G: np.ndarray) -> dict:
-    """lagrange_identity_check over an (n, 16) array: pairs of (n,) arrays."""
-    return lagrange_identity_check(_columns(G))
+    """lagrange_identity_check over an (n, 16) array: pairs of (n,) arrays.
+
+    The identities are of degree 4.  In the largest entry g, each wedge
+    bilinear is at most 2 g^2 and <u, v> at most 4 g^2, so the wedge_sum
+    side reaches 6 * 4 g^4 + 16 g^4 = 40 g^4: below 2^63 up to g = 2^14.
+    """
+    return lagrange_identity_check(_columns(G, 2**14))
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ and the reference the generator algebra is tested against.  The algebra
 itself is read from one integer tensor: structure_constants() takes the
 generators' Hessians, whose Gram matrix is 8 I, brackets them as
 matrices and projects back, so {G_a, G_b} = sum_k T[a, b, k] G_k / 8.
-The induced vector fields and the so(4) report read that tensor.  A
-verbatim transcription of the reference component table ships alongside
-the regenerated one, and discrepancies are reported, never silently
-edited.
+The induced vector fields and the so(4) report contract that tensor,
+the one reader of the algebra.  A verbatim transcription of the
+reference component table ships alongside the regenerated one, and
+discrepancies are reported, never silently edited.
 """
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .invariants import (GEN_MONOMIALS, GENERATOR_NAMES, PI_FROM_GEN_TABLE, PI_MONOMIALS,
-                         PI_NAMES, combine_monomials)
+from .invariants import (GEN_MONOMIALS, GENERATOR_GRAM, GENERATOR_NAMES, PI_FROM_GEN_MATRIX,
+                         PI_MONOMIALS, K, L, combine_monomials)
 
 _DIM = 8
 
@@ -110,10 +110,7 @@ class DecompositionError(ValueError):
 # an invariant form is its coefficient on the first monomial c z_i z_j of
 # pi_k, divided by c.  Those first monomials have i <= j, as the
 # canonical terms do.
-_PI_PROBES = tuple(
-    (name, (i, j), Fraction(c))
-    for name, ((c, i, j), *_) in zip(PI_NAMES, PI_MONOMIALS)
-)
+_PI_PROBES = tuple(((i, j), Fraction(c)) for (c, i, j), *_ in PI_MONOMIALS)
 
 
 def decompose(form: QuadraticForm) -> dict:
@@ -121,19 +118,16 @@ def decompose(form: QuadraticForm) -> dict:
 
     Returns {generator name: rational coefficient} with zero entries
     omitted.  The pi coefficients are read off the form and mapped
-    through PI_FROM_GEN_TABLE; the result is then expanded again and
+    through PI_FROM_GEN_MATRIX; the result is then expanded again and
     compared with the form.  Raises DecompositionError if the form lies
     outside the span, which is how non-invariant forms announce
     themselves.
     """
     on_pair = {(i, j): c for c, i, j in form.terms}
-    coeffs: dict[str, Fraction] = {}
-    for name, pair, div in _PI_PROBES:
-        c = on_pair.get(pair, 0) / div
-        if c:
-            for gen, p in PI_FROM_GEN_TABLE[name].items():
-                coeffs[gen] = coeffs.get(gen, 0) + c * p
-    named = {n: coeffs[n] for n in GENERATOR_NAMES if coeffs.get(n, 0) != 0}
+    pi = [on_pair.get(pair, 0) / div for pair, div in _PI_PROBES]
+    coeffs = (sum(c * p for c, p in zip(pi, column) if c and p)
+              for column in zip(*PI_FROM_GEN_MATRIX))
+    named = {n: c for n, c in zip(GENERATOR_NAMES, coeffs) if c != 0}
     if linear_combination(named) != form:
         raise DecompositionError(
             "form is not a linear combination of the invariant generators"
@@ -141,8 +135,6 @@ def decompose(form: QuadraticForm) -> dict:
     return named
 
 
-#: The Gram matrix of the generators' Hessians is _GRAM times the identity.
-_GRAM = 8
 # {f, g} = grad f . J grad g in z = (q, p).
 _J = np.kron([[0, 1], [-1, 0]], np.eye(4, dtype=np.int64))
 
@@ -165,27 +157,16 @@ def structure_constants() -> np.ndarray:
     h = (m @ _J)[:, None] @ m[None]
     h = h - h.transpose(1, 0, 2, 3)
     t = np.einsum("kij,abij->abk", m, h)
-    if not np.array_equal(np.einsum("abk,kij->abij", t, m), _GRAM * h):
+    if not np.array_equal(np.einsum("abk,kij->abij", t, m), GENERATOR_GRAM * h):
         raise DecompositionError(
             "a generator bracket is not a linear combination of the generators"
         )
     return t
 
 
-def _tensor_bracket(rows, f: dict, g: dict) -> dict:
-    """{f, g} over the generators, for f and g given as {name: coefficient}.
-
-    rows is structure_constants().tolist(); the bracket is bilinear, so it
-    is the coefficients' combination of the tensor's rows.  Zero entries
-    are omitted, as decompose omits them.
-    """
-    acc = [0] * len(GENERATOR_NAMES)
-    for a, ca in f.items():
-        for b, cb in g.items():
-            for k, t in enumerate(rows[GENERATOR_NAMES.index(a)][GENERATOR_NAMES.index(b)]):
-                if t:
-                    acc[k] += ca * cb * t
-    return {name: Fraction(c, _GRAM) for name, c in zip(GENERATOR_NAMES, acc) if c}
+def _named(vector, den: int = GENERATOR_GRAM) -> dict:
+    """{generator: Fraction(v, den)} for the nonzero entries v of an integer 16-vector."""
+    return {name: Fraction(v, den) for name, v in zip(GENERATOR_NAMES, vector.tolist()) if v}
 
 
 def format_linear(coeffs: dict, order=GENERATOR_NAMES) -> str:
@@ -237,12 +218,13 @@ def verify_so4_relations() -> dict:
     xi_eta row carries the computed scale factor next to the documented
     one (1, -1, 0), with a flag saying whether they agree; the computed
     factors are 2, -2, 0, and the report keeps both without editing.
-    Every bracket is read from structure_constants().
+    Every bracket is a contraction of structure_constants().
     """
-    rows = structure_constants().tolist()
+    t = structure_constants()
+    index = GENERATOR_NAMES.index
     so4_rows = []
     for a, b, expected in _SO4_EXPECTED:
-        computed = _tensor_bracket(rows, {a: 1}, {b: 1})
+        computed = _named(t[index(a), index(b)])
         so4_rows.append({
             "pair": f"{{{a},{b}}}",
             "expected": format_linear(expected),
@@ -250,18 +232,20 @@ def verify_so4_relations() -> dict:
             "match": computed == {k: Fraction(v) for k, v in expected.items()},
         })
 
-    half = Fraction(1, 2)
-    xi = {i: {f"K{i}": half, f"L{i}": half} for i in (1, 2, 3)}
-    eta = {i: {f"K{i}": half, f"L{i}": -half} for i in (1, 2, 3)}
+    # Rows i = 0..2 of xi and eta are the integral vectors 2 xi_i = K_i + L_i
+    # and 2 eta_i = K_i - L_i, so {x_i / 2, y_j / 2} = (x T y)[i, j] / 32.
+    unit = np.eye(len(GENERATOR_NAMES), dtype=np.int64)
+    xi, eta = unit[K] + unit[L], unit[K] - unit[L]
     xi_eta_rows = []
-    for family, forms, doc in (("xi", xi, 1), ("eta", eta, -1)):
+    for family, basis, doc in (("xi", xi, 1), ("eta", eta, -1)):
+        brackets = np.einsum("ia,jb,abk->ijk", basis, basis, t)
         for (i, j), (k, eps) in _EPS.items():
-            br = _tensor_bracket(rows, forms[i], forms[j])
-            # The factor that would make br a multiple of eps * forms[k],
-            # read on its K_k entry, kept only if the whole of br agrees.
-            target = {name: eps * c for name, c in forms[k].items()}
-            factor = br.get(f"K{k}", 0) / target[f"K{k}"]
-            if br != {name: factor * c for name, c in target.items() if factor}:
+            b, w = brackets[i - 1, j - 1], eps * basis[k - 1]
+            # The factor f in {xi_i, xi_j} = f eps xi_k is (b / 32) / (w / 2)
+            # on the K_k entry, kept only if b is that multiple of w throughout.
+            on_k = index(f"K{k}")
+            factor = Fraction(int(b[on_k]), 16 * int(w[on_k]))
+            if not np.array_equal(b * w[on_k], b[on_k] * w):
                 factor = None
             name_k = f"{family}{k}"
             xi_eta_rows.append({
@@ -273,9 +257,10 @@ def verify_so4_relations() -> dict:
                 "documented_factor": float(doc),
                 "matches_documented": factor == doc,
             })
+    cross = np.einsum("ia,jb,abk->ijk", xi, eta, t)
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            br = _tensor_bracket(rows, xi[i], eta[j])
+            br = _named(cross[i - 1, j - 1], 4 * GENERATOR_GRAM)
             factor = None if br else Fraction(0)
             xi_eta_rows.append({
                 "pair": f"{{xi{i},eta{j}}}",
@@ -287,11 +272,11 @@ def verify_so4_relations() -> dict:
     return {"so4": so4_rows, "xi_eta": xi_eta_rows}
 
 
-def _induced_field(rows, name: str) -> dict:
+def _induced_field(t, g: int) -> dict:
     return {
         coord: component
-        for coord in GENERATOR_NAMES
-        if (component := _tensor_bracket(rows, {coord: 1}, {name: 1}))
+        for coord, row in zip(GENERATOR_NAMES, t[:, g])
+        if (component := _named(row))
     }
 
 
@@ -300,17 +285,18 @@ def induced_vector_field(name: str) -> dict:
 
     Returns {coordinate: {generator: coefficient}}: the component on
     coordinate c is the bracket {c, G} over the generators, read from
-    structure_constants().  Only nonzero components are present.
+    structure_constants(): T[c, G] / 8.  Only nonzero components are
+    present.
     """
-    return _induced_field(structure_constants().tolist(), name)
+    return _induced_field(structure_constants(), GENERATOR_NAMES.index(name))
 
 
 def regenerated_induced_field_table() -> dict:
     """All 16 induced fields as {generator: {coordinate: expression}}."""
-    rows = structure_constants().tolist()
+    t = structure_constants()
     return {
-        name: {c: format_linear(coeffs) for c, coeffs in _induced_field(rows, name).items()}
-        for name in GENERATOR_NAMES
+        name: {c: format_linear(coeffs) for c, coeffs in _induced_field(t, g).items()}
+        for g, name in enumerate(GENERATOR_NAMES)
     }
 
 

@@ -183,6 +183,14 @@ class TestBatchEvaluation:
             exact = eval_generators(tuple(int(v) for v in zrow))
             assert tuple(int(v) for v in row) == exact
 
+    def test_integer_batch_past_the_bound_does_not_wrap(self):
+        """q1 = 2^32 squares to 2^64, which int64 wraps to 0; the batch runs in Python ints."""
+        Z = np.zeros((1, 8), np.int64)
+        Z[0, 0] = 2**32
+        batch = eval_generators_batch(Z)
+        assert batch[0, H2] == 2**63
+        assert batch.tolist() == [list(eval_generators(Z[0].tolist()))]
+
     def test_python_int_batch_gives_fractions(self):
         """An object array of Python ints stays exact, as a Python-int point does."""
         Z = np.array([[2, 4, 6, 8, 10, 12, 14, 16], [1, 0, -3, 5, 0, 7, 2, -1]], dtype=object)

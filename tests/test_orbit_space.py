@@ -81,6 +81,13 @@ class TestRelationResiduals:
         for name, col in residuals.items():
             assert abs(col[0] - float(scalar.residuals[name])) <= 1e-12
 
+    def test_int64_batch_past_the_bound_does_not_wrap(self):
+        """U1 = 2^32 squares to 2^64, which int64 wraps to 0."""
+        G = np.zeros((1, 16), np.int64)
+        G[0, U.start] = 2**32
+        residuals, _, _ = relation_residuals_batch(G)
+        assert residuals["UU"][0] == 2**64
+
 
 class TestLagrangeIdentity:
     def test_orthogonal_seed(self):
@@ -113,6 +120,15 @@ class TestLagrangeIdentity:
             scalar = lagrange_identity_check(eval_generators(tuple(int(v) for v in z)))
             for name, (lhs, rhs) in scalar.items():
                 assert (batch[name][0][k], batch[name][1][k]) == (lhs, rhs), name
+
+    def test_int64_batch_past_the_bound_does_not_wrap(self):
+        """K1 = L1 = 2^32: |K|^2 + |L|^2 = 2^65 and <K, L> = 2^64 wrap to 0 in int64."""
+        G = np.zeros((1, 16), np.int64)
+        G[0, [K.start, L.start]] = 2**32
+        gaps = {name: lhs[0] - rhs[0] for name, (lhs, rhs) in lagrange_identity_batch(G).items()}
+        assert (gaps["norm_sum"], gaps["cross_dot"]) == (2**65, 2**64)
+        assert gaps == {name: lhs - rhs for name, (lhs, rhs)
+                        in lagrange_identity_check(tuple(G[0].tolist())).items()}
 
     def test_substituted_identity_floats(self):
         """(H2^2-Xi^2)^2 = (|K|^2+|L|^2)(H2^2+Xi^2) - 4<K,L>XiH2 on image."""

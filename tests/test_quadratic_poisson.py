@@ -273,6 +273,43 @@ class TestSo4Report:
             assert r["matches_documented"]
             assert r["computed"] == "0"
 
+    def test_every_row_is_the_term_engine_bracket(self):
+        """Each row's string, factor and flag, from decompose(poisson_bracket(...))."""
+        def bracket(f, g):
+            return decompose(poisson_bracket(linear_combination(f), linear_combination(g)))
+
+        report = verify_so4_relations()
+        for row in report["so4"]:
+            a, b = row["pair"][1:-1].split(",")
+            assert row["computed"] == format_linear(bracket({a: 1}, {b: 1})), row
+            assert row["match"] == (row["computed"] == row["expected"]), row
+
+        half = Fraction(1, 2)
+        split = {}
+        for i in (1, 2, 3):
+            split[f"xi{i}"] = {f"K{i}": half, f"L{i}": half}
+            split[f"eta{i}"] = {f"K{i}": half, f"L{i}": -half}
+        eps = {(1, 2): 1, (1, 3): -1, (2, 3): 1}
+        for row in report["xi_eta"]:
+            x, y = row["pair"][1:-1].split(",")
+            br = bracket(split[x], split[y])
+            family, i, j = x[:-1], int(x[-1]), int(y[-1])
+            if family != y[:-1]:
+                factor = None if br else 0
+                assert (row["computed"], row["documented_factor"]) == (format_linear(br), 0.0)
+            else:
+                # {x_i, x_j} = c x_k, and x_k has the coefficient 1/2 on K_k.
+                k = 6 - i - j
+                c = 2 * br.get(f"K{k}", 0)
+                assert linear_combination(br) == linear_combination(
+                    {n: c * v for n, v in split[f"{family}{k}"].items()}), row
+                factor = c / eps[i, j]
+                assert row["computed"] == format_linear(
+                    {f"{family}{k}": c}, order=(f"{family}{k}",)), row
+                assert row["documented_factor"] == {"xi": 1.0, "eta": -1.0}[family]
+            assert row["factor"] == (None if factor is None else float(factor)), row
+            assert row["matches_documented"] == (factor == row["documented_factor"]), row
+
     def test_mixed_basis_brackets_vanish_symbolically(self):
         """{(K_i+L_i)/2, (K_j-L_j)/2} = 0 by direct differentiation."""
         for i in (1, 2, 3):
