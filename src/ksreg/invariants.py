@@ -191,6 +191,19 @@ def exact_ints(A, bound: int) -> np.ndarray:
     return A
 
 
+def common_denominator(values) -> tuple | None:
+    """(D, ints): the lcm D of a sequence's denominators and each value times D.
+
+    None unless every value is a Fraction.  A polynomial that is
+    homogeneous of degree k, run on the ints, equals D^k times its value
+    at the Fractions, so an exact path divides each output once at the end.
+    """
+    if not all(isinstance(v, Fraction) for v in values):
+        return None
+    den = math.lcm(*(v.denominator for v in values))
+    return den, tuple(v.numerator * (den // v.denominator) for v in values)
+
+
 def point8(z) -> tuple:
     """A phase point (q1..q4, p1..p4) as an 8-tuple of its entries.
 
@@ -246,10 +259,10 @@ def eval_generators(z: Sequence) -> tuple:
     point runs eval_generator_columns.
     """
     z = point8(z)
-    if not all(isinstance(v, Fraction) for v in z):
+    scaled = common_denominator(z)
+    if scaled is None:
         return eval_generator_columns(z)
-    den = math.lcm(*(v.denominator for v in z))
-    n = tuple(v.numerator * (den // v.denominator) for v in z)
+    den, n = scaled
     return tuple(Fraction(eval_monomials(terms, n), d * den * den) for d, terms in _GEN_TERMS)
 
 

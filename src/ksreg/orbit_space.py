@@ -8,14 +8,17 @@ and the fiber reconstructions that realize level sets as graphs.
 
 All formulas are polymorphic over floats and Fractions; the batch
 functions run the same formulas on the columns of an (n, 16) array.
+A vector of Fractions runs the relations and identities on its
+common-denominator integers and divides each output once at the end.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .invariants import H2, K, L, U, V, XI, exact_ints
+from .invariants import H2, K, L, U, V, XI, common_denominator, exact_ints
 
 RELATION_NAMES = (
     "UU", "VV", "UV",
@@ -79,8 +82,23 @@ def relation_residuals(g) -> RelationResidual:
 
     g is a generator 16-vector in GENERATOR_NAMES order.  Each residual
     is lhs - rhs of its relation; every one vanishes exactly on
-    generator vectors coming from an actual phase point.
+    generator vectors coming from an actual phase point.  A vector of
+    Fractions runs in ints n = D g over the lcm D of its denominators:
+    h2 is of degree 1, the residuals and the wedge gap of degree 2.
     """
+    scaled = common_denominator(g)
+    if scaled is None:
+        return _relations(g)
+    den, n = scaled
+    res = _relations(n)
+    d2 = den * den
+    return RelationResidual(
+        residuals={name: Fraction(r, d2) for name, r in res.residuals.items()},
+        h2=Fraction(res.h2, den), wedge_gap=Fraction(res.wedge_gap, d2),
+    )
+
+
+def _relations(g) -> RelationResidual:
     h2, xi, u, v = g[H2], g[XI], g[U], g[V]
     gap = h2 * h2 - xi * xi
     B, B_prime = _wedge_bilinears(u, v)
@@ -107,8 +125,11 @@ def relation_residuals_batch(G: np.ndarray):
     degree 2, with partial sums at most 6 g^2 in the largest entry g, so
     int64 stays exact up to g = 2^29.
     """
-    res = relation_residuals(_columns(G, 2**29))
+    res = _relations(_columns(G, 2**29))
     return res.residuals, res.h2, res.wedge_gap
+
+
+_LAGRANGE_DEGREES = {"wedge_sum": 4, "norm_sum": 2, "cross_dot": 2}
 
 
 def lagrange_identity_check(g) -> dict:
@@ -116,8 +137,22 @@ def lagrange_identity_check(g) -> dict:
 
     Returns {"wedge_sum": (lhs, rhs), "norm_sum": (lhs, rhs),
     "cross_dot": (lhs, rhs)}: the two-vector Lagrange identity, then
-    |K|^2 + |L|^2 = H2^2 + Xi^2 and <K,L> = Xi*H2.
+    |K|^2 + |L|^2 = H2^2 + Xi^2 and <K,L> = Xi*H2.  A vector of Fractions
+    runs in ints n = D g, as relation_residuals does: both sides of
+    wedge_sum are of degree 4, the others of degree 2.
     """
+    scaled = common_denominator(g)
+    if scaled is None:
+        return _lagrange_pairs(g)
+    den, n = scaled
+    pairs = {}
+    for name, (lhs, rhs) in _lagrange_pairs(n).items():
+        scale = den ** _LAGRANGE_DEGREES[name]
+        pairs[name] = (Fraction(lhs, scale), Fraction(rhs, scale))
+    return pairs
+
+
+def _lagrange_pairs(g) -> dict:
     k, l, h2, xi, u, v = g[K], g[L], g[H2], g[XI], g[U], g[V]
     B, B_prime = _wedge_bilinears(u, v)
     wedge = _dot(B, B) + _dot(B_prime, B_prime)
@@ -136,7 +171,7 @@ def lagrange_identity_batch(G: np.ndarray) -> dict:
     bilinear is at most 2 g^2 and <u, v> at most 4 g^2, so the wedge_sum
     side reaches 6 * 4 g^4 + 16 g^4 = 40 g^4: below 2^63 up to g = 2^14.
     """
-    return lagrange_identity_check(_columns(G, 2**14))
+    return _lagrange_pairs(_columns(G, 2**14))
 
 
 @dataclass(frozen=True)

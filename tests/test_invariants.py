@@ -24,6 +24,7 @@ from ksreg.invariants import (
     V,
     V1,
     XI,
+    common_denominator,
     eval_generator_columns,
     eval_generators,
     eval_generators_batch,
@@ -123,6 +124,15 @@ class TestGeneratorValues:
         g = eval_generators(z)
         assert g == eval_generator_columns(point8(z))
         assert all(type(v) is Fraction for v in g)
+
+    @pytest.mark.parametrize("values, expected", [
+        ((Fraction(0),) * 16, (1, (0,) * 16)),
+        ((Fraction(-1, 4), Fraction(5, 6), Fraction(-3)), (12, (-3, 10, -36))),
+        ((Fraction(1, 2), 0.5), None),
+        ((Fraction(1, 2), 1), None),
+    ])
+    def test_common_denominator(self, values, expected):
+        assert common_denominator(values) == expected
 
     def test_one_float_entry_gives_floats(self):
         z = (Fraction(1, 3), 0, Fraction(-2, 5), 1, 0.5, Fraction(7, 4), 0, 2)

@@ -18,6 +18,8 @@ from ksreg.orbit_space import (
     Point,
     ProductOfSpheres,
     SingleSphere,
+    _lagrange_pairs,
+    _relations,
     classify_reduced_space,
     lagrange_identity_batch,
     lagrange_identity_check,
@@ -27,7 +29,7 @@ from ksreg.orbit_space import (
     relation_residuals,
     relation_residuals_batch,
 )
-from ksreg.sampling import sample_even_integers
+from ksreg.sampling import sample_even_integers, sample_fractions
 
 fraction_st = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 point_st = st.tuples(*([fraction_st] * 8))
@@ -41,6 +43,72 @@ def _project_to_zero_xi(z):
     xi = sum(pi * ri for pi, ri in zip(p, rq))
     p_new = tuple(pi - xi * ri / qq for pi, ri in zip(p, rq))
     return q + p_new
+
+
+def _generator_vector(z, i, bump):
+    """eval_generators(z), off the orbit space when bump moves entry i."""
+    g = list(eval_generators(z))
+    g[i] += bump
+    return g
+
+
+class TestIntegerPath:
+    """A vector of Fractions runs on its common-denominator ints.
+
+    The reference is the same body run in Fraction arithmetic.
+    """
+
+    @given(point_st, st.integers(0, 15), st.one_of(st.just(Fraction(0)), fraction_st))
+    @example((Fraction(0),) * 8, 0, Fraction(0))
+    @example(tuple(map(Fraction, (2, -4, 0, 2, 6, 0, -2, 4))), 3, Fraction(5))
+    @example((Fraction(1),) * 8, 0, Fraction(1, 2**32 + 15))  # D^2 > 2^64
+    @settings(max_examples=100, deadline=None)
+    def test_integer_path_is_the_fraction_body(self, z, i, bump):
+        g = _generator_vector(z, i, bump)
+        res, ref = relation_residuals(g), _relations(g)
+        assert (res.residuals, res.h2, res.wedge_gap) == (ref.residuals, ref.h2, ref.wedge_gap)
+        assert all(type(v) is Fraction
+                   for v in (*res.residuals.values(), res.h2, res.wedge_gap))
+        pairs = lagrange_identity_check(g)
+        assert pairs == _lagrange_pairs(g)
+        assert all(type(v) is Fraction for pair in pairs.values() for v in pair)
+
+    @pytest.mark.parametrize("i", range(16))
+    def test_one_float_entry_runs_the_body(self, i):
+        g = list(eval_generators((Fraction(1, 3), 1, Fraction(-2, 5), 0, Fraction(1, 2),
+                                  Fraction(7, 4), 2, Fraction(-1, 6))))
+        g[i] = float(g[i])
+        res, ref = relation_residuals(g), _relations(g)
+        got = (*res.residuals.values(), res.h2, res.wedge_gap)
+        want = (*ref.residuals.values(), ref.h2, ref.wedge_gap)
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert float in {type(v) for v in got}
+        pairs, ref_pairs = lagrange_identity_check(g), _lagrange_pairs(g)
+        assert pairs == ref_pairs
+        assert ([type(v) for pair in pairs.values() for v in pair]
+                == [type(v) for pair in ref_pairs.values() for v in pair])
+
+    def test_int_vector_stays_int(self):
+        g = (0, 0, 0) + (0, 0, 0) + (1, 0) + (1, 0, 0, 0) + (1, 0, 0, 0)
+        res = relation_residuals(g)
+        assert all(type(v) is int for v in (*res.residuals.values(), res.h2, res.wedge_gap))
+        assert all(type(v) is int for pair in lagrange_identity_check(g).values() for v in pair)
+
+    def test_fraction_batch_matches_scalar_row_by_row(self):
+        rng = np.random.default_rng(23)
+        rows = [_generator_vector(z, k % 16, Fraction(k % 3, 7))
+                for k, z in enumerate(sample_fractions(rng, 60))]
+        G = np.array(rows, dtype=object)
+        residuals, h2, gap = relation_residuals_batch(G)
+        pairs = lagrange_identity_batch(G)
+        assert any(col.any() for col in residuals.values())
+        for k, g in enumerate(rows):
+            res = relation_residuals(g)
+            assert {name: col[k] for name, col in residuals.items()} == res.residuals
+            assert (h2[k], gap[k]) == (res.h2, res.wedge_gap)
+            assert {name: (lhs[k], rhs[k]) for name, (lhs, rhs) in pairs.items()} \
+                == lagrange_identity_check(g)
 
 
 class TestRelationResiduals:
