@@ -40,6 +40,7 @@ _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 _ERR = _B5 - _B4
 _STAGES = [(i, _A[i, :i]) for i in range(1, 7)]
 _C_FLOATS = _C.tolist()
+_C_COLUMN = _C[:, None]
 # Fourth-order continuous extension of the pair: the interpolant over an
 # accepted step is y0 + h * k^T P (theta, theta^2, theta^3, theta^4).
 # Float exponents give the powers integer ones do, without a cast per call.
@@ -179,21 +180,26 @@ def _dense(theta, y, Q):
 # a with block, which builds a new errstate object each time.
 @np.errstate(all="ignore")
 def _stage(Y, H, a, K):
-    """The input of the next stage: Y + h * (a @ k) per row."""
+    """The input of the next stage: Y + h * (a @ k) per row, H the (m, d) step sizes."""
     return Y + H * (a @ K)
 
 
 @np.errstate(all="ignore")
 def _squared_errors(Y, S, H, K, rtol, atol):
-    """Each row's sum of squares of the scaled error, S its end point."""
+    """Each row's sum of squares of the scaled error, and whether its end point S is finite."""
     scaled = H * (_ERR @ K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(S)))
     # Each row's dot product scaled @ scaled, as a stack of (1, d) @ (d, 1).
-    return (scaled[:, None, :] @ scaled[:, :, None])[:, 0, 0].tolist()
+    squares = (scaled[:, None, :] @ scaled[:, :, None])[:, 0, 0].tolist()
+    # A NaN or infinite entry makes the sum of S NaN or infinite, so a finite
+    # sum clears every row in one reduction.
+    if math.isfinite(S.sum()):
+        return squares, [True] * len(squares)
+    return squares, np.isfinite(S).all(axis=1).tolist()
 
 
 def _interpolants(H, K):
     """Each row's interpolant coefficients h * P^T k, indexed by row."""
-    return H[:, :, None] * (_P.T @ K)
+    return H[:, :1, None] * (_P.T @ K)
 
 
 def _locate(event, side, t, h, y, Q):
@@ -278,20 +284,18 @@ def integrate_ode(
             raise ValueError("t_eval must lie inside t_span")
         eval_times = t_eval.tolist()
 
-    # The running rows' states are the rows of Y, shape (m, d), and their
-    # step sizes the (m, 1) column H.  A block calls f and event on Y.T with
-    # an (m,) array of times; a 1-D run calls them on its lone row with a
-    # float time.  The stage sums are stacked matmuls, one (d,)-wide product
-    # per row, so a row's arithmetic does not depend on the rows beside it.
+    # The running rows' states are the rows of Y, shape (m, d), and H holds
+    # each row's step size across its row, also (m, d), so that the stage
+    # sums and the error norm multiply arrays of one shape.  A block calls f
+    # and event on Y.T with an (m,) array of times; a 1-D run calls them on
+    # its lone row with a float time.  The stage sums are stacked matmuls,
+    # one (d,)-wide product per row, so a row's arithmetic does not depend
+    # on the rows beside it.
     if block:
-        def clocks(run):
-            """H and the stage times: stage i of row p starts at times[i][p]."""
-            HT = np.array([(r.h, r.t) for r in run])
-            H = HT[:, :1]
-            return H, (HT[:, 1:] + H * _C).T
-
-        def rhs(T, Y):
-            return f(T, Y.T).T
+        def clocks(ts, hs):
+            """H and the (7, m) stage times: stage i of row p starts at t + h * c_i."""
+            h = np.array(hs)
+            return h[:, None].repeat(d, 1), np.array(ts) + _C_COLUMN * h
 
         def sign(T, Y):
             return np.asarray(event(T, Y.T), dtype=float).tolist()
@@ -301,18 +305,15 @@ def integrate_ode(
     else:
         point = event
 
-        def clocks(run):
-            t, h = run[0].t, run[0].h
-            return np.array([[h]]), [t + h * c for c in _C_FLOATS]
-
-        def rhs(t, Y):
-            return f(t, Y[0])
+        def clocks(ts, hs):
+            t, h = ts[0], hs[0]
+            return np.array([[h] * d]), [t + h * c for c in _C_FLOATS]
 
         def sign(t, Y):
             return [event(t, Y[0])]
 
     T0 = np.full(n, t0) if block else t0
-    F0 = np.asarray(rhs(T0, Y), dtype=float).reshape(n, d)
+    F0 = np.asarray(f(T0, Y.T) if block else f(t0, Y[0]), dtype=float).T.reshape(n, d)
     rows = []
     for start, f0 in zip(Y, F0):
         h = _initial_step(t0, start, f0, t1, rtol, atol)
@@ -330,32 +331,41 @@ def integrate_ode(
     run = rows
     while True:
         # A row that is done or cannot take another step leaves the run.
-        keep = []
+        keep, ts, hs = [], [], []
         for p, r in enumerate(run):
-            if r.status != "completed" or r.t >= t_end:
+            t = r.t
+            if r.status != "completed" or t >= t_end:
                 continue
             if r.steps >= max_steps:
                 r.status = "step_budget_exhausted"
-            elif r.h < 1e-14 * max(1.0, abs(r.t)):
+            elif r.h < 1e-14 * max(1.0, abs(t)):
                 r.status = "step_size_underflow"
             else:
-                r.h = min(r.h, t1 - r.t)
+                r.h = h = min(r.h, t1 - t)
                 keep.append(p)
+                ts.append(t)
+                hs.append(h)
         if len(keep) < len(run):
             if not keep:
                 break
             run = [run[p] for p in keep]
             Y, F0 = Y[keep], F0[keep]
         m = len(run)
-        H, TS = clocks(run)
+        H, TS = clocks(ts, hs)
         K = np.empty((m, 7, d))
         K[:, 0] = F0
-        for i, a in _STAGES:
-            S = _stage(Y, H, a, K[:, :i])
-            K[:, i] = rhs(TS[i], S)
+        if block:
+            # f's (d, m) columns go into K through its transposed view.
+            KT = K.transpose(1, 2, 0)
+            for i, a in _STAGES:
+                S = _stage(Y, H, a, K[:, :i])
+                KT[i] = f(TS[i], S.T)
+        else:
+            for i, a in _STAGES:
+                S = _stage(Y, H, a, K[:, :i])
+                K[0, i] = f(TS[i], S[0])
         # S, the last stage's input, is the fifth-order end point.
-        squares = _squared_errors(Y, S, H, K, rtol, atol)
-        finite = np.isfinite(S).all(axis=1).tolist()
+        squares, finite = _squared_errors(Y, S, H, K, rtol, atol)
 
         accepted, errs = [], []
         for p, r, s, ok in zip(range(m), run, squares, finite):

@@ -22,7 +22,7 @@ from ksreg.flows import (
 )
 from ksreg.invariants import H2, K, L, U, V, XI, eval_generators
 from ksreg.kepler_dynamics import radial_collision_time, sundman_time
-from ksreg.ks_map import ks
+from ksreg.ks_map import ks, ks_batch
 from ksreg.sampling import sample_collision_slice, sample_level_set
 
 CIRCULAR = (1, 0, 0, 0, 0, 0, 1, 0)
@@ -233,6 +233,19 @@ class TestPhysicalTimeOfFlight:
 
     def test_zero_parameter(self):
         assert physical_time_of_flight(CIRCULAR, 0.0) == 0.0
+
+    def test_collision_clock_is_the_radial_fall_time(self):
+        # An inward start on the collision slice falls straight into the
+        # center, so the KS clock at its first collision is Kepler's closed
+        # form for the fall from r0 = |x|: no integration on either side.
+        Z = sample_collision_slice(np.random.default_rng(3), 2000)
+        W = ks_batch(Z)
+        r0 = np.linalg.norm(W[:, :3], axis=1)
+        inward = (r0 > 0) & (r0 <= 2) & (np.sum(W[:, :3] * W[:, 3:], axis=1) < 0)
+        assert np.count_nonzero(inward) == 1008
+        for z, r in zip(Z[inward], r0[inward].tolist()):
+            clock = physical_time_of_flight(z, first_collision_time(z))
+            assert abs(clock - radial_collision_time(r)) <= 1e-11
 
 
 class TestHarness:

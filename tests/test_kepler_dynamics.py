@@ -199,6 +199,7 @@ class TestConservedQuantities:
 class TestRadialFall:
     def test_rhs_example(self):
         assert np.array_equal(radial_ode_rhs(0.0, np.array([2.0, 0.0])), [0.0, -0.25])
+        assert np.array_equal(radial_ode_rhs(0.0, (2.0, 0.0)), [0.0, -0.25])
 
     def test_on_shell_speed_at_unit_radius(self):
         """(r, rdot) = (1, -1) is on the energy -1/2 shell of the fall."""
@@ -209,6 +210,11 @@ class TestRadialFall:
             radial_ode_rhs(0.0, np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             radial_ode_rhs(np.zeros(2), np.array([[1.0, 0.0], [1.0, 1.0]]))
+        # A NaN radius is not positive either, alone or in one column.
+        with pytest.raises(ValueError):
+            radial_ode_rhs(0.0, np.array([np.nan, -1.0]))
+        with pytest.raises(ValueError):
+            radial_ode_rhs(np.zeros(3), np.array([[1.0, np.nan, 0.5], [-1.0, -1.0, -1.0]]))
 
     def test_columns_give_the_single_state_values(self):
         u = np.random.default_rng(7).uniform(1e-6, 2.0, (2, 50))

@@ -305,17 +305,27 @@ def _mixed_event(t, y):
     return np.where(kind == 0, x, -1.0)
 
 
+def _clocked_field(t, y):
+    """A field that reads t in every stage; one state or (2, m) columns."""
+    return np.array([np.cos(3 * t) * y[1] + t, -y[0] * (1 + 0.1 * t)])
+
+
+def _clocked_event(t, y):
+    return y[0] - 1.5
+
+
 def _assert_same_run(row, alone):
+    """A block row is its lone run, bit for bit."""
     assert row.status == alone.status
     assert row.stats == alone.stats
     assert row.event_time == alone.event_time
     assert np.array_equal(row.times, alone.times)
-    assert np.allclose(row.states, alone.states, rtol=0, atol=1e-9)
+    assert np.array_equal(row.states, alone.states)
     if alone.eval_times is None:
         assert row.eval_times is None
     else:
         assert np.array_equal(row.eval_times, alone.eval_times)
-        assert np.allclose(row.eval_states, alone.eval_states, rtol=0, atol=1e-9)
+        assert np.array_equal(row.eval_states, alone.eval_states)
 
 
 class TestBlock:
@@ -329,6 +339,25 @@ class TestBlock:
             alone = integrate_ode(radial_ode_rhs, start, (0.0, 4.0), event=_fall_event)
             assert row.status == "event"
             _assert_same_run(row, alone)
+        # The fall block's integrator fingerprint, as ksreg verify runs it.
+        assert [r.stats.steps for r in runs] == [377, 398, 420, 436, 458]
+        assert [r.stats.rejected_steps for r in runs] == [0] * 5
+        assert [r.stats.rhs_evaluations for r in runs] == [2263, 2389, 2521, 2617, 2749]
+
+    def test_stage_times_match_the_lone_runs(self):
+        # The field reads t at every stage, so each row's stage times must
+        # be its lone run's, t + h * c; rows reject, cross and complete.
+        y0 = np.array([[1.0, 1.0], [0.0, 0.5], [-2.0, -1.0]])
+        grid = np.linspace(0.25, 1.75, 7)
+        runs = integrate_ode(_clocked_field, y0, (0.0, 2.0), t_eval=grid, event=_clocked_event)
+        assert [r.status for r in runs] == ["event", "event", "completed"]
+        assert runs.stats.rejected_steps > 0
+        for row, start in zip(runs, y0):
+            alone = integrate_ode(_clocked_field, start, (0.0, 2.0), t_eval=grid,
+                                  event=_clocked_event)
+            _assert_same_run(row, alone)
+            if alone.event_state is not None:
+                assert np.array_equal(row.event_state, alone.event_state)
 
     def test_raw_bench_row_matches_its_lone_run(self):
         # |L| = 0.1 runs the whole period next to a colliding |L| = 1e-3 row.
