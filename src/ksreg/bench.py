@@ -7,7 +7,7 @@ and dips to the analytic periapsis 1 - sqrt(1-l^2), which drops below
 the collision guard once lambda <= 1e-3.
 
 The raw method integrates the singular Cartesian field over one period
-with the |x| < 1e-6 guard; the regularized method integrates the
+with the |x| < COLLISION_GUARD guard; the regularized method integrates the
 linear oscillator over the matching parameter span and measures energy
 through the image identities, where no cancellation occurs.
 """
@@ -19,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .invariants import H2, V1, XI, eval_generator_columns
-from .kepler_dynamics import dot3, kepler_energy, kepler_vector_field, norm3
+from .kepler_dynamics import COLLISION_GUARD, dot3, kepler_energy, kepler_vector_field, norm3
 from .ks_map import ks_batch
 from .ode import integrate_ode
 
 DEFAULT_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
-COLLISION_GUARD = 1e-6
 BENCH_CSV_HEADER = "|L|,method,steps,max_energy_drift,periapsis_error,failed"
 
 
@@ -67,12 +66,12 @@ def _regularized_measure(S):
     return g[H2] - g[XI] * g[XI] / (2 * radii) - 1, radii
 
 
-def _block_rows(method, field, starts, t_end, event, measure, l_values, rtol, atol) -> list:
+def _block_rows(method, field, starts, t_end, event, measure, l_values, tol) -> list:
     """One row per |L| value: its start integrated over (0, t_end) in one block of rows."""
     grid = np.linspace(0.0, t_end, 2001)
     runs = integrate_ode(
         field, starts, (0.0, t_end),
-        rtol=rtol, atol=atol, max_steps=50_000, t_eval=grid[1:-1], event=event,
+        rtol=tol, atol=tol, max_steps=50_000, t_eval=grid[1:-1], event=event,
     )
     rows = []
     for l_norm, res in zip(l_values, runs):
@@ -91,21 +90,21 @@ def _block_rows(method, field, starts, t_end, event, measure, l_values, rtol, at
     return rows
 
 
-def run_benchmark(l_values=DEFAULT_GRID, rtol: float = 1e-10, atol: float = 1e-10) -> list:
+def run_benchmark(l_values=DEFAULT_GRID, tol: float = 1e-10) -> list:
     """One raw and one regularized row per |L| value, raw first.
 
-    Each method integrates all its seeds as one block of rows.
+    Each method integrates all its seeds as one block of rows at rtol = atol = tol.
     """
     if not l_values:
         return []
     seeds = np.array([seed_state(l) for l in l_values])
     raw = _block_rows(
         "raw_kepler", lambda t, w: kepler_vector_field(w), ks_batch(seeds), 2 * math.pi,
-        lambda t, w: dot3(w, w) - COLLISION_GUARD**2, _raw_measure, l_values, rtol, atol,
+        lambda t, w: dot3(w, w) - COLLISION_GUARD**2, _raw_measure, l_values, tol,
     )
     regularized = _block_rows(
         "ks_regularized", _oscillator_field, seeds, math.pi, None, _regularized_measure,
-        l_values, rtol, atol,
+        l_values, tol,
     )
     return [row for pair in zip(raw, regularized) for row in pair]
 

@@ -200,7 +200,7 @@ def bench(grid, tolerance, out, fmt):
     if not values:
         raise click.UsageError("--grid needs at least one value")
     try:
-        rows = run_benchmark(l_values=values, rtol=tolerance, atol=tolerance)
+        rows = run_benchmark(l_values=values, tol=tolerance)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if fmt == "csv":

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import (H2, L, U1, XI, eval_generator_columns, eval_generators,
+from .invariants import (H2, L, TOL, U1, XI, eval_generator_columns, eval_generators,
                          eval_generators_batch, point8)
-from .kepler_dynamics import cross3, dot3, norm3, preregularized_vector_field
+from .kepler_dynamics import COLLISION_GUARD, cross3, dot3, norm3, preregularized_vector_field
 from .ks_map import ks_batch, require_level_set
 from .ode import IntegratorStats, integrate_ode
 from .orbit_space import relation_residuals
@@ -73,56 +73,56 @@ def oscillator_trajectory(z0, t_grid) -> Trajectory:
     return Trajectory(t_grid, states, {"H2": G[:, H2], "Xi": G[:, XI]})
 
 
-def induced_flow_on_orbit_space(g, u: float, tol: float = 1e-9) -> tuple:
+def induced_flow_on_orbit_space(g, u: float) -> tuple:
     """Rotate the (U, V) block by u, keeping K, L, H2, Xi fixed.
 
     Conjugate to the upstairs flow at parameter u = 2t: the upstairs
     derivative of U is 2V.  The coefficients are a plain rotation so
     that u = 0 is the identity.
     """
-    if not relation_residuals(g).on_orbit_space(tol):
+    if not relation_residuals(g).on_orbit_space():
         raise ValueError("input is not on the orbit space within tolerance")
     return tuple(g[:U1]) + oscillator_rotation(g[U1:], math.cos(u), math.sin(u))
 
 
-def _collision_columns(z, tol):
+def _collision_columns(z):
     """(member, tau) at eight columns z, numbers or (n,) arrays.
 
-    member is |L|^2 <= tol^2; tau is the first zero of the closed-form
+    member is |L|^2 <= TOL^2; tau is the first zero of the closed-form
     flow, NaN where it never meets {q = 0}.  Raises ValueError off the
     (1, 0) momentum level.
     """
     g = eval_generator_columns(z)
-    require_level_set(g[H2], g[XI], tol)
-    member = dot3(g[L], g[L]) <= tol * tol
+    require_level_set(g[H2], g[XI])
+    member = dot3(g[L], g[L]) <= TOL * TOL
     q = np.asarray(z[:4], dtype=float)
     p = np.asarray(z[4:], dtype=float)
     qq = np.sum(q * q, axis=0)
-    at_origin = qq <= tol * tol
+    at_origin = qq <= TOL * TOL
     mu = np.sum(p * q, axis=0) / np.where(at_origin, 1.0, qq)
     spread = np.max(np.abs(p - mu * q), axis=0)
-    falls = at_origin | (spread <= tol * np.maximum(1.0, np.max(np.abs(p), axis=0)))
+    falls = at_origin | (spread <= TOL * np.maximum(1.0, np.max(np.abs(p), axis=0)))
     tau = np.where(at_origin, math.pi, math.pi / 2 + np.arctan(mu))
     return member, np.where(falls, tau, np.nan)
 
 
-def collision_set_membership(z, tol: float = 1e-9) -> bool:
+def collision_set_membership(z) -> bool:
     """Whether the oscillator orbit through z meets {q = 0}.
 
     On the (1, 0) momentum level this is equivalent to the vanishing of
-    the angular-momentum block, tested as |L|^2 <= tol^2.
+    the angular-momentum block, tested as |L|^2 <= TOL^2.
     """
-    return bool(_collision_columns(point8(z), tol)[0])
+    return bool(_collision_columns(point8(z))[0])
 
 
-def first_collision_time(z, tol: float = 1e-9):
+def first_collision_time(z):
     """Smallest tau > 0 with q cos(tau) + p sin(tau) = 0, or None.
 
     A zero requires p collinear with q; then tau = pi/2 + arctan(mu)
     for p = mu*q, and tau = pi when q itself vanishes.  Zeros recur
     with period pi.
     """
-    tau = _collision_columns(point8(z), tol)[1]
+    tau = _collision_columns(point8(z))[1]
     return None if np.isnan(tau) else float(tau)
 
 
@@ -131,14 +131,13 @@ def collision_triple_batch(Z):
 
     Returns boolean (n,) arrays (member, falls, collinear_image): the
     test of collision_set_membership, whether first_collision_time finds
-    a zero, and whether x cross y vanishes at ks(z), all at the scalar
-    default tol.  Raises ValueError when any row is off the level.
+    a zero, and whether x cross y vanishes at ks(z), all within TOL.
+    Raises ValueError when any row is off the level.
     """
-    tol = 1e-9
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    member, tau = _collision_columns(Z.T, tol)
+    member, tau = _collision_columns(Z.T)
     W = ks_batch(Z).T
-    collinear_image = norm3(cross3(W[:3], W[3:])) <= tol
+    collinear_image = norm3(cross3(W[:3], W[3:])) <= TOL
     return member, ~np.isnan(tau), collinear_image
 
 
@@ -189,7 +188,7 @@ def ks_relatedness_harness(
     z0,
     t_max: float,
     samples: int = 256,
-    guard: float = 1e-6,
+    guard: float = COLLISION_GUARD,
     max_steps: int = 100_000,
 ) -> HarnessResult:
     """Compare the pushed oscillator flow with the integrated field.
@@ -199,13 +198,13 @@ def ks_relatedness_harness(
     sup over sampled parameters of the euclidean gap.  Seeds whose
     orbit meets {q = 0} yield a partial result truncated at the |x|
     guard, carrying the closed-form physical collision time.  The start
-    must lie on the (1, 0) level within 1e-9.  The comparison grid holds
+    must lie on the (1, 0) level within TOL.  The comparison grid holds
     samples + 1 times, with samples at least 2, and ks_batch rejects a
     start at q = 0.  The integrator runs at rtol = atol = 1e-10.
     """
     z0 = point8(z0)
     g = eval_generators(z0)
-    require_level_set(g[H2], g[XI], 1e-9)
+    require_level_set(g[H2], g[XI])
     if not 0 <= t_max < math.inf:
         raise ValueError("t_max must be finite and nonnegative")
     if samples < 2:

@@ -29,6 +29,10 @@ GENERATOR_NAMES = (
 K, L, U, V = slice(0, 3), slice(3, 6), slice(8, 12), slice(12, 16)
 H2, XI, U1, V1 = 6, 7, 8, 12
 
+#: The one slack of every float membership test: the (H2, Xi) = (1, 0)
+#: level, the orbit space, the wedge, the collision set and the spheres.
+TOL = 1e-9
+
 
 def grad_p_xi(z: np.ndarray) -> np.ndarray:
     """(-q2, q1, -q4, q3): the gradient in p of the circle momentum Xi.

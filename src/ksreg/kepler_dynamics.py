@@ -11,6 +11,10 @@ from fractions import Fraction
 
 import numpy as np
 
+#: Radius |x| at which a Kepler-side integration is stopped as a collision.
+COLLISION_GUARD = 1e-6
+
+
 def dot3(a, b):
     """Inner product in whatever arithmetic the entries carry."""
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]

@@ -21,6 +21,7 @@ from .invariants import (
     H2,
     K,
     L,
+    TOL,
     U1,
     V1,
     XI,
@@ -140,15 +141,15 @@ def ks_jacobian_batch(Z) -> np.ndarray:
     return J
 
 
-def KS(z, tol: float = 1e-9) -> tuple:
+def KS(z) -> tuple:
     """ks restricted to the zero level of the circle momentum.
 
-    Same formula, smaller domain: inputs with |Xi| > tol, or Xi NaN, are
+    Same formula, smaller domain: inputs with |Xi| > TOL, or Xi NaN, are
     rejected.
     """
     xi = eval_generators(z)[XI]
-    if not abs(xi) <= tol:  # written so that NaN fails it
-        raise ValueError(f"Xi = {xi} is off the zero level beyond tol = {tol}")
+    if not abs(xi) <= TOL:  # written so that NaN fails it
+        raise ValueError(f"Xi = {xi} is off the zero level beyond tol = {TOL}")
     return ks(z)
 
 
@@ -158,42 +159,38 @@ def ks_fiber_action(z, s: float) -> tuple:
     Orientation: d/ds q1 = -q2, d/ds q2 = q1, and the same pattern in
     (q3,q4), (p1,p2), (p3,p4).  ks is constant along this flow.
     """
-    flat = point8(z)
-    c, sn = math.cos(s), math.sin(s)
-    out = [0.0] * 8
-    for i in (0, 2, 4, 6):
-        out[i] = flat[i] * c - flat[i + 1] * sn
-        out[i + 1] = flat[i] * sn + flat[i + 1] * c
-    return tuple(out)
+    flat = np.asarray(point8(z))
+    turned = np.concatenate([grad_p_xi(flat[:4]), grad_p_xi(flat[4:])])
+    return tuple((flat * math.cos(s) + turned * math.sin(s)).tolist())
 
 
-def require_level_set(h2, xi, tol: float = 1e-9) -> None:
-    """Raise ValueError unless (H2, Xi) = (1, 0) within tol.
+def require_level_set(h2, xi) -> None:
+    """Raise ValueError unless (H2, Xi) = (1, 0) within TOL.
 
     h2 and xi are scalars, exact or float, or matching (n,) arrays.  The
     test is written so that NaN fails it.
     """
-    on_level = np.logical_and(abs(h2 - 1) <= tol, abs(xi) <= tol)
+    on_level = np.logical_and(abs(h2 - 1) <= TOL, abs(xi) <= TOL)
     off = np.flatnonzero(~on_level)
     if off.size:
         i = off[0]
         raise ValueError(
-            f"point {i} is off the (H2, Xi) = (1, 0) level set beyond tol = {tol}: "
+            f"point {i} is off the (H2, Xi) = (1, 0) level set beyond tol = {TOL}: "
             f"H2 = {float(np.ravel(h2)[i])}, Xi = {float(np.ravel(xi)[i])}"
         )
 
 
-def _pullback_pairs(z, tol) -> dict:
+def _pullback_pairs(z, on_level: bool) -> dict:
     """(Kepler side at ks(z), generator side) of the four pullback identities.
 
-    z holds eight columns, numbers or (n,) arrays.  Unless tol is None
-    the point must lie on the (1, 0) level set; the Hamiltonian identity
+    z holds eight columns, numbers or (n,) arrays.  With on_level the
+    point must lie on the (1, 0) level set; the Hamiltonian identity
     holds on the whole domain and is checked without that restriction.
     """
     g = eval_generator_columns(z)
     h2, xi = g[H2], g[XI]
-    if tol is not None:
-        require_level_set(h2, xi, tol)
+    if on_level:
+        require_level_set(h2, xi)
     w = _image(_table(z))
     return {
         "hamiltonian": (preregularized_hamiltonian(w),
@@ -210,22 +207,22 @@ def pullback_kepler_hamiltonian(z):
     lhs = (1/2)|x|(|y|^2 + 1) at ks(z); rhs = H2 - (1/2)Xi^2/(H2+V1).
     The identity holds on the whole domain, not only on the zero level.
     """
-    return _pullback_pairs(point8(z), None)["hamiltonian"]
+    return _pullback_pairs(point8(z), False)["hamiltonian"]
 
 
-def pullback_angular_momentum(z, tol: float = 1e-9):
+def pullback_angular_momentum(z):
     """(x cross y at ks(z), L(z)) on the (1, 0) level set."""
-    return _pullback_pairs(point8(z), tol)["angular_momentum"]
+    return _pullback_pairs(point8(z), True)["angular_momentum"]
 
 
-def pullback_eccentricity(z, tol: float = 1e-9):
+def pullback_eccentricity(z):
     """(-x/|x| + y cross (x cross y) at ks(z), K(z)) on the level set."""
-    return _pullback_pairs(point8(z), tol)["eccentricity"]
+    return _pullback_pairs(point8(z), True)["eccentricity"]
 
 
-def pullback_inner_product(z, tol: float = 1e-9):
+def pullback_inner_product(z):
     """(<x, y> at ks(z), -U1(z)) on the level set."""
-    return _pullback_pairs(point8(z), tol)["inner_product"]
+    return _pullback_pairs(point8(z), True)["inner_product"]
 
 
 def pullback_gaps_batch(Z) -> dict:
@@ -234,9 +231,9 @@ def pullback_gaps_batch(Z) -> dict:
     Keys hamiltonian, angular_momentum, eccentricity and inner_product
     map to (n,) arrays: the largest absolute componentwise difference
     between the Kepler-side value at ks(z) and its generator.  Raises
-    ValueError when any row is off the (1, 0) level set (tol 1e-9).
+    ValueError when any row is off the (1, 0) level set beyond TOL.
     """
-    pairs = _pullback_pairs(_as_rows(Z).T, 1e-9)
+    pairs = _pullback_pairs(_as_rows(Z).T, True)
     return {
         key: np.abs(np.atleast_2d(np.subtract(lhs, rhs))).max(axis=0)
         for key, (lhs, rhs) in pairs.items()

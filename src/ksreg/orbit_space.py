@@ -1,7 +1,9 @@
 """Semialgebraic geometry of the orbit space.
 
-The image of the invariant evaluation map is cut out of R^16 by nine
-polynomial relations and two inequalities.  This module evaluates
+Every point of the image of the invariant evaluation map in R^16
+satisfies nine polynomial relations and two inequalities.  These are
+necessary conditions, not sufficient ones: on the boundary of the wedge
+they also pass vectors outside the image.  This module evaluates
 membership residuals, the reduced momentum map onto the closed wedge
 0 <= |xi| <= h, the classification of reduced spaces over the wedge,
 and the fiber reconstructions that realize level sets as graphs.
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .invariants import H2, K, L, U, V, XI, common_denominator, exact_ints
+from .invariants import H2, K, L, TOL, U, V, XI, common_denominator, exact_ints
 
 RELATION_NAMES = (
     "UU", "VV", "UV",
@@ -46,15 +48,17 @@ class RelationResidual:
     h2: object
     wedge_gap: object
 
-    def on_orbit_space(self, tol: float = 1e-9) -> bool:
-        """Membership test: residuals within tol, inequalities within slack.
+    def on_orbit_space(self) -> bool:
+        """Residuals and inequalities within TOL: necessary for membership.
 
-        Each test is written so that a NaN value fails it.
+        Not sufficient: K = L = (5, 0, 0), H2 = Xi = 1, U = V = 0 passes
+        but is not in the image.  Each test is written so that a NaN
+        value fails it.
         """
         return (
-            all(abs(v) <= tol for v in self.residuals.values())
-            and self.h2 >= -tol
-            and self.wedge_gap >= -tol * max(1, abs(self.h2)) ** 2
+            all(abs(v) <= TOL for v in self.residuals.values())
+            and self.h2 >= -TOL
+            and self.wedge_gap >= -TOL * max(1, abs(self.h2)) ** 2
         )
 
 
@@ -78,7 +82,7 @@ def _wedge_bilinears(U, V):
 
 
 def relation_residuals(g) -> RelationResidual:
-    """Evaluate all nine defining relations and the two inequalities.
+    """Evaluate the nine relations and the two inequalities.
 
     g is a generator 16-vector in GENERATOR_NAMES order.  Each residual
     is lhs - rhs of its relation; every one vanishes exactly on
@@ -190,19 +194,19 @@ class Point:
     pass
 
 
-def reduced_momentum(g, tol: float = 1e-9) -> tuple:
+def reduced_momentum(g) -> tuple:
     """Project a generator 16-vector to the wedge point (h, xi) = (H2, Xi).
 
     Raises ValueError when |Xi| exceeds H2 beyond tolerance, which
     cannot happen for points of the orbit space.
     """
     h2, xi = g[H2], g[XI]
-    if not abs(xi) <= h2 + tol:  # written so that NaN fails it
+    if not abs(xi) <= h2 + TOL:  # written so that NaN fails it
         raise ValueError(f"wedge violation: |Xi| = {abs(xi)} exceeds H2 = {h2}")
     return h2, xi
 
 
-def classify_reduced_space(w, tol: float = 1e-9):
+def classify_reduced_space(w):
     """Classify the doubly reduced space over a wedge point w = (h, xi).
 
     Interior points give a product of spheres with radii (h+xi)/2 and
@@ -210,51 +214,51 @@ def classify_reduced_space(w, tol: float = 1e-9):
     radius h, and the vertex a point.
     """
     h, xi = w
-    if not (h >= -tol and abs(xi) <= h + tol * max(1, abs(h))):  # NaN fails it
+    if not (h >= -TOL and abs(xi) <= h + TOL * max(1, abs(h))):  # NaN fails it
         raise ValueError(f"({h}, {xi}) lies outside the wedge")
-    if abs(h) <= tol:
+    if abs(h) <= TOL:
         return Point()
-    if h - abs(xi) <= tol * max(1, h):
+    if h - abs(xi) <= TOL * max(1, h):
         return SingleSphere(radius=h)
     return ProductOfSpheres(r_plus=(h + xi) / 2, r_minus=(h - xi) / 2)
 
 
-def _check_sphere_preconditions(U, V, h, tol):
+def _check_sphere_preconditions(U, V, h):
     if len(U) != 4 or len(V) != 4:
         raise ValueError("U and V must have 4 components")
     if not h > 0:
         raise ValueError("h must be positive")
     # Each test is written so that a NaN entry of U or V fails it.
     scale = max(1, abs(h)) ** 2
-    if not abs(_dot(U, U) - h * h) <= tol * scale:
+    if not abs(_dot(U, U) - h * h) <= TOL * scale:
         raise ValueError("<U,U> != h^2 beyond tolerance")
-    if not abs(_dot(V, V) - h * h) <= tol * scale:
+    if not abs(_dot(V, V) - h * h) <= TOL * scale:
         raise ValueError("<V,V> != h^2 beyond tolerance")
-    if not abs(_dot(U, V)) <= tol * scale:
+    if not abs(_dot(U, V)) <= TOL * scale:
         raise ValueError("<U,V> != 0 beyond tolerance")
 
 
-def reconstruct_fiber_interior(U, V, h, tol: float = 1e-9):
+def reconstruct_fiber_interior(U, V, h):
     """Recover (K, L) over an interior wedge point with xi = 0.
 
     K = -B/h and L = -B'/h with the wedge bilinears of (U, V); the
     assembled vector (K, L, h, 0; U, V) satisfies every relation, so
     the level set is a graph over the (U, V) sphere bundle.
     """
-    _check_sphere_preconditions(U, V, h, tol)
+    _check_sphere_preconditions(U, V, h)
     B, B_prime = _wedge_bilinears(U, V)
     K = tuple(-b / h for b in B)
     L = tuple(-b / h for b in B_prime)
     return K, L
 
 
-def reconstruct_fiber_boundary(U, V, h, sign: int, tol: float = 1e-9) -> tuple:
+def reconstruct_fiber_boundary(U, V, h, sign: int) -> tuple:
     """Evaluate the boundary formula eta = -sign * B/h on sphere-bundle data.
 
     Preconditions are those of the interior case; sign is +1 or -1.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    _check_sphere_preconditions(U, V, h, tol)
+    _check_sphere_preconditions(U, V, h)
     B, _ = _wedge_bilinears(U, V)
     return tuple(-sign * b / h for b in B)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .flows import collision_triple_batch
 from .invariants import eval_generators_batch
-from .kepler_dynamics import (radial_collision_time, radial_collision_time_quadrature,
-                              radial_ode_rhs)
+from .kepler_dynamics import (COLLISION_GUARD, radial_collision_time,
+                              radial_collision_time_quadrature, radial_ode_rhs)
 from .ks_map import (ks_batch, ks_from_generators_batch, poisson_residual_batch,
                      poisson_residual_xi_sweep, pullback_gaps_batch)
 from .ode import integrate_ode
@@ -134,7 +134,7 @@ def _suite_collision(rng, samples, tol):
 
 
 def fall_time_rows() -> list:
-    """(r0, closed form, quadrature, integrated time to r = 1e-6 or inf) per FALL_GRID r0.
+    """(r0, closed form, quadrature, integrated time to COLLISION_GUARD or inf) per FALL_GRID r0.
 
     The five falls are integrated as one block of rows.
     """
@@ -143,7 +143,7 @@ def fall_time_rows() -> list:
         radial_ode_rhs,
         np.column_stack([starts, -np.sqrt(2 / starts - 1)]),
         (0.0, 4.0),
-        event=lambda t, u: u[0] - 1e-6,
+        event=lambda t, u: u[0] - COLLISION_GUARD,
     )
     return [
         (r0, radial_collision_time(r0), radial_collision_time_quadrature(r0),

@@ -315,7 +315,7 @@ class TestLevelSetPullbacks:
         z = _sample_level_set(rng)
         e0, _ = pullback_eccentricity(z)
         for s in (0.3, 1.1, 4.0):
-            es, _ = pullback_eccentricity(ks_fiber_action(z, s), tol=1e-6)
+            es, _ = pullback_eccentricity(ks_fiber_action(z, s))
             assert np.allclose(es, e0, atol=1e-10)
 
 

@@ -7,9 +7,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from ksreg import ode
-from ksreg.bench import COLLISION_GUARD, seed_state
-from ksreg.kepler_dynamics import (dot3, kepler_vector_field, preregularized_vector_field,
-                                   radial_ode_rhs)
+from ksreg.bench import seed_state
+from ksreg.kepler_dynamics import (COLLISION_GUARD, dot3, kepler_vector_field,
+                                   preregularized_vector_field, radial_ode_rhs)
 from ksreg.ks_map import ks_batch
 from ksreg.ode import OdeResult, OdeResults, integrate_ode
 from ksreg.verify import FALL_GRID
@@ -284,7 +284,7 @@ def _fall_block():
 
 
 def _fall_event(t, u):
-    return u[0] - 1e-6
+    return u[0] - COLLISION_GUARD
 
 
 def _raw_event(t, w):
@@ -460,7 +460,7 @@ _EVENT_RUNS = {
     "tiny": (lambda t, y: np.array([1.0]), [-1.0], 5.0, lambda t, y: 1e-200 * y[0]),
     "rotor": (_rotor, [1.0, 0.0], 10.0, lambda t, y: y[0]),
     "orbit_collision": (_doubled_field, None, 3.0,
-                        lambda t, w: w[:3] @ w[:3] - 1e-6 * 1e-6),  # the harness's guard
+                        lambda t, w: w[:3] @ w[:3] - COLLISION_GUARD * COLLISION_GUARD),
 }
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ksreg.flows import induced_flow_on_orbit_space
 from ksreg.invariants import H2, K, L, U, V, XI, eval_generators, eval_generators_batch
 from ksreg.orbit_space import (
     Point,
@@ -33,6 +34,20 @@ from ksreg.sampling import sample_even_integers, sample_fractions
 
 fraction_st = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 point_st = st.tuples(*([fraction_st] * 8))
+
+# Generator vectors that pass the nine relations and the two inequalities,
+# all residuals 0, yet lie outside the image: |K|^2 + |L|^2 is 50 against
+# H2^2 + Xi^2 = 2 on the wedge edge, and 79 against 0 at the vertex.
+OFF_IMAGE = {
+    "wedge_edge": tuple(map(Fraction, (5, 0, 0, 5, 0, 0, 1, 1) + (0,) * 8)),
+    "vertex": tuple(map(Fraction, (3, 4, 0, -2, 1, 7, 0, 0) + (0,) * 8)),
+}
+
+
+def _assert_sphere_bundle(u, v, h):
+    """The reconstructions' preconditions, exactly: <U,U> = <V,V> = h^2, <U,V> = 0."""
+    uu, vv, uv = (sum(x * y for x, y in zip(a, b)) for a, b in ((u, u), (v, v), (u, v)))
+    assert (uu, vv, uv) == (h * h, h * h, 0)
 
 
 def _project_to_zero_xi(z):
@@ -118,7 +133,7 @@ class TestRelationResiduals:
         res = relation_residuals(eval_generators(z))
         assert all(v == 0 for v in res.residuals.values())
         assert res.h2 >= 0 and res.wedge_gap >= 0
-        assert res.on_orbit_space(tol=0)
+        assert res.on_orbit_space()
 
     def test_origin(self):
         res = relation_residuals((0,) * 16)
@@ -136,6 +151,20 @@ class TestRelationResiduals:
         nan_k1 = list(eval_generators((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)))
         nan_k1[0] = math.nan
         assert not relation_residuals(nan_k1).on_orbit_space()
+
+    @pytest.mark.parametrize("g", OFF_IMAGE.values(), ids=OFF_IMAGE.keys())
+    def test_off_image_vectors_break_a_degree_two_identity(self, g):
+        assert all(v == 0 for v in relation_residuals(g).residuals.values())
+        lhs, rhs = lagrange_identity_check(g)["norm_sum"]
+        assert lhs != rhs
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the nine relations are necessary, not sufficient")
+    @pytest.mark.parametrize("g", OFF_IMAGE.values(), ids=OFF_IMAGE.keys())
+    def test_off_image_vectors_are_rejected(self, g):
+        assert not relation_residuals(g).on_orbit_space()
+        with pytest.raises(ValueError):
+            induced_flow_on_orbit_space(g, 0.3)
 
     def test_batch_matches_scalar_and_is_tiny_on_image(self):
         rng = np.random.default_rng(5)
@@ -281,14 +310,16 @@ class TestFiberInterior:
     def test_zero_pattern_for_v1_zero(self):
         """With U on the first axis and V1 = 0, K = (V2, V3, V4)/h and L = 0."""
         V = (0, Fraction(3, 5), Fraction(4, 5), 0)
-        K, L = reconstruct_fiber_interior((1, 0, 0, 0), V, 1, tol=0)
+        _assert_sphere_bundle((1, 0, 0, 0), V, 1)
+        K, L = reconstruct_fiber_interior((1, 0, 0, 0), V, 1)
         assert K == (Fraction(3, 5), Fraction(4, 5), 0)
         assert L == (0, 0, 0)
 
     def test_assembled_vector_is_on_space(self):
         u = (1, 0, 0, 0)
         v = (0, Fraction(3, 5), Fraction(4, 5), 0)
-        k, l = reconstruct_fiber_interior(u, v, 1, tol=0)
+        _assert_sphere_bundle(u, v, 1)
+        k, l = reconstruct_fiber_interior(u, v, 1)
         g = k + l + (1, 0) + u + v
         assert all(v == 0 for v in relation_residuals(g).residuals.values())
 
@@ -302,7 +333,8 @@ class TestFiberInterior:
         g = eval_generators(_project_to_zero_xi(z))
         assume(g[H2] > 0)
         assert g[XI] == 0
-        k, l = reconstruct_fiber_interior(g[U], g[V], g[H2], tol=0)
+        _assert_sphere_bundle(g[U], g[V], g[H2])
+        k, l = reconstruct_fiber_interior(g[U], g[V], g[H2])
         assert k == g[K]
         assert l == g[L]
 
