@@ -223,6 +223,9 @@ def ks_relatedness_harness(
             atol=1e-10,
             max_steps=max_steps,
             t_eval=np.linspace(0.0, t_max, samples + 1)[1:],
+            # A BLAS dot, unlike the Python-float sums of the kepler_dynamics
+            # fields: the two differ in the last bit for about one 3-vector
+            # in five, which would move event times and the orbit CSVs.
             event=lambda t, w: w[:3] @ w[:3] - guard * guard,
         )
         times = np.concatenate([[0.0], res.eval_times])

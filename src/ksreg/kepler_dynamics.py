@@ -94,16 +94,54 @@ def preregularized_hamiltonian(w):
     return norm3(x) * (dot3(y, y) + 1) / 2
 
 
+def _phase_field(body, w) -> np.ndarray:
+    """A field at one point w or on (6, m) columns, as a (6,) or (6, m) array.
+
+    body(x1, x2, x3, y1, y2, y3, r) returns its divisor and the six values.
+    It runs point by point in Python floats, which round as numpy's float64
+    arithmetic does without its call overhead, but raise ZeroDivisionError
+    where numpy returns inf or NaN, and never warn.  So where a divisor is 0
+    or not finite, or a value is not finite (every case in which numpy
+    warns, bar the underflow it ignores by default), body runs on numpy
+    values from _field_point instead: numpy's values and warnings, and the
+    ValueError at x = 0.  The loop costs per point, so past about 20
+    columns it is slower than numpy (BENCH_18.json, wide_grid).
+    """
+    w = np.asarray(w, dtype=float)
+    if len(w) != 6:
+        raise ValueError("a Kepler phase point has 6 components (x, y)")
+    # The points: w itself, the columns of w, or those of a (6, ...) stack.
+    one, wt = w.ndim == 1, w.T
+    points = [w.tolist()] if one else (wt if w.ndim == 2 else wt.reshape(-1, 6)).tolist()
+    values = []
+    try:
+        for x1, x2, x3, y1, y2, y3 in points:
+            divisor, v = body(x1, x2, x3, y1, y2, y3, math.sqrt(x1 * x1 + x2 * x2 + x3 * x3))
+            if not 0 < divisor < math.inf:
+                break
+            values += v
+        else:
+            if math.isfinite(sum(values)):
+                out = np.array(values)
+                return out if one else out.reshape(wt.shape).T
+    except ZeroDivisionError:
+        pass
+    x, y, r = _field_point(w)
+    return np.array(body(*x, *y, r)[1])
+
+
+def _preregularized(x1, x2, x3, y1, y2, y3, r):
+    c = -(y1 * y1 + y2 * y2 + y3 * y3 + 1) / 2
+    return r, (r * y1, r * y2, r * y3, c * x1 / r, c * x2 / r, c * x3 / r)
+
+
 def preregularized_vector_field(w) -> np.ndarray:
     """Symplectic gradient of the preregularized energy.
 
-    dx/ds = |x| y, dy/ds = -(|y|^2 + 1) x / (2|x|).
+    dx/ds = |x| y, dy/ds = -(|y|^2 + 1) x / (2|x|), in Python floats
+    point by point (see _phase_field).
     """
-    x, y, r = _field_point(w)
-    c = -(dot3(y, y) + 1) / 2
-    # Entry by entry: at one point these are scalar operations, which cost
-    # far less than array operations on 3-vectors.
-    return np.array([r * y[0], r * y[1], r * y[2], c * x[0] / r, c * x[1] / r, c * x[2] / r])
+    return _phase_field(_preregularized, w)
 
 
 def rescaled_kepler_vector_field(w) -> np.ndarray:
@@ -119,12 +157,19 @@ def rescaled_kepler_vector_field(w) -> np.ndarray:
     return np.concatenate([r * y, dy])
 
 
-def kepler_vector_field(w) -> np.ndarray:
-    """The raw field dx/dt = y, dy/dt = -x/|x|^3, singular at x = 0."""
-    x, y, r = _field_point(w)
+def _kepler(x1, x2, x3, y1, y2, y3, r):
     # Products, not r**3: numpy's power of an array and Python's of a float
-    # can round differently, and a column must give its point's value.
-    return np.concatenate([y, -x / (r * r * r)])
+    # can round differently, and both evaluations must give the same value.
+    r3 = r * r * r
+    return r3, (y1, y2, y3, -x1 / r3, -x2 / r3, -x3 / r3)
+
+
+def kepler_vector_field(w) -> np.ndarray:
+    """The raw field dx/dt = y, dy/dt = -x/|x|^3, singular at x = 0.
+
+    In Python floats point by point (see _phase_field).
+    """
+    return _phase_field(_kepler, w)
 
 
 def angular_momentum(w):
@@ -154,7 +199,7 @@ def radial_ode_rhs(t, u) -> np.ndarray:
     # One reduction; a NaN radius makes the minimum NaN and fails the test.
     if not r.min() > 0:
         raise ValueError("r must be positive")
-    return np.array([u[1], -1 / (r * r)])  # r * r, not r**2: see kepler_vector_field
+    return np.array([u[1], -1 / (r * r)])  # r * r, not r**2: see _kepler
 
 
 def radial_collision_time(r0: float) -> float:

@@ -194,6 +194,14 @@ class Point:
     pass
 
 
+def _in_wedge(h, xi) -> bool:
+    """|xi| <= h within TOL relative to max(1, |h|), the slack of every wedge test.
+
+    It implies h >= -TOL, and it is written so that NaN fails it.
+    """
+    return abs(xi) <= h + TOL * max(1, abs(h))
+
+
 def reduced_momentum(g) -> tuple:
     """Project a generator 16-vector to the wedge point (h, xi) = (H2, Xi).
 
@@ -201,7 +209,7 @@ def reduced_momentum(g) -> tuple:
     cannot happen for points of the orbit space.
     """
     h2, xi = g[H2], g[XI]
-    if not abs(xi) <= h2 + TOL:  # written so that NaN fails it
+    if not _in_wedge(h2, xi):
         raise ValueError(f"wedge violation: |Xi| = {abs(xi)} exceeds H2 = {h2}")
     return h2, xi
 
@@ -214,7 +222,7 @@ def classify_reduced_space(w):
     radius h, and the vertex a point.
     """
     h, xi = w
-    if not (h >= -TOL and abs(xi) <= h + TOL * max(1, abs(h))):  # NaN fails it
+    if not _in_wedge(h, xi):
         raise ValueError(f"({h}, {xi}) lies outside the wedge")
     if abs(h) <= TOL:
         return Point()

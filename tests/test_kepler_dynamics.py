@@ -1,6 +1,7 @@
 """Kepler-side energies, fields, conserved quantities, and time changes."""
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,168 @@ class TestVectorFields:
         assert np.array_equal(cols, np.stack([kepler_vector_field(c) for c in w.T], axis=1))
 
 
+def _former_point(w):
+    """The former numpy preamble of the fields: float x and y, and r = |x|.
+
+    At one point |x|^2 and r were Python floats, on columns numpy arrays.
+    """
+    x = np.asarray(w[:3], dtype=float)
+    y = np.asarray(w[3:], dtype=float)
+    if x.ndim == 1:
+        a, b, c = x.tolist()
+        rr = a * a + b * b + c * c
+        if rr == 0:
+            raise ValueError("x = 0")
+        return x, y, math.sqrt(rr)
+    rr = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
+    if np.any(rr == 0):
+        raise ValueError("x = 0")
+    return x, y, np.sqrt(rr)
+
+
+def _former_kepler(w):
+    x, y, r = _former_point(w)
+    return np.concatenate([y, -x / (r * r * r)])
+
+
+def _former_preregularized(w):
+    # Entry by entry, as the former body ran: numpy scalars at one point.
+    x, y, r = _former_point(w)
+    c = -(y[0] * y[0] + y[1] * y[1] + y[2] * y[2] + 1) / 2
+    return np.array([r * y[0], r * y[1], r * y[2], c * x[0] / r, c * x[1] / r, c * x[2] / r])
+
+
+def _former_radial(u):
+    u = np.asarray(u)
+    r = u[0]
+    if not r.min() > 0:
+        raise ValueError("r must be positive")
+    return np.array([u[1], -1 / (r * r)])
+
+
+def _radial(u):
+    return radial_ode_rhs(0.0, u)
+
+
+# (field, its former numpy formula, the length of a point).  radial_ode_rhs
+# still runs its formula in numpy; its rows pin that body's edge behaviour.
+FORMER = [
+    (kepler_vector_field, _former_kepler, 6),
+    (preregularized_vector_field, _former_preregularized, 6),
+    (_radial, _former_radial, 2),
+]
+FIELD_IDS = ["kepler", "preregularized", "radial"]
+
+
+def _outcome(f, arg):
+    """The shape, dtype and bytes f returns, or ValueError, and the warnings it gave.
+
+    numpy names an operation on numpy scalars "scalar divide" and on
+    arrays "divide"; the word is dropped so that the two compare equal.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = f(arg)
+            result = (out.shape, out.dtype, out.tobytes())
+        except ValueError:
+            result = ValueError
+    return result, {str(w.message).replace("scalar ", "") for w in caught}
+
+
+def _warns_as_former(field, former, arg, *messages):
+    """field(arg) warns with each message, and gives the former value and warnings."""
+    with pytest.warns(RuntimeWarning) as caught:
+        field(arg)
+    got = {str(w.message).replace("scalar ", "") for w in caught}
+    assert set(messages) <= got
+    assert _outcome(field, arg) == _outcome(former, np.asarray(arg, dtype=float))
+
+
+class TestFieldsInPythonFloats:
+    """The phase fields run in Python floats; they, and radial_ode_rhs, must
+    give the former numpy formulas' values, warnings and exceptions at every
+    input."""
+
+    @pytest.mark.parametrize("field, former, d", FORMER, ids=FIELD_IDS)
+    def test_points_columns_and_tuples_give_the_former_bytes(self, field, former, d):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            p = rng.uniform(0.01, 2.0, d) * rng.choice([-1.0, 1.0], d) * 10.0 ** rng.integers(-6, 7, d)
+            p[0] = abs(p[0])
+            for arg in (p, tuple(p.tolist())):
+                assert _outcome(field, arg) == (_outcome(former, p)[0], set())
+        for m in (1, 2, 3, 4, 5, 50):
+            cols = rng.uniform(0.01, 2.0, (d, m)) * 10.0 ** rng.integers(-6, 7, (d, m))
+            for arg in (cols, cols.T.copy().T):
+                assert _outcome(field, arg) == (_outcome(former, cols)[0], set())
+
+    @pytest.mark.parametrize("field, former, d", FORMER, ids=FIELD_IDS)
+    def test_edge_values_give_the_former_values_warnings_and_errors(self, field, former, d):
+        edges = [0.0, -0.0, 1.0, -2.5, 1e-110, 1e-160, 1e-170, 5e-324, 1e103, 1e155, 1e200,
+                 1e308, math.inf, -math.inf, math.nan]
+        rng = np.random.default_rng(31)
+        for _ in range(400):
+            m = int(rng.integers(0, 4))
+            values = rng.choice(edges, d * max(m, 1))
+            arg = values if m == 0 else values.reshape(d, m)
+            assert _outcome(field, arg) == _outcome(former, arg), arg.tolist()
+
+    def test_r_cubed_underflow_divides_as_numpy_does(self):
+        # |x|^2 = 1e-220 passes the collision test, r^3 = 1e-330 rounds to 0.
+        w = (1e-110, 0, 0, 1, 0, 0)
+        for arg in (w, np.array(w), np.column_stack([w, [1, 0, 0, 0, 1, 0]])):
+            _warns_as_former(kepler_vector_field, _former_kepler, arg,
+                             "divide by zero encountered in divide",
+                             "invalid value encountered in divide")
+        # The preregularized field divides by r = 1e-110 only, which is fine.
+        assert _outcome(preregularized_vector_field, w) == (
+            _outcome(_former_preregularized, np.array(w))[0], set())
+
+    def test_underflowing_squared_radius_is_rejected_in_every_layout(self):
+        w = (1e-170, 0, 0, 1, 0, 0)
+        for field in (kepler_vector_field, preregularized_vector_field):
+            for arg in (w, np.array(w), np.column_stack([[1, 0, 0, 0, 1, 0], w])):
+                assert _outcome(field, arg) == (ValueError, set())
+
+    def test_nan_and_infinite_entries(self):
+        nan, inf = math.nan, math.inf
+        # NaN propagates without a warning.
+        for field, former in ((kepler_vector_field, _former_kepler),
+                              (preregularized_vector_field, _former_preregularized)):
+            for p in ((nan, 0, 0, 0, 1, 0), (1, 0, 0, inf, nan, 0)):
+                got, caught = _outcome(field, p)
+                assert (got, caught) == (_outcome(former, np.array(p))[0], set())
+        # inf/inf and inf*0 are invalid, as in numpy; so is |y|^2 overflowing.
+        for field, former, p, message in (
+            (kepler_vector_field, _former_kepler, (inf, 0, 0, 0, 1, 0), "invalid value"),
+            (preregularized_vector_field, _former_preregularized, (inf, 0, 0, 0, 1, 0),
+             "invalid value encountered in multiply"),
+            (preregularized_vector_field, _former_preregularized, (1, 0, 0, 1e200, 0, 0),
+             "overflow encountered in multiply"),
+        ):
+            for arg in (p, np.array(p)[:, None]):
+                with pytest.warns(RuntimeWarning) as caught:
+                    field(arg)
+                assert any(str(w.message).replace("scalar ", "").startswith(message)
+                           for w in caught)
+                assert _outcome(field, arg) == _outcome(former, np.asarray(arg, dtype=float))
+
+    def test_radial_nan_radius_and_radius_edges(self):
+        for u in ((math.nan, -1.0), np.array([[1.0, math.nan], [-1.0, -1.0]]),
+                  np.array([[math.nan, 1.0], [-1.0, -1.0]])):
+            assert _outcome(_radial, u) == (ValueError, set())
+        # r * r underflows to 0, is so small that -1/r^2 overflows, or overflows.
+        for r, message in ((1e-170, "divide by zero encountered in divide"),
+                           (1e-160, "overflow encountered in divide"),
+                           (1e200, "overflow encountered in multiply")):
+            for u in (np.array([r, 1.0]), np.array([[1.0, r], [0.0, 1.0]])):
+                _warns_as_former(_radial, _former_radial, u, message)
+        # A NaN velocity passes through, without a warning.
+        got, caught = _outcome(_radial, (1.0, math.nan))
+        assert (got, caught) == (_outcome(_former_radial, (1.0, math.nan))[0], set())
+
+
 class TestConservedQuantities:
     def test_circular_invariants(self):
         assert angular_momentum(CIRCULAR) == (0, 1, 0)
@@ -219,7 +382,7 @@ class TestRadialFall:
     def test_columns_give_the_single_state_values(self):
         u = np.random.default_rng(7).uniform(1e-6, 2.0, (2, 50))
         cols = radial_ode_rhs(np.zeros(50), u)
-        assert np.array_equal(cols, np.stack([radial_ode_rhs(0.0, c) for c in u.T], axis=1))
+        assert cols.tobytes() == np.stack([radial_ode_rhs(0.0, c) for c in u.T], axis=1).tobytes()
 
     def test_energy_relation_preserved_during_fall(self):
         res = integrate_ode(

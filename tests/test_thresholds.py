@@ -13,7 +13,7 @@ import pytest
 from ksreg import bench
 from ksreg.flows import (collision_set_membership, first_collision_time,
                          induced_flow_on_orbit_space, ks_relatedness_harness)
-from ksreg.invariants import TOL, V1, eval_generators
+from ksreg.invariants import H2, TOL, V1, XI, eval_generators
 from ksreg.kepler_dynamics import COLLISION_GUARD
 from ksreg.ks_map import (KS, pullback_angular_momentum, pullback_eccentricity,
                           pullback_inner_product, require_level_set)
@@ -72,6 +72,16 @@ def test_one_slack(name):
     accepts = MEMBERSHIP[name]
     assert accepts(Fraction(TOL) / 2)
     assert not accepts(2 * Fraction(TOL))
+
+
+@pytest.mark.parametrize("xi, inside", [(1e6 + 1e-4, True), (1e6 - 1e-4, True),
+                                        (-1e6 - 1e-4, True), (1e6 + 1e-2, False)])
+def test_one_wedge_rule_far_from_the_vertex(xi, inside):
+    """At h = 1e6 the slack is TOL * h = 1e-3: both halves of the reduction agree."""
+    g = [0.0] * 16
+    g[H2], g[XI] = 1e6, xi
+    assert _accepts(reduced_momentum, g) is inside
+    assert _accepts(classify_reduced_space, (1e6, xi)) is inside
 
 
 def test_one_collision_guard():
