@@ -71,7 +71,7 @@ def _block_rows(method, field, starts, t_end, event, measure, l_values, tol) -> 
     grid = np.linspace(0.0, t_end, 2001)
     runs = integrate_ode(
         field, starts, (0.0, t_end),
-        rtol=tol, atol=tol, max_steps=50_000, t_eval=grid[1:-1], event=event,
+        tol=tol, max_steps=50_000, t_eval=grid[1:-1], event=event,
     )
     rows = []
     for l_norm, res in zip(l_values, runs):
@@ -93,7 +93,7 @@ def _block_rows(method, field, starts, t_end, event, measure, l_values, tol) -> 
 def run_benchmark(l_values=DEFAULT_GRID, tol: float = 1e-10) -> list:
     """One raw and one regularized row per |L| value, raw first.
 
-    Each method integrates all its seeds as one block of rows at rtol = atol = tol.
+    Each method integrates all its seeds as one block of rows at tol.
     """
     if not l_values:
         return []

@@ -181,7 +181,7 @@ def orbit(state, t_max, samples, out_dir):
     type=float,
     default=1e-10,
     show_default=True,
-    help="Integrator rtol and atol.",
+    help="Integrator tolerance, relative and absolute alike.",
 )
 @click.option("--out", default="bench.csv", show_default=True)
 @click.option(

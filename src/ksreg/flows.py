@@ -200,7 +200,7 @@ def ks_relatedness_harness(
     guard, carrying the closed-form physical collision time.  The start
     must lie on the (1, 0) level within TOL.  The comparison grid holds
     samples + 1 times, with samples at least 2, and ks_batch rejects a
-    start at q = 0.  The integrator runs at rtol = atol = 1e-10.
+    start at q = 0.  The integrator runs at tol = 1e-10.
     """
     z0 = point8(z0)
     g = eval_generators(z0)
@@ -219,8 +219,7 @@ def ks_relatedness_harness(
             _doubled_field,
             w0_flat,
             (0.0, t_max),
-            rtol=1e-10,
-            atol=1e-10,
+            tol=1e-10,
             max_steps=max_steps,
             t_eval=np.linspace(0.0, t_max, samples + 1)[1:],
             # A BLAS dot, unlike the Python-float sums of the kepler_dynamics

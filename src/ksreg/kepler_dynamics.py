@@ -66,21 +66,6 @@ def _require_noncollision(x):
     return rr
 
 
-def _field_point(w) -> tuple:
-    """Float x and y off the collision set, and r = |x|.
-
-    w is one point or (6, m) columns, for which r is an (m,) array.
-    """
-    x, y = _columns(w)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim == 1:
-        # One point: the test and r in Python floats, which round as numpy's
-        # float64 scalars do at a fraction of their cost.
-        return x, y, math.sqrt(_require_noncollision(x.tolist()))
-    return x, y, np.sqrt(_require_noncollision(x))
-
-
 def kepler_energy(w) -> float:
     """K(x, y) = |y|^2/2 - 1/|x|."""
     x, y = _columns(w)
@@ -94,6 +79,14 @@ def preregularized_hamiltonian(w):
     return norm3(x) * (dot3(y, y) + 1) / 2
 
 
+def _state(w, d: int) -> np.ndarray:
+    """w as a float (d,) point or (d, m) columns, or ValueError."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim not in (1, 2) or len(w) != d:
+        raise ValueError(f"a state is a ({d},) point or ({d}, m) columns")
+    return w
+
+
 def _phase_field(body, w) -> np.ndarray:
     """A field at one point w or on (6, m) columns, as a (6,) or (6, m) array.
 
@@ -102,20 +95,17 @@ def _phase_field(body, w) -> np.ndarray:
     arithmetic does without its call overhead, but raise ZeroDivisionError
     where numpy returns inf or NaN, and never warn.  So where a divisor is 0
     or not finite, or a value is not finite (every case in which numpy
-    warns, bar the underflow it ignores by default), body runs on numpy
-    values from _field_point instead: numpy's values and warnings, and the
-    ValueError at x = 0.  The loop costs per point, so past about 20
-    columns it is slower than numpy (BENCH_18.json, wide_grid).
+    warns, bar the underflow it ignores by default), body runs on the numpy
+    rows of w as (6, m) columns instead, a lone point as one column: numpy's
+    values and warnings, and the ValueError at x = 0, the same for a point
+    and its column.  The loop costs per point, so past about 20 columns it
+    is slower than numpy (BENCH_18.json, wide_grid).
     """
-    w = np.asarray(w, dtype=float)
-    if len(w) != 6:
-        raise ValueError("a Kepler phase point has 6 components (x, y)")
-    # The points: w itself, the columns of w, or those of a (6, ...) stack.
-    one, wt = w.ndim == 1, w.T
-    points = [w.tolist()] if one else (wt if w.ndim == 2 else wt.reshape(-1, 6)).tolist()
+    w = _state(w, 6)
+    one = w.ndim == 1
     values = []
     try:
-        for x1, x2, x3, y1, y2, y3 in points:
+        for x1, x2, x3, y1, y2, y3 in [w.tolist()] if one else w.T.tolist():
             divisor, v = body(x1, x2, x3, y1, y2, y3, math.sqrt(x1 * x1 + x2 * x2 + x3 * x3))
             if not 0 < divisor < math.inf:
                 break
@@ -123,11 +113,12 @@ def _phase_field(body, w) -> np.ndarray:
         else:
             if math.isfinite(sum(values)):
                 out = np.array(values)
-                return out if one else out.reshape(wt.shape).T
+                return out if one else out.reshape(-1, 6).T
     except ZeroDivisionError:
         pass
-    x, y, r = _field_point(w)
-    return np.array(body(*x, *y, r)[1])
+    c = w.reshape(6, -1)
+    out = np.array(body(*c, np.sqrt(_require_noncollision(c[:3])))[1])
+    return out[:, 0] if one else out
 
 
 def _preregularized(x1, x2, x3, y1, y2, y3, r):
@@ -144,6 +135,14 @@ def preregularized_vector_field(w) -> np.ndarray:
     return _phase_field(_preregularized, w)
 
 
+def _rescaled(x1, x2, x3, y1, y2, y3, r):
+    # r * r, not r**2: Python's power of a float can round differently.
+    rr = r * r
+    c = (y1 * y1 + y2 * y2 + y3 * y3) / 2 - 1 / r + 0.5
+    dy = (-x1 / rr - c * x1 / r, -x2 / rr - c * x2 / r, -x3 / rr - c * x3 / r)
+    return rr, (r * y1, r * y2, r * y3, *dy)
+
+
 def rescaled_kepler_vector_field(w) -> np.ndarray:
     """The |x|-rescaled Kepler field with its level-set correction term.
 
@@ -151,10 +150,7 @@ def rescaled_kepler_vector_field(w) -> np.ndarray:
     an independent construction that agrees with the symplectic
     gradient; the cross-validation lives in the tests.
     """
-    x, y, r = _field_point(w)
-    energy = dot3(y, y) / 2 - 1 / r
-    dy = -x / r**2 - (energy + 0.5) * x / r
-    return np.concatenate([r * y, dy])
+    return _phase_field(_rescaled, w)
 
 
 def _kepler(x1, x2, x3, y1, y2, y3, r):
@@ -194,7 +190,7 @@ def radial_ode_rhs(t, u) -> np.ndarray:
     Takes integrate_ode's arguments, one state or (2, m) columns; t is
     unused.
     """
-    u = np.asarray(u)
+    u = _state(u, 2)
     r = u[0]
     # One reduction; a NaN radius makes the minimum NaN and fails the test.
     if not r.min() > 0:

@@ -156,11 +156,11 @@ class _Row:
         )
 
 
-# Under a tiny rtol and atol the norms overflow and leave h infinite or
-# NaN.  Like the step arithmetic, this runs with numpy's warnings off.
+# Under a tiny tol the norms overflow and leave h infinite or NaN.  Like
+# the step arithmetic, this runs with numpy's warnings off.
 @np.errstate(all="ignore")
-def _initial_step(t0, y0, f0, t1, rtol, atol):
-    scale = atol + rtol * np.abs(y0)
+def _initial_step(t0, y0, f0, t1, tol):
+    scale = tol + tol * np.abs(y0)
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2))
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
@@ -185,9 +185,9 @@ def _stage(Y, H, a, K):
 
 
 @np.errstate(all="ignore")
-def _squared_errors(Y, S, H, K, rtol, atol):
+def _squared_errors(Y, S, H, K, tol):
     """Each row's sum of squares of the scaled error, and whether its end point S is finite."""
-    scaled = H * (_ERR @ K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(S)))
+    scaled = H * (_ERR @ K) / (tol + tol * np.maximum(np.abs(Y), np.abs(S)))
     # Each row's dot product scaled @ scaled, as a stack of (1, d) @ (d, 1).
     squares = (scaled[:, None, :] @ scaled[:, :, None])[:, 0, 0].tolist()
     # A NaN or infinite entry makes the sum of S NaN or infinite, so a finite
@@ -224,8 +224,7 @@ def integrate_ode(
     f,
     y0,
     t_span,
-    rtol: float = 1e-10,
-    atol: float = 1e-10,
+    tol: float = 1e-10,
     max_steps: int = 100_000,
     t_eval=None,
     event=None,
@@ -238,7 +237,8 @@ def integrate_ode(
         and event get a float t and the (d,) state; or an (n, d) block
         of n rows stepped in lockstep (see below).
       t_span: finite (t0, t1) with t1 > t0.
-      rtol, atol: finite positive error control per component, RMS-combined.
+      tol: finite positive error control per component, relative and
+        absolute alike (scale tol + tol * |y|), RMS-combined.
       max_steps: accepted-step budget; exceeding it ends the run with
         status step_budget_exhausted.
       t_eval: increasing sample times inside t_span, filled from the
@@ -267,8 +267,8 @@ def integrate_ode(
         raise ValueError("t_span must be finite")
     if not t1 > t0:
         raise ValueError("t_span must be increasing")
-    if not (0 < rtol < math.inf and 0 < atol < math.inf):
-        raise ValueError("rtol and atol must be finite and positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     y0 = np.array(y0, dtype=float)
     if y0.ndim not in (1, 2) or y0.size == 0:
         raise ValueError("y0 must be a (d,) state or an (n, d) block of rows")
@@ -316,7 +316,7 @@ def integrate_ode(
     F0 = np.asarray(f(T0, Y.T) if block else f(t0, Y[0]), dtype=float).T.reshape(n, d)
     rows = []
     for start, f0 in zip(Y, F0):
-        h = _initial_step(t0, start, f0, t1, rtol, atol)
+        h = _initial_step(t0, start, f0, t1, tol)
         rows.append(_Row(t0, start, min(h, t1 - t0), None if t_eval is None else t_eval.size))
     if event is not None:
         for r, g in zip(rows, sign(T0, Y)):
@@ -365,7 +365,7 @@ def integrate_ode(
                 S = _stage(Y, H, a, K[:, :i])
                 K[0, i] = f(TS[i], S[0])
         # S, the last stage's input, is the fifth-order end point.
-        squares, finite = _squared_errors(Y, S, H, K, rtol, atol)
+        squares, finite = _squared_errors(Y, S, H, K, tol)
 
         accepted, errs = [], []
         for p, r, s, ok in zip(range(m), run, squares, finite):
@@ -377,7 +377,7 @@ def integrate_ode(
                 K[p] = 0.0
             # A non-finite end point ends the row, whatever its error norm
             # reads; an error norm that overflows at a finite end point (tiny
-            # rtol and atol, or f infinite there) rejects the step.
+            # tol, or f infinite there) rejects the step.
             if not ok or math.isnan(err):
                 r.status = "nonfinite"
             elif err > 1.0:

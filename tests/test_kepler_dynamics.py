@@ -27,6 +27,10 @@ from ksreg.verify import fall_time_rows
 
 CIRCULAR = (0, 0, 1, 1, 0, 0)
 APOAPSIS = (0, 0, 2, 0, 0, 0)
+# A point whose radius r has r**2 != r * r in Python floats: column 176 of
+# default_rng(7)'s standard_normal((6, N)) * 10.0 ** integers(-6, 7, (6, N)).
+R_SQUARED_POINT = (0.13355318553000226, -2.3291527642928636e-06, 2.574955460528721e-05,
+                   7.944456273423317, -0.0007984744992246956, 0.5144000803197023)
 
 
 def _on_shell_state(rng):
@@ -83,6 +87,9 @@ class TestEnergies:
         assert preregularized_hamiltonian(np.array([0.0, 0, 1, 1, 0, 0])) == 1
 
 
+PHASE_FIELDS = [kepler_vector_field, preregularized_vector_field, rescaled_kepler_vector_field]
+
+
 class TestVectorFields:
     def test_circular_field(self):
         field = preregularized_vector_field(CIRCULAR)
@@ -135,33 +142,34 @@ class TestVectorFields:
         field = kepler_vector_field(CIRCULAR)
         assert np.allclose(field, [1, 0, 0, 0, 0, -1], atol=1e-15)
 
-    def test_regularized_fields_on_columns_give_the_single_point_values(self):
+    @pytest.mark.parametrize("field", PHASE_FIELDS, ids=["kepler", "preregularized", "rescaled"])
+    def test_columns_give_the_lone_point_bytes(self, field):
         rng = np.random.default_rng(5)
         w = rng.uniform(-1.0, 1.0, (6, 50)) * 10.0 ** rng.integers(-4, 5, 50)
-        for field in (preregularized_vector_field, rescaled_kepler_vector_field):
-            cols = field(w)
-            per_point = np.stack([field(c) for c in w.T], axis=1)
-            assert cols.tobytes() == per_point.tobytes(), field.__name__
+        w = np.column_stack([w, R_SQUARED_POINT])
+        cols = field(w)
+        per_point = np.stack([field(c) for c in w.T], axis=1)
+        assert cols.tobytes() == per_point.tobytes()
 
-    def test_raw_field_on_columns_gives_the_single_point_values(self):
-        w = np.random.default_rng(3).uniform(-1.0, 1.0, (6, 50))
-        cols = kepler_vector_field(w)
-        assert np.array_equal(cols, np.stack([kepler_vector_field(c) for c in w.T], axis=1))
+    def test_rescaled_field_divides_by_r_times_r_alone_and_in_a_column(self):
+        # Python's r**2 rounds off r * r at this radius; the field divides by r * r.
+        w = np.array(R_SQUARED_POINT)
+        for got in (rescaled_kepler_vector_field(w), rescaled_kepler_vector_field(w[:, None])[:, 0]):
+            assert got[3] == -32.1894961770749
+
+    def test_stacks_of_columns_rejected(self):
+        for field in PHASE_FIELDS:
+            with pytest.raises(ValueError):
+                field(np.ones((6, 2, 2)))
 
 
 def _former_point(w):
     """The former numpy preamble of the fields: float x and y, and r = |x|.
 
-    At one point |x|^2 and r were Python floats, on columns numpy arrays.
+    On (6, m) columns, a lone point as one column.
     """
-    x = np.asarray(w[:3], dtype=float)
-    y = np.asarray(w[3:], dtype=float)
-    if x.ndim == 1:
-        a, b, c = x.tolist()
-        rr = a * a + b * b + c * c
-        if rr == 0:
-            raise ValueError("x = 0")
-        return x, y, math.sqrt(rr)
+    c = np.asarray(w, dtype=float).reshape(6, -1)
+    x, y = c[:3], c[3:]
     rr = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
     if np.any(rr == 0):
         raise ValueError("x = 0")
@@ -170,14 +178,22 @@ def _former_point(w):
 
 def _former_kepler(w):
     x, y, r = _former_point(w)
-    return np.concatenate([y, -x / (r * r * r)])
+    return np.concatenate([y, -x / (r * r * r)]).reshape(np.shape(w))
 
 
 def _former_preregularized(w):
-    # Entry by entry, as the former body ran: numpy scalars at one point.
+    # Entry by entry, as the former body ran.
     x, y, r = _former_point(w)
     c = -(y[0] * y[0] + y[1] * y[1] + y[2] * y[2] + 1) / 2
-    return np.array([r * y[0], r * y[1], r * y[2], c * x[0] / r, c * x[1] / r, c * x[2] / r])
+    return np.array([r * y[0], r * y[1], r * y[2], c * x[0] / r, c * x[1] / r,
+                     c * x[2] / r]).reshape(np.shape(w))
+
+
+def _former_rescaled(w):
+    x, y, r = _former_point(w)
+    energy = (y[0] * y[0] + y[1] * y[1] + y[2] * y[2]) / 2 - 1 / r
+    dy = -x / r**2 - (energy + 0.5) * x / r
+    return np.concatenate([r * y, dy]).reshape(np.shape(w))
 
 
 def _former_radial(u):
@@ -197,9 +213,10 @@ def _radial(u):
 FORMER = [
     (kepler_vector_field, _former_kepler, 6),
     (preregularized_vector_field, _former_preregularized, 6),
+    (rescaled_kepler_vector_field, _former_rescaled, 6),
     (_radial, _former_radial, 2),
 ]
-FIELD_IDS = ["kepler", "preregularized", "radial"]
+FIELD_IDS = ["kepler", "preregularized", "rescaled", "radial"]
 
 
 def _outcome(f, arg):
@@ -255,6 +272,10 @@ class TestFieldsInPythonFloats:
             values = rng.choice(edges, d * max(m, 1))
             arg = values if m == 0 else values.reshape(d, m)
             assert _outcome(field, arg) == _outcome(former, arg), arg.tolist()
+            if m == 0:
+                # A lone point gives the bytes, warnings or error of its column.
+                column = _outcome(lambda c: field(c)[:, 0], arg[:, None])
+                assert _outcome(field, arg) == column, arg.tolist()
 
     def test_r_cubed_underflow_divides_as_numpy_does(self):
         # |x|^2 = 1e-220 passes the collision test, r^3 = 1e-330 rounds to 0.
@@ -281,9 +302,11 @@ class TestFieldsInPythonFloats:
             for p in ((nan, 0, 0, 0, 1, 0), (1, 0, 0, inf, nan, 0)):
                 got, caught = _outcome(field, p)
                 assert (got, caught) == (_outcome(former, np.array(p))[0], set())
-        # inf/inf and inf*0 are invalid, as in numpy; so is |y|^2 overflowing.
+        # inf/inf and inf*0 are invalid, as in numpy; |y|^2 and r^3 overflow.
         for field, former, p, message in (
             (kepler_vector_field, _former_kepler, (inf, 0, 0, 0, 1, 0), "invalid value"),
+            (kepler_vector_field, _former_kepler, (1e110, 0, 0, 0, 1, 0),
+             "overflow encountered in multiply"),
             (preregularized_vector_field, _former_preregularized, (inf, 0, 0, 0, 1, 0),
              "invalid value encountered in multiply"),
             (preregularized_vector_field, _former_preregularized, (1, 0, 0, 1e200, 0, 0),
@@ -379,6 +402,15 @@ class TestRadialFall:
         with pytest.raises(ValueError):
             radial_ode_rhs(np.zeros(3), np.array([[1.0, np.nan, 0.5], [-1.0, -1.0, -1.0]]))
 
+    def test_integer_state_runs_in_floats(self):
+        # In int64, r * r = 2**64 would wrap to 0.
+        assert _outcome(_radial, (2**32, 1)) == (_outcome(np.array, [1.0, -2.0**-64])[0], set())
+
+    def test_state_of_the_wrong_length_rejected(self):
+        for u in (np.array([3.0, 1.0, 2.0]), np.ones((3, 2)), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError):
+                radial_ode_rhs(0.0, u)
+
     def test_columns_give_the_single_state_values(self):
         u = np.random.default_rng(7).uniform(1e-6, 2.0, (2, 50))
         cols = radial_ode_rhs(np.zeros(50), u)
@@ -389,8 +421,7 @@ class TestRadialFall:
             radial_ode_rhs,
             np.array([2.0, 0.0]),
             (0.0, 4.0),
-            rtol=1e-13,
-            atol=1e-13,
+            tol=1e-13,
             event=lambda t, u: u[0] - 1e-3,
         )
         assert res.status == "event"
