@@ -184,6 +184,15 @@ def _doubled_field(t, w):
     return 2 * preregularized_vector_field(w)
 
 
+def _guard_event(t, w, guard):
+    """|x|^2 - guard^2 per (6, m) column, |x|^2 a stack of (1, 3) @ (3, 1)
+    products: the bits of the BLAS dot on a lone state, which a Python-float
+    sum (dot3) or np.einsum misses in the last bit for about one 3-vector in
+    five, so that event times and the orbit CSVs could move."""
+    x = w[:3].T
+    return (x[:, None] @ x[:, :, None])[:, 0, 0] - guard * guard
+
+
 def ks_relatedness_harness(
     z0,
     t_max: float,
@@ -222,10 +231,7 @@ def ks_relatedness_harness(
             tol=1e-10,
             max_steps=max_steps,
             t_eval=np.linspace(0.0, t_max, samples + 1)[1:],
-            # A BLAS dot, unlike the Python-float sums of the kepler_dynamics
-            # fields: the two differ in the last bit for about one 3-vector
-            # in five, which would move event times and the orbit CSVs.
-            event=lambda t, w: w[:3] @ w[:3] - guard * guard,
+            event=lambda t, w: _guard_event(t, w, guard),
         )
         times = np.concatenate([[0.0], res.eval_times])
         integrated = np.vstack([w0_flat, res.eval_states])

@@ -187,8 +187,8 @@ def eccentricity(w):
 def radial_ode_rhs(t, u) -> np.ndarray:
     """Collinear Kepler motion u = (r, rdot): d(r)/dt = rdot, d(rdot)/dt = -1/r^2.
 
-    Takes integrate_ode's arguments, one state or (2, m) columns; t is
-    unused.
+    Takes integrate_ode's arguments, (2, m) columns, or one (2,) state;
+    t is unused.
     """
     u = _state(u, 2)
     r = u[0]

@@ -5,12 +5,14 @@ one because the pipeline reports accepted and rejected step counts as
 first-class outputs, stops on sign-change events with a controlled
 localization scheme, and must behave identically across platforms.
 
-One step loop advances one state or an (n, d) block of rows in
-lockstep.  Each row keeps its own step size, error norm, accept/reject
-decision, event and sample grid (the step size control of Hairer,
-Norsett & Wanner, Solving ODEs I, II.4, applied per row), so a row
-takes the steps it takes alone, while the loop's fixed cost per step is
-paid once for all rows.
+One step loop advances an (n, d) block of rows in lockstep; a lone
+(d,) state is a one-row block.  Each row keeps its own step size, error
+norm, accept/reject decision, event and sample grid (the step size
+control of Hairer, Norsett & Wanner, Solving ODEs I, II.4, applied per
+row), so a row takes the steps it takes alone, while the loop's fixed
+cost per step is paid once for all rows.  f and event always see the
+running rows as (d, m) columns with an (m,) array of times, m = 1
+included.
 """
 from __future__ import annotations
 
@@ -39,7 +41,6 @@ _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                 187 / 2100, 1 / 40])
 _ERR = _B5 - _B4
 _STAGES = [(i, _A[i, :i]) for i in range(1, 7)]
-_C_FLOATS = _C.tolist()
 _C_COLUMN = _C[:, None]
 # Fourth-order continuous extension of the pair: the interpolant over an
 # accepted step is y0 + h * k^T P (theta, theta^2, theta^3, theta^4).
@@ -75,9 +76,9 @@ class OdeResult:
     times/states hold every accepted step point; eval_times (a copy) and
     eval_states hold the given sample grid up to where the run ended.
     status is one of completed, event, step_budget_exhausted,
-    step_size_underflow, nonfinite (a step's end point was not finite, or
-    its error estimate was NaN; the last accepted state is the one before
-    it).
+    step_size_underflow, nonfinite (a step's end point was not finite, its
+    error estimate was NaN, or the event was NaN there or at t0; the last
+    accepted state is the one before it).
     """
 
     times: np.ndarray
@@ -118,12 +119,12 @@ class _Row:
     The accepted states fill a preallocated array that doubles when full.
     """
 
-    __slots__ = ("t", "h", "g", "steps", "rejected", "status", "event_time", "event_state",
-                 "times", "states", "filled", "eval_states")
+    __slots__ = ("t", "h", "g", "steps", "rejected", "lost", "status", "event_time",
+                 "event_state", "times", "states", "filled", "eval_states")
 
     def __init__(self, t0, y0, h, eval_size):
         self.t, self.h, self.g = t0, h, None
-        self.steps = self.rejected = 0
+        self.steps = self.rejected = self.lost = 0
         self.status = "completed"
         self.event_time = self.event_state = None
         self.times = [t0]
@@ -142,8 +143,9 @@ class _Row:
 
     def result(self, t_eval) -> OdeResult:
         # f runs once at t0 and six times per attempt: accepted, rejected,
-        # or the non-finite one that ends the row.
-        attempts = self.steps + self.rejected + (self.status == "nonfinite")
+        # or lost, the one that ends the row at a non-finite end point or a
+        # NaN event value there.
+        attempts = self.steps + self.rejected + self.lost
         return OdeResult(
             times=np.array(self.times),
             states=self.states[:len(self.times)],
@@ -232,35 +234,34 @@ def integrate_ode(
     """Integrate dy/dt = f(t, y) forward over t_span.
 
     Args:
-      f: right-hand side returning an array like y.
-      y0: initial state of shape (d,), run as a one-row block whose f
-        and event get a float t and the (d,) state; or an (n, d) block
-        of n rows stepped in lockstep (see below).
+      f: right-hand side f(t, y) of (m,) times and (d, m) columns,
+        returning a (d, m) array.
+      y0: initial state of shape (d,), run as a one-row block; or an
+        (n, d) block of n rows stepped in lockstep (see below).
       t_span: finite (t0, t1) with t1 > t0.
       tol: finite positive error control per component, relative and
         absolute alike (scale tol + tol * |y|), RMS-combined.
       max_steps: accepted-step budget; exceeding it ends the run with
         status step_budget_exhausted.
-      t_eval: increasing sample times inside t_span, filled from the
+      t_eval: 1-D increasing sample times inside t_span, filled from the
         fourth-order continuous extension of each accepted step.
-      event: scalar function of (t, y); integration stops where its
-        sign changes across a step or where it is exactly 0, localized
-        by bisection on the same continuous extension.  A function that
-        is exactly 0 at t0 is an event at t0: the run ends there with
-        status event, event_state y0 and no step taken.
+      event: function of (t, y), called like f, returning (m,) values;
+        a row stops where its value changes sign across a step or is
+        exactly 0, localized by bisection on the same continuous
+        extension.  A value exactly 0 at t0 is an event at t0: the row
+        ends there with status event, event_state y0 and no step taken.
+        A NaN value ends the row nonfinite at its last point where the
+        event was a number, with no event_time.
 
     Returns:
-      OdeResult; times/states always include the initial point and the
-      last accepted one (or the event point).
+      For a (d,) y0, its row's OdeResult; for an (n, d) y0, an
+      OdeResults: the n rows' OdeResult objects in order, whose stats
+      sum the rows' counts.  times/states always include the initial
+      point and the last accepted one (or the event point).
 
-    Block runs: for y0 of shape (n, d), every row is integrated as it
-    would be alone, with its own step size, error norm, accept/reject
-    decision, event, t_eval fill, stats and status.  f and event are
-    called on the m rows still running only, as f(t, y) with t an (m,)
-    array and y the (d, m) columns of their states; f returns a (d, m)
-    array and event (m,) values.  A row that ends drops out.  The
-    result is an OdeResults: the n rows' OdeResult objects in order,
-    whose stats sum the rows' counts.
+    Every row runs as it would alone, with its own step size, error
+    norm, accept/reject decision, event, t_eval fill, stats and status;
+    a row that ends drops out of the columns f and event get.
     """
     t0, t1 = map(float, t_span)
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -272,11 +273,10 @@ def integrate_ode(
     y0 = np.array(y0, dtype=float)
     if y0.ndim not in (1, 2) or y0.size == 0:
         raise ValueError("y0 must be a (d,) state or an (n, d) block of rows")
-    block = y0.ndim == 2
-    Y = np.atleast_2d(y0)
-    n, d = Y.shape
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
+        if t_eval.ndim != 1:
+            raise ValueError("t_eval must be 1-D")
         # Both tests are written so that a NaN sample time fails them.
         if not np.all(np.diff(t_eval) > 0):
             raise ValueError("t_eval must be strictly increasing")
@@ -284,36 +284,23 @@ def integrate_ode(
             raise ValueError("t_eval must lie inside t_span")
         eval_times = t_eval.tolist()
 
-    # The running rows' states are the rows of Y, shape (m, d), and H holds
-    # each row's step size across its row, also (m, d), so that the stage
-    # sums and the error norm multiply arrays of one shape.  A block calls f
-    # and event on Y.T with an (m,) array of times; a 1-D run calls them on
-    # its lone row with a float time.  The stage sums are stacked matmuls,
-    # one (d,)-wide product per row, so a row's arithmetic does not depend
-    # on the rows beside it.
-    if block:
-        def clocks(ts, hs):
-            """H and the (7, m) stage times: stage i of row p starts at t + h * c_i."""
-            h = np.array(hs)
-            return h[:, None].repeat(d, 1), np.array(ts) + _C_COLUMN * h
+    # The running rows' states are the rows of Y, shape (m, d); a (d,) y0 is
+    # a one-row block.  H holds each row's step size across its row, also
+    # (m, d), so that the stage sums and the error norm multiply arrays of one
+    # shape.  f and event get the columns Y.T and an (m,) array of times.  The
+    # stage sums are stacked matmuls, one (d,)-wide product per row, so a
+    # row's arithmetic does not depend on the rows beside it.
+    Y = np.atleast_2d(y0)
+    n, d = Y.shape
 
-        def sign(T, Y):
-            return np.asarray(event(T, Y.T), dtype=float).tolist()
+    def sign(T, Y):
+        return np.asarray(event(T, Y.T), dtype=float).tolist()
 
-        def point(t, y):
-            return event(np.array([t]), y[:, None])[0]
-    else:
-        point = event
+    def point(t, y):
+        return event(np.array([t]), y[:, None])[0]
 
-        def clocks(ts, hs):
-            t, h = ts[0], hs[0]
-            return np.array([[h] * d]), [t + h * c for c in _C_FLOATS]
-
-        def sign(t, Y):
-            return [event(t, Y[0])]
-
-    T0 = np.full(n, t0) if block else t0
-    F0 = np.asarray(f(T0, Y.T) if block else f(t0, Y[0]), dtype=float).T.reshape(n, d)
+    T0 = np.full(n, t0)
+    F0 = np.asarray(f(T0, Y.T), dtype=float).T.reshape(n, d)
     rows = []
     for start, f0 in zip(Y, F0):
         h = _initial_step(t0, start, f0, t1, tol)
@@ -326,6 +313,8 @@ def integrate_ode(
                 if t_eval is not None:
                     r.filled = bisect_right(eval_times, t0 + 1e-14)
                     r.eval_states[:r.filled] = r.event_state
+            elif math.isnan(g):
+                r.status = "nonfinite"
 
     t_end = t1 - 1e-14 * max(1.0, abs(t1))
     run = rows
@@ -351,19 +340,16 @@ def integrate_ode(
             run = [run[p] for p in keep]
             Y, F0 = Y[keep], F0[keep]
         m = len(run)
-        H, TS = clocks(ts, hs)
+        # Stage i of row p starts at t + h * c_i: TS holds the (7, m) stage times.
+        h = np.array(hs)
+        H, TS = h[:, None].repeat(d, 1), np.array(ts) + _C_COLUMN * h
         K = np.empty((m, 7, d))
         K[:, 0] = F0
-        if block:
-            # f's (d, m) columns go into K through its transposed view.
-            KT = K.transpose(1, 2, 0)
-            for i, a in _STAGES:
-                S = _stage(Y, H, a, K[:, :i])
-                KT[i] = f(TS[i], S.T)
-        else:
-            for i, a in _STAGES:
-                S = _stage(Y, H, a, K[:, :i])
-                K[0, i] = f(TS[i], S[0])
+        # f's (d, m) columns go into K through its transposed view.
+        KT = K.transpose(1, 2, 0)
+        for i, a in _STAGES:
+            S = _stage(Y, H, a, K[:, :i])
+            KT[i] = f(TS[i], S.T)
         # S, the last stage's input, is the fifth-order end point.
         squares, finite = _squared_errors(Y, S, H, K, tol)
 
@@ -379,7 +365,7 @@ def integrate_ode(
             # reads; an error norm that overflows at a finite end point (tiny
             # tol, or f infinite there) rejects the step.
             if not ok or math.isnan(err):
-                r.status = "nonfinite"
+                r.status, r.lost = "nonfinite", 1
             elif err > 1.0:
                 r.rejected += 1
                 r.h *= max(0.2, 0.9 * err ** -0.2)
@@ -399,6 +385,10 @@ def integrate_ode(
             r = run[p]
             horizon = r.t + r.h
             if event is not None:
+                if math.isnan(g):
+                    # The row ends at its last point where the event was a number.
+                    r.status, r.steps, r.lost = "nonfinite", r.steps - 1, 1
+                    continue
                 # Signs, not the product g_prev * g_new, which can underflow to 0.
                 side = math.copysign(1.0, r.g)
                 r.g = g
@@ -428,4 +418,4 @@ def integrate_ode(
             Y, F0 = np.where(took, S, Y), np.where(took, K[:, 6], F0)
 
     results = [r.result(t_eval) for r in rows]
-    return OdeResults(results) if block else results[0]
+    return results[0] if y0.ndim == 1 else OdeResults(results)

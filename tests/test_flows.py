@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ksreg import flows
 from ksreg.flows import (
     Trajectory,
     collision_set_membership,
@@ -21,12 +22,18 @@ from ksreg.flows import (
     physical_time_of_flight,
 )
 from ksreg.invariants import H2, K, L, U, V, XI, eval_generators
-from ksreg.kepler_dynamics import radial_collision_time, sundman_time
+from ksreg.kepler_dynamics import COLLISION_GUARD, radial_collision_time, sundman_time
 from ksreg.ks_map import ks, ks_batch
+from ksreg.ode import integrate_ode
 from ksreg.sampling import sample_collision_slice, sample_level_set
 
 CIRCULAR = (1, 0, 0, 0, 0, 0, 1, 0)
 APOAPSIS = (math.sqrt(2), 0, 0, 0, 0, 0, 0, 0)
+# sample_collision_slice(np.random.default_rng(0), 1)[0]: it falls off the
+# axes, so all three x entries of its event state are nonzero.
+OFF_AXIS_FALL = (0.12801146096234145, -0.13450176419866774, 0.65204243183286104,
+                 0.10680341715065199, 0.23062991181226061, -0.24232306843883103,
+                 1.1747423818223885, 0.19242076055947235)
 
 coords = st.integers(min_value=-6, max_value=6)
 points = st.tuples(*[coords] * 8)
@@ -309,6 +316,50 @@ class TestHarness:
         t = 2 * sundman_time(res.times, res.integrated)
         flight = [physical_time_of_flight(z0, s) for s in res.times]
         assert np.max(np.abs(t - flight)) <= 1e-6
+
+    @pytest.mark.parametrize("z0, t_max, samples, fingerprint", [
+        (CIRCULAR, 3.0, 16, (173, 0, 1039, "completed", None)),
+        (CIRCULAR, 2 * math.pi, 256, (361, 0, 2167, "completed", None)),
+        ((1, 0, 0, 0, 1, 0, 0, 0), 3.0, 256, (297, 1, 1789, "event", "0x1.2d809c4ed3f02p+1")),
+        (OFF_AXIS_FALL, 3.0, 256, (341, 1, 2053, "event", "0x1.512c8f4f9bfaap+1")),
+    ], ids=["ci_orbit", "ci_default", "ci_collision", "off_axis_fall"])
+    def test_integrator_fingerprint(self, monkeypatch, z0, t_max, samples, fingerprint):
+        """Steps, rejections, RHS calls, status and event time of the
+        harness's integration, for the CI's three orbit runs and an
+        off-axis fall."""
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(integrate_ode(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(flows, "integrate_ode", spy)
+        ks_relatedness_harness(z0, t_max, samples=samples)
+        (res,) = runs
+        event_time = None if res.event_time is None else res.event_time.hex()
+        assert (res.stats.steps, res.stats.rejected_steps, res.stats.rhs_evaluations,
+                res.status, event_time) == fingerprint
+        if z0 == OFF_AXIS_FALL:
+            assert np.all(res.event_state[:3] != 0)
+
+    def test_guard_event_is_the_blas_dot_in_every_column(self):
+        """The guard event gives each column the bits of the 1-D BLAS dot
+        the harness's event used on a lone state, whatever the layout of
+        the columns: C-ordered, the integrator's transposed rows, or one
+        column at a time as in the event search."""
+        rng = np.random.default_rng(11)
+        n = 12_000
+        W = rng.standard_normal((6, n)) * 10.0 ** rng.uniform(-4, 2, (6, n))
+        for guard in (COLLISION_GUARD, 1e-3, 0.7):
+            # x @ x on a contiguous 3-vector, as on a lone (6,) state.
+            want = np.array([x @ x - guard * guard for x in np.ascontiguousarray(W[:3].T)])
+            for columns in (W, np.ascontiguousarray(W.T).T):
+                got = flows._guard_event(np.zeros(n), columns, guard)
+                assert got.shape == (n,)
+                assert got.tobytes() == want.tobytes()
+            for j in range(0, n, 40):
+                lone = flows._guard_event(np.zeros(1), W[:, j].copy()[:, None], guard)
+                assert lone.tobytes() == want[j:j + 1].tobytes()
 
     def test_step_budget_status_passes_through(self):
         res = ks_relatedness_harness(CIRCULAR, 2 * math.pi, max_steps=3)

@@ -8,6 +8,7 @@ from scipy.integrate import solve_ivp
 
 from ksreg import ode
 from ksreg.bench import seed_state
+from ksreg.flows import _guard_event
 from ksreg.kepler_dynamics import (COLLISION_GUARD, dot3, kepler_vector_field,
                                    preregularized_vector_field, radial_ode_rhs)
 from ksreg.ks_map import ks_batch
@@ -71,14 +72,16 @@ class TestSampling:
         assert np.max(np.abs(res.eval_states[:, 0] - np.cos(grid))) < 1e-8
         assert np.max(np.abs(res.eval_states[:, 1] + np.sin(grid))) < 1e-8
 
+    # A t_eval that is not 1-D is rejected by its own test, not by whatever
+    # numpy raises on it: [[0.5, 0.7]] has no truth value.
     def test_t_eval_must_increase(self):
-        for t_eval in ([0.5, 0.5], [0.25, math.nan, 0.75]):
-            with pytest.raises(ValueError):
+        for t_eval in ([0.5, 0.5], [0.25, math.nan, 0.75], [[0.5]], [[0.5, 0.7]], 0.5):
+            with pytest.raises(ValueError, match="t_eval must"):
                 integrate_ode(_decay, np.array([1.0]), (0.0, 1.0), t_eval=t_eval)
 
     def test_t_eval_must_stay_inside_span(self):
-        for t_eval in ([2.0], [math.nan]):
-            with pytest.raises(ValueError):
+        for t_eval in ([2.0], [math.nan], [[0.5]], [[0.5, 0.7]]):
+            with pytest.raises(ValueError, match="t_eval must"):
                 integrate_ode(_decay, np.array([1.0]), (0.0, 1.0), t_eval=t_eval)
 
     def test_span_must_increase(self):
@@ -131,6 +134,56 @@ class TestEvents:
         assert np.array_equal(res.times, [0.0])
         assert np.array_equal(res.eval_times, [0.0])
         assert np.array_equal(res.eval_states, [[0.0]])
+
+    def test_nan_at_the_start_ends_the_run_there(self):
+        calls = []
+
+        def decay(t, y):
+            calls.append(t)
+            return -y
+
+        # A NaN with its sign bit set, then y[0] ~ 1, which never crosses 0:
+        # read as a sign, that NaN gave an event at t ~ 4.1e-27.
+        signed_nan = -math.nan
+        assert math.copysign(1.0, signed_nan) == -1.0
+        for event in (lambda t, y: y[0] * math.nan,
+                      lambda t, y: np.where(t == 0.0, signed_nan, y[0])):
+            calls.clear()
+            res = integrate_ode(decay, [1.0], (0.0, 1.0), event=event,
+                                t_eval=np.linspace(0.0, 1.0, 5))
+            assert res.status == "nonfinite"
+            assert res.event_time is None and res.event_state is None
+            assert np.array_equal(res.times, [0.0])
+            assert np.array_equal(res.states, [[1.0]])
+            assert res.eval_times.size == 0
+            assert (res.stats.steps, res.stats.rejected_steps) == (0, 0)
+            assert res.stats.rhs_evaluations == len(calls) == 1
+
+    def test_nan_inside_the_run_ends_it_at_the_last_number(self):
+        calls = []
+
+        def decay(t, y):
+            calls.append(t)
+            return -y
+
+        grid = np.linspace(0.05, 1.0, 20)
+        res = integrate_ode(decay, [1.0], (0.0, 1.0), t_eval=grid,
+                            event=lambda t, y: np.where(t < 0.5, y[0], math.nan))
+        plain = integrate_ode(_decay, [1.0], (0.0, 1.0), t_eval=grid,
+                              event=lambda t, y: y[0])
+        assert res.status == "nonfinite" and res.event_time is None
+        # Every state kept is one the run without the NaN takes, and none
+        # lies past the last point where the event was a number.
+        k = res.times.size
+        assert res.times[-1] < 0.5 <= plain.times[k]
+        assert np.array_equal(res.times, plain.times[:k])
+        assert np.array_equal(res.states, plain.states[:k])
+        assert res.eval_times[-1] <= res.times[-1]
+        assert np.array_equal(res.eval_states, plain.eval_states[:res.eval_times.size])
+        assert res.stats.steps == k - 1
+        assert res.stats.rhs_evaluations == len(calls)
+        attempts = res.stats.steps + res.stats.rejected_steps + 1
+        assert res.stats.rhs_evaluations == 1 + 6 * attempts
 
     def test_samples_before_event_are_kept(self):
         res = integrate_ode(lambda t, y: np.array([1.0]), np.array([-1.0]),
@@ -411,20 +464,42 @@ class TestBlock:
             _assert_same_run(row, integrate_ode(_mixed_field, start, (0.0, 2.0),
                                                 t_eval=grid, event=_mixed_event))
 
-    def test_a_lone_row_calls_f_and_event_on_one_state(self):
+    def test_a_lone_row_calls_f_and_event_on_one_column(self):
+        """A (d,) y0 is a one-row block: f, event and the event search get an
+        (m,) time array and (d, m) columns with m = 1, like any block."""
         seen = []
 
         def field(t, y):
-            seen.append((t, y.shape))
+            seen.append(("f", type(t), t.shape, y.shape))
             return _rotor(t, y)
 
         def crossing(t, y):
-            seen.append((t, y.shape))
+            seen.append(("event", type(t), t.shape, y.shape))
             return y[0]
 
         res = integrate_ode(field, [1.0, 0.0], (0.0, 4.0), t_eval=[1.0, 2.0], event=crossing)
         assert isinstance(res, OdeResult) and res.status == "event"
-        assert all(isinstance(t, float) and shape == (2,) for t, shape in seen)
+        assert res.states.shape == (res.times.size, 2) and res.event_state.shape == (2,)
+        assert all(call[1:] == (np.ndarray, (1,), (2, 1)) for call in seen)
+        kinds = [call[0] for call in seen]
+        assert kinds.count("f") == res.stats.rhs_evaluations
+        # One event call at t0 and one per step; the rest are the search's.
+        assert kinds.count("event") > 1 + res.stats.steps
+        block = integrate_ode(_rotor, [[1.0, 0.0]], (0.0, 4.0), t_eval=[1.0, 2.0],
+                              event=lambda t, y: y[0])
+        assert isinstance(block, OdeResults) and len(block) == 1
+        _assert_same_run(block[0], res)
+
+    def test_a_nan_event_ends_its_row_alone(self):
+        def event(t, y):
+            return np.where((t > 0.5) & (y[0] < 0.9), math.nan, 1.0)
+
+        y0 = np.array([[1.0], [3.0]])
+        runs = integrate_ode(_decay, y0, (0.0, 1.0), event=event)
+        alone = integrate_ode(_decay, y0[1], (0.0, 1.0), event=event)
+        assert [r.status for r in runs] == ["nonfinite", "completed"]
+        assert runs[0].times[-1] <= 0.5 and runs[0].event_time is None
+        _assert_same_run(runs[1], alone)
 
     def test_y0_must_be_a_state_or_a_block(self):
         for bad in (np.zeros((2, 2, 2)), np.zeros((0, 2)), np.zeros(0)):
@@ -456,7 +531,7 @@ _EVENT_RUNS = {
     "tiny": (lambda t, y: np.array([1.0]), [-1.0], 5.0, lambda t, y: 1e-200 * y[0]),
     "rotor": (_rotor, [1.0, 0.0], 10.0, lambda t, y: y[0]),
     "orbit_collision": (_doubled_field, None, 3.0,
-                        lambda t, w: w[:3] @ w[:3] - COLLISION_GUARD * COLLISION_GUARD),
+                        lambda t, w: _guard_event(t, w, COLLISION_GUARD)),
 }
 
 
