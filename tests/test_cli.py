@@ -224,14 +224,30 @@ class TestTable:
         assert sum(1 for line in lines if line.endswith(",false")) == 23
 
 
+def _fresh_python(probe: str, cwd=None) -> str:
+    """The stdout of probe run in a new interpreter that imports this ksreg."""
+    src = os.path.dirname(os.path.dirname(ksreg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", probe], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True).stdout
+
+
 class TestImport:
     def test_cli_import_leaves_scipy_integrate_unloaded(self):
         # scipy.integrate costs most of the import time of the package and
-        # only the quadrature and Sundman time use it.
-        src = os.path.dirname(os.path.dirname(ksreg.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        # only the Sundman time uses it.
         probe = "import sys, ksreg.cli; print('scipy.integrate' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert _fresh_python(probe).strip() == "False"
+
+    def test_verify_run_leaves_scipy_integrate_unloaded(self, tmp_path):
+        # The fall quadrature is a stdlib rule; loading scipy.integrate
+        # would double the peak memory of a verify run.
+        probe = (
+            "import sys\n"
+            "from ksreg.cli import main\n"
+            "main(['verify', '--samples', '50', '--out', 'report.json'], standalone_mode=False)\n"
+            "print('scipy.integrate' in sys.modules)"
+        )
+        lines = _fresh_python(probe, cwd=tmp_path).splitlines()
+        assert lines[-2:] == ["report written to report.json", "False"]

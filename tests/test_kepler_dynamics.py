@@ -31,6 +31,10 @@ APOAPSIS = (0, 0, 2, 0, 0, 0)
 # default_rng(7)'s standard_normal((6, N)) * 10.0 ** integers(-6, 7, (6, N)).
 R_SQUARED_POINT = (0.13355318553000226, -2.3291527642928636e-06, 2.574955460528721e-05,
                    7.944456273423317, -0.0007984744992246956, 0.5144000803197023)
+# Fall-quadrature radii: verify's grid, a log-spaced sweep, and the apex approach.
+FALL_GRID = verify.FALL_GRID
+LOG_SPACED_R0 = tuple(np.logspace(-8, math.log10(2), 200).tolist())
+NEAR_APEX_R0 = tuple(2 - 10.0**-k for k in range(1, 13))
 
 
 def _on_shell_state(rng):
@@ -444,6 +448,26 @@ class TestRadialFall:
         for r0 in (0.25, 0.5, 1.0, 1.5, 2.0):
             gap = radial_collision_time(r0) - radial_collision_time_quadrature(r0)
             assert abs(gap) < 1e-9
+
+    def test_quadrature_matches_the_closed_form(self):
+        # Near the apex this also holds the closed form to its exact 2 - r0:
+        # with 2/r0 - 1 it was 7e-13 off at r0 = 2 - 1e-8.
+        for r0 in FALL_GRID + LOG_SPACED_R0 + NEAR_APEX_R0:
+            assert abs(radial_collision_time_quadrature(r0) - radial_collision_time(r0)) <= 1e-13
+
+    def test_quadrature_matches_scipy(self):
+        # scipy's quad is the independent oracle only where it is accurate
+        # itself: at r0 = 2 - 10^-k it misses the closed form by up to 3e-4.
+        from scipy import integrate
+
+        for r0 in FALL_GRID + LOG_SPACED_R0:
+            oracle, _ = integrate.quad(lambda r: 1 / math.sqrt(2 / r - 1), 0, r0, points=[r0])
+            assert abs(radial_collision_time_quadrature(r0) - oracle) <= 1e-10
+
+    def test_quadrature_rejects_nan_and_infinite_radii(self):
+        for r0 in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                radial_collision_time_quadrature(r0)
 
     def test_closed_form_matches_integrated_fall(self):
         # start on the shell, moving inward through r0

@@ -1,11 +1,14 @@
-"""The one membership slack TOL and the one collision guard COLLISION_GUARD.
+"""The one membership slack TOL, the one collision guard COLLISION_GUARD,
+and the bounds of verify's fall-time gate.
 
 Every float membership test reads invariants.TOL.  Each case below puts
 an exact Fraction input a distance delta off the function's set: delta =
 TOL/2 is accepted and delta = 2 TOL rejected, so every function applies
-the same slack.
+the same slack.  Each verify bound is asserted by value and fed a gap on
+it and one ulp past it.
 """
 import inspect
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,6 +23,7 @@ from ksreg.ks_map import (KS, pullback_angular_momentum, pullback_eccentricity,
 from ksreg.orbit_space import (classify_reduced_space, reconstruct_fiber_boundary,
                                reconstruct_fiber_interior, reduced_momentum,
                                relation_residuals)
+from ksreg.verify import FALL_EVENT_BOUND, QUADRATURE_FLOOR, fall_times_passed
 
 
 def _accepts(f, *args) -> bool:
@@ -88,3 +92,22 @@ def test_one_collision_guard():
     assert bench.COLLISION_GUARD is COLLISION_GUARD
     assert inspect.signature(ks_relatedness_harness).parameters["guard"].default \
         is COLLISION_GUARD
+
+
+def _past(bound):
+    return math.nextafter(bound, math.inf)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-10, QUADRATURE_FLOOR])
+def test_fall_time_gate(tol):
+    """A --tolerance at or below the floor leaves both bounds as they are."""
+    assert (QUADRATURE_FLOOR, FALL_EVENT_BOUND) == (1e-9, 1e-5)
+    assert fall_times_passed(QUADRATURE_FLOOR, FALL_EVENT_BOUND, tol)
+    assert not fall_times_passed(_past(QUADRATURE_FLOOR), 0.0, tol)
+    assert not fall_times_passed(0.0, _past(FALL_EVENT_BOUND), tol)
+
+
+def test_a_larger_tolerance_loosens_the_quadrature_bound_alone():
+    assert fall_times_passed(1e-6, 0.0, 1e-6)
+    assert not fall_times_passed(_past(1e-6), 0.0, 1e-6)
+    assert not fall_times_passed(0.0, _past(FALL_EVENT_BOUND), 1.0)
