@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import H2, V1, XI, eval_generator_columns
+from .invariants import H2, V1, eval_generator_columns
 from .kepler_dynamics import COLLISION_GUARD, dot3, kepler_energy, kepler_vector_field, norm3
-from .ks_map import ks_batch
+from .ks_map import ks_batch, pulled_back_hamiltonian
 from .ode import integrate_ode
 
 DEFAULT_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -62,8 +62,7 @@ def _raw_measure(S):
 def _regularized_measure(S):
     """Energy drift and radius along (8, m) oscillator columns, through the image identities."""
     g = eval_generator_columns(S)
-    radii = g[H2] + g[V1]
-    return g[H2] - g[XI] * g[XI] / (2 * radii) - 1, radii
+    return pulled_back_hamiltonian(g) - 1, g[H2] + g[V1]
 
 
 def _block_rows(method, field, starts, t_end, event, measure, l_values, tol) -> list:

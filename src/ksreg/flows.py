@@ -193,23 +193,18 @@ def _guard_event(t, w, guard):
     return (x[:, None] @ x[:, :, None])[:, 0, 0] - guard * guard
 
 
-def ks_relatedness_harness(
-    z0,
-    t_max: float,
-    samples: int = 256,
-    guard: float = COLLISION_GUARD,
-    max_steps: int = 100_000,
-) -> HarnessResult:
+def ks_relatedness_harness(z0, t_max: float, samples: int = 256) -> HarnessResult:
     """Compare the pushed oscillator flow with the integrated field.
 
     Curve A is ks composed with the closed-form flow; curve B solves
     dw/dt = 2 * (regularized field) from the shared start.  Returns the
     sup over sampled parameters of the euclidean gap.  Seeds whose
-    orbit meets {q = 0} yield a partial result truncated at the |x|
-    guard, carrying the closed-form physical collision time.  The start
-    must lie on the (1, 0) level within TOL.  The comparison grid holds
-    samples + 1 times, with samples at least 2, and ks_batch rejects a
-    start at q = 0.  The integrator runs at tol = 1e-10.
+    orbit meets {q = 0} yield a partial result truncated at |x| =
+    COLLISION_GUARD, carrying the closed-form physical collision time.
+    The start must lie on the (1, 0) level within TOL.  The comparison
+    grid holds samples + 1 times, with samples at least 2, and ks_batch
+    rejects a start at q = 0.  The integrator runs at tol = 1e-10 with
+    its default step budget.
     """
     z0 = point8(z0)
     g = eval_generators(z0)
@@ -229,9 +224,8 @@ def ks_relatedness_harness(
             w0_flat,
             (0.0, t_max),
             tol=1e-10,
-            max_steps=max_steps,
             t_eval=np.linspace(0.0, t_max, samples + 1)[1:],
-            event=lambda t, w: _guard_event(t, w, guard),
+            event=lambda t, w: _guard_event(t, w, COLLISION_GUARD),
         )
         times = np.concatenate([[0.0], res.eval_times])
         integrated = np.vstack([w0_flat, res.eval_states])

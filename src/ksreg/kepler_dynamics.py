@@ -245,35 +245,13 @@ def radial_collision_time_quadrature(r0: float) -> float:
 
     A stdlib double-exponential (tanh-sinh) rule, _TANH_SINH: at the node
     r = r0 t the integrand is sqrt(r / ((2 - r0) + r0 (1 - t))), so the
-    inverse square root at the end r0 = 2 loses no digits to 2 - r.  It
-    needs no scipy, so ksreg verify never loads scipy.integrate; only
-    sundman_time imports it.
+    inverse square root at the end r0 = 2 loses no digits to 2 - r.  The
+    tests hold it to an adaptive quadrature wherever that is accurate itself.
     """
     if not 0 < r0 <= 2:
         raise ValueError("r0 must lie in (0, 2] at energy -1/2")
     gap = 2 - r0
     return r0 * sum([w * math.sqrt(r0 * t / (gap + r0 * t_bar)) for t, t_bar, w in _TANH_SINH])
-
-
-def sundman_time(s_grid: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Physical time along an s-parametrized path: t(s) = int |x| ds.
-
-    The integrand is dt/ds = |x|, so time runs slower than s near the
-    center; a path reaching x = 0 is rejected because the relation
-    degenerates there.
-    """
-    from scipy import integrate
-
-    s_grid = np.asarray(s_grid, dtype=float)
-    states = np.asarray(states, dtype=float)
-    radii = np.linalg.norm(states[:, :3], axis=1)
-    if np.any(radii == 0):
-        raise ValueError("path touches x = 0; the reparametrization degenerates")
-    if s_grid.size == 1:
-        return np.zeros(1)
-    return np.concatenate([
-        [0.0], integrate.cumulative_simpson(radii, x=s_grid)
-    ])
 
 
 def write_trajectory_csv(path, times: np.ndarray, states: np.ndarray) -> None:

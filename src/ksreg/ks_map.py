@@ -180,6 +180,12 @@ def require_level_set(h2, xi) -> None:
         )
 
 
+def pulled_back_hamiltonian(g):
+    """H2 - Xi^2 / (2 (H2 + V1)) from the generators g: the preregularized
+    energy at ks(z), with H2 + V1 = |x|, in whatever arithmetic g carries."""
+    return g[H2] - g[XI] * g[XI] / 2 / (g[H2] + g[V1])
+
+
 def _pullback_pairs(z, on_level: bool) -> dict:
     """(Kepler side at ks(z), generator side) of the four pullback identities.
 
@@ -188,13 +194,11 @@ def _pullback_pairs(z, on_level: bool) -> dict:
     holds on the whole domain and is checked without that restriction.
     """
     g = eval_generator_columns(z)
-    h2, xi = g[H2], g[XI]
     if on_level:
-        require_level_set(h2, xi)
+        require_level_set(g[H2], g[XI])
     w = _image(_table(z))
     return {
-        "hamiltonian": (preregularized_hamiltonian(w),
-                        h2 - xi * xi / 2 / (h2 + g[V1])),
+        "hamiltonian": (preregularized_hamiltonian(w), pulled_back_hamiltonian(g)),
         "angular_momentum": (angular_momentum(w), g[L]),
         "eccentricity": (eccentricity(w), g[K]),
         "inner_product": (dot3(w[:3], w[3:]), -g[U1]),

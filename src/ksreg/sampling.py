@@ -15,15 +15,16 @@ from .invariants import grad_p_xi
 RNG_ALGORITHM = "numpy-PCG64"
 
 
-def _rescale_to_level(z: np.ndarray, h: float) -> np.ndarray:
-    """Scale each row of z jointly onto the oscillator level H2 = h.
+def _rescale_to_level(z: np.ndarray) -> np.ndarray:
+    """Scale each row of z jointly onto the unit oscillator level H2 = 1.
 
     A joint rescale of (q, p) multiplies every quadratic invariant by
     the squared factor, so it keeps the zero-momentum slice and the
     collision set.
     """
     h2 = np.sum(z * z, axis=1) / 2
-    return z * np.sqrt(h / h2)[:, None]
+    # sqrt(1 / h2), not 1 / sqrt(h2): the two round differently.
+    return z * np.sqrt(1 / h2)[:, None]
 
 
 def sample_phase_points(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -46,11 +47,9 @@ def sample_xi_zero(rng: np.random.Generator, n: int) -> np.ndarray:
     return z
 
 
-def sample_level_set(rng: np.random.Generator, n: int, h: float = 1.0) -> np.ndarray:
-    """Points on the h-level of the oscillator energy with zero momentum."""
-    if not h > 0:
-        raise ValueError("h must be positive")
-    return _rescale_to_level(sample_xi_zero(rng, n), h)
+def sample_level_set(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Points on the (1, 0) level set: unit oscillator energy, zero momentum."""
+    return _rescale_to_level(sample_xi_zero(rng, n))
 
 
 def sample_collision_slice(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -61,7 +60,7 @@ def sample_collision_slice(rng: np.random.Generator, n: int) -> np.ndarray:
     """
     q = rng.standard_normal((n, 4))
     mu = rng.standard_normal(n)
-    return _rescale_to_level(np.concatenate([q, mu[:, None] * q], axis=1), 1)
+    return _rescale_to_level(np.concatenate([q, mu[:, None] * q], axis=1))
 
 
 def sample_even_integers(rng: np.random.Generator, n: int, limit: int = 50) -> np.ndarray:

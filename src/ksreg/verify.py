@@ -31,6 +31,10 @@ FALL_GRID = (0.25, 0.5, 1.0, 1.5, 2.0)
 #: the monomial table and the generator form.
 GENERATOR_FORM_TOL = 1e-9
 
+#: Bound on the position block of the Poisson residual, which vanishes
+#: identically, on or off the zero level of Xi.
+POSITION_BLOCK_BOUND = 1e-12
+
 #: Bound on the gap between the integrated fall time and the closed form.
 FALL_EVENT_BOUND = 1e-5
 
@@ -103,14 +107,24 @@ def _suite_lagrange(rng, samples, tol):
     return _suite("lagrange_identities", worst <= tol, max_residual=worst)
 
 
+def pullbacks_passed(worst_gap: float, form_gap: float, tol: float) -> bool:
+    """The pullback gate on the worst identity gap and the gap between the two ks paths."""
+    return worst_gap <= tol and form_gap <= GENERATOR_FORM_TOL
+
+
 def _suite_pullbacks(rng, samples, tol):
     worst, form_gap = worst_pullbacks(sample_level_set(rng, samples))
     return _suite(
         "pullbacks",
-        max(worst.values()) <= tol and form_gap <= GENERATOR_FORM_TOL,
+        pullbacks_passed(max(worst.values()), form_gap, tol),
         max_gaps=worst,
         generator_form_gap=form_gap,
     )
+
+
+def poisson_passed(worst: float, worst_xx: float, tol: float) -> bool:
+    """The Poisson gate on the worst residual and the worst in the position block."""
+    return worst <= tol and worst_xx <= POSITION_BLOCK_BOUND
 
 
 def _suite_poisson(rng, samples, tol):
@@ -120,12 +134,17 @@ def _suite_poisson(rng, samples, tol):
     sweep = poisson_residual_xi_sweep(points[0], np.linspace(-0.5, 0.5, 9))
     return _suite(
         "poisson_matrix",
-        worst <= tol and worst_xx <= 1e-12,
+        poisson_passed(worst, worst_xx, tol),
         points=n,
         max_residual=worst,
         max_position_block_residual=worst_xx,
         off_level_sweep=[[xi, r] for xi, r in sweep],
     )
+
+
+def collision_theorem_passed(disagreements: int) -> bool:
+    """The collision gate: the theorem's three sides agree on every point."""
+    return disagreements == 0
 
 
 def _suite_collision(rng, samples, tol):
@@ -134,7 +153,7 @@ def _suite_collision(rng, samples, tol):
     disagreements = int(np.count_nonzero((member != falls) | (member != collinear_image)))
     return _suite(
         "collision_theorem",
-        disagreements == 0,
+        collision_theorem_passed(disagreements),
         points=int(points.shape[0]),
         disagreements=disagreements,
     )

@@ -235,8 +235,8 @@ def _fresh_python(probe: str, cwd=None) -> str:
 
 class TestImport:
     def test_cli_import_leaves_scipy_integrate_unloaded(self):
-        # scipy.integrate costs most of the import time of the package and
-        # only the Sundman time uses it.
+        # scipy.integrate would cost most of the import time of the package;
+        # no ksreg module imports it.
         probe = "import sys, ksreg.cli; print('scipy.integrate' in sys.modules)"
         assert _fresh_python(probe).strip() == "False"
 
@@ -251,3 +251,25 @@ class TestImport:
         )
         lines = _fresh_python(probe, cwd=tmp_path).splitlines()
         assert lines[-2:] == ["report written to report.json", "False"]
+
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        # numpy and click are the whole runtime: with scipy unimportable,
+        # each command exits as it does with it.
+        probe = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from ksreg.cli import main\n"
+            "codes = []\n"
+            "for args in (['verify', '--samples', '50'], ['orbit', '--out-dir', 'default'],\n"
+            "             ['orbit', '--state', '1,0,0,0,1,0,0,0', '--out-dir', 'collision'],\n"
+            "             ['bench'], ['table']):\n"
+            "    try:\n"
+            "        main(args)\n"
+            "    except SystemExit as stop:\n"
+            "        codes.append(stop.code)\n"
+            "print(codes)"
+        )
+        (tmp_path / "default").mkdir()
+        (tmp_path / "collision").mkdir()
+        lines = _fresh_python(probe, cwd=tmp_path).splitlines()
+        assert lines[-1] == "[0, 0, 0, 0, 0]"

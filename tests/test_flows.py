@@ -1,4 +1,5 @@
 """Torus flows, collision detection, and the relatedness harness."""
+import functools
 import math
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from ksreg.flows import (
     physical_time_of_flight,
 )
 from ksreg.invariants import H2, K, L, U, V, XI, eval_generators
-from ksreg.kepler_dynamics import COLLISION_GUARD, radial_collision_time, sundman_time
+from ksreg.kepler_dynamics import COLLISION_GUARD, radial_collision_time
 from ksreg.ks_map import ks, ks_batch
 from ksreg.ode import integrate_ode
 from ksreg.sampling import sample_collision_slice, sample_level_set
@@ -276,13 +277,14 @@ class TestHarness:
         assert res.max_deviation <= 1e-5
         assert np.array_equal(res.chart, oscillator_flow_batch(APOAPSIS, res.times))
 
-    def test_near_collision_seed_stays_accurate(self):
+    def test_near_collision_seed_stays_accurate(self, monkeypatch):
         # |L| = 1e-3 passes within 5e-7 of the center; the guard is
         # lowered below that periapsis so the full period is covered
+        monkeypatch.setattr(flows, "COLLISION_GUARD", 1e-8)
         lam = 1e-3
         a = math.sqrt(1 + math.sqrt(1 - lam * lam))
         z = (a, 0, 0, 0, 0, 0, lam / a, 0)
-        res = ks_relatedness_harness(z, math.pi, guard=1e-8)
+        res = ks_relatedness_harness(z, math.pi)
         assert res.status == "completed"
         assert res.max_deviation <= 1e-5
 
@@ -310,10 +312,14 @@ class TestHarness:
     ])
     def test_sundman_clock_matches_the_time_of_flight(self, z0, t_max, status):
         # The harness integrates twice the preregularized field, so its
-        # physical clock runs at dt/ds = 2|x|.
+        # physical clock runs at dt/ds = 2|x|: scipy's cumulative Simpson
+        # rule integrates it as the oracle.
+        from scipy import integrate
+
         res = ks_relatedness_harness(z0, t_max)
         assert res.status == status
-        t = 2 * sundman_time(res.times, res.integrated)
+        radii = np.linalg.norm(res.integrated[:, :3], axis=1)
+        t = 2 * integrate.cumulative_simpson(radii, x=res.times, initial=0)
         flight = [physical_time_of_flight(z0, s) for s in res.times]
         assert np.max(np.abs(t - flight)) <= 1e-6
 
@@ -361,8 +367,9 @@ class TestHarness:
                 lone = flows._guard_event(np.zeros(1), W[:, j].copy()[:, None], guard)
                 assert lone.tobytes() == want[j:j + 1].tobytes()
 
-    def test_step_budget_status_passes_through(self):
-        res = ks_relatedness_harness(CIRCULAR, 2 * math.pi, max_steps=3)
+    def test_step_budget_status_passes_through(self, monkeypatch):
+        monkeypatch.setattr(flows, "integrate_ode", functools.partial(integrate_ode, max_steps=3))
+        res = ks_relatedness_harness(CIRCULAR, 2 * math.pi)
         assert res.status == "step_budget_exhausted"
         assert res.stats.steps == 3
         assert res.collision_time is None

@@ -2,7 +2,6 @@
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from ksreg.invariants import eval_generators_batch
 from ksreg.sampling import (
@@ -23,9 +22,9 @@ class TestTargets:
         assert np.max(np.abs(gens[:, 7])) <= 1e-12
 
     def test_level_set_rescale(self):
-        z = sample_level_set(np.random.default_rng(5), 50, h=2.5)
+        z = sample_level_set(np.random.default_rng(5), 50)
         gens = eval_generators_batch(z)
-        assert np.max(np.abs(gens[:, 6] - 2.5)) <= 1e-12
+        assert np.max(np.abs(gens[:, 6] - 1)) <= 1e-12
         assert np.max(np.abs(gens[:, 7])) <= 1e-12
 
     def test_collision_slice(self):
@@ -34,10 +33,6 @@ class TestTargets:
         assert np.max(np.abs(gens[:, 6] - 1)) <= 1e-12
         assert np.max(np.abs(gens[:, 7])) <= 1e-12
         assert np.max(np.abs(gens[:, 3:6])) <= 1e-12
-
-    def test_invalid_level_rejected(self):
-        with pytest.raises(ValueError):
-            sample_level_set(np.random.default_rng(1), 5, h=0.0)
 
 
 class TestExactSamplers:

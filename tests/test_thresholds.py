@@ -1,5 +1,5 @@
 """The one membership slack TOL, the one collision guard COLLISION_GUARD,
-and the bounds of verify's fall-time gate.
+and the bounds of verify's gates.
 
 Every float membership test reads invariants.TOL.  Each case below puts
 an exact Fraction input a distance delta off the function's set: delta =
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from ksreg import bench
+from ksreg import bench, flows
 from ksreg.flows import (collision_set_membership, first_collision_time,
                          induced_flow_on_orbit_space, ks_relatedness_harness)
 from ksreg.invariants import H2, TOL, V1, XI, eval_generators
@@ -23,7 +23,9 @@ from ksreg.ks_map import (KS, pullback_angular_momentum, pullback_eccentricity,
 from ksreg.orbit_space import (classify_reduced_space, reconstruct_fiber_boundary,
                                reconstruct_fiber_interior, reduced_momentum,
                                relation_residuals)
-from ksreg.verify import FALL_EVENT_BOUND, QUADRATURE_FLOOR, fall_times_passed
+from ksreg.verify import (FALL_EVENT_BOUND, GENERATOR_FORM_TOL, POSITION_BLOCK_BOUND,
+                          QUADRATURE_FLOOR, collision_theorem_passed, fall_times_passed,
+                          poisson_passed, pullbacks_passed)
 
 
 def _accepts(f, *args) -> bool:
@@ -90,8 +92,8 @@ def test_one_wedge_rule_far_from_the_vertex(xi, inside):
 
 def test_one_collision_guard():
     assert bench.COLLISION_GUARD is COLLISION_GUARD
-    assert inspect.signature(ks_relatedness_harness).parameters["guard"].default \
-        is COLLISION_GUARD
+    assert flows.COLLISION_GUARD is COLLISION_GUARD
+    assert "guard" not in inspect.signature(ks_relatedness_harness).parameters
 
 
 def _past(bound):
@@ -111,3 +113,24 @@ def test_a_larger_tolerance_loosens_the_quadrature_bound_alone():
     assert fall_times_passed(1e-6, 0.0, 1e-6)
     assert not fall_times_passed(_past(1e-6), 0.0, 1e-6)
     assert not fall_times_passed(0.0, _past(FALL_EVENT_BOUND), 1.0)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-9, 1e-6])
+def test_pullback_gate(tol):
+    assert GENERATOR_FORM_TOL == 1e-9
+    assert pullbacks_passed(tol, GENERATOR_FORM_TOL, tol)
+    assert not pullbacks_passed(_past(tol), 0.0, tol)
+    assert not pullbacks_passed(0.0, _past(GENERATOR_FORM_TOL), tol)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-9, 1e-6])
+def test_poisson_gate(tol):
+    assert POSITION_BLOCK_BOUND == 1e-12
+    assert poisson_passed(tol, POSITION_BLOCK_BOUND, tol)
+    assert not poisson_passed(_past(tol), 0.0, tol)
+    assert not poisson_passed(0.0, _past(POSITION_BLOCK_BOUND), tol)
+
+
+def test_collision_gate():
+    assert collision_theorem_passed(0)
+    assert not collision_theorem_passed(1)
