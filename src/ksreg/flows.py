@@ -181,7 +181,9 @@ class HarnessResult:
 
 
 def _doubled_field(t, w):
-    return 2 * preregularized_vector_field(w)
+    field = preregularized_vector_field(w)
+    field *= 2
+    return field
 
 
 def _guard_event(t, w, guard):

@@ -1,5 +1,6 @@
 """Torus flows, collision detection, and the relatedness harness."""
 import functools
+import hashlib
 import math
 from fractions import Fraction
 
@@ -324,15 +325,19 @@ class TestHarness:
         assert np.max(np.abs(t - flight)) <= 1e-6
 
     @pytest.mark.parametrize("z0, t_max, samples, fingerprint", [
-        (CIRCULAR, 3.0, 16, (173, 0, 1039, "completed", None)),
-        (CIRCULAR, 2 * math.pi, 256, (361, 0, 2167, "completed", None)),
-        ((1, 0, 0, 0, 1, 0, 0, 0), 3.0, 256, (297, 1, 1789, "event", "0x1.2d809c4ed3f02p+1")),
-        (OFF_AXIS_FALL, 3.0, 256, (341, 1, 2053, "event", "0x1.512c8f4f9bfaap+1")),
+        (CIRCULAR, 3.0, 16, (173, 0, 1039, "completed", None,
+                             "7d1dedd87286e9a0f563fd144e7bac862638622b1dc947dcec10db8ebb87e644")),
+        (CIRCULAR, 2 * math.pi, 256, (361, 0, 2167, "completed", None,
+                                      "500bdb4a929f5e49759cd805cbb7c8216389c68b4c2e53616ba1861057b4ad0a")),
+        ((1, 0, 0, 0, 1, 0, 0, 0), 3.0, 256, (297, 1, 1789, "event", "0x1.2d809c4ed3f02p+1",
+                                              "c22309e72fc1297d8da5076cb9c8c78755e47fbfc1c4f5f1c14b300d1499e06f")),
+        (OFF_AXIS_FALL, 3.0, 256, (341, 1, 2053, "event", "0x1.512c8f4f9bfaap+1",
+                                   "24a2aa90e90cf6094feabcbe89159c6e904c378626f9b5e1316b1a8eefdb3019")),
     ], ids=["ci_orbit", "ci_default", "ci_collision", "off_axis_fall"])
     def test_integrator_fingerprint(self, monkeypatch, z0, t_max, samples, fingerprint):
-        """Steps, rejections, RHS calls, status and event time of the
-        harness's integration, for the CI's three orbit runs and an
-        off-axis fall."""
+        """Steps, rejections, RHS calls, status, event time and the SHA-256
+        of the sampled states of the harness's integration, for the CI's
+        three orbit runs and an off-axis fall."""
         runs = []
 
         def spy(*args, **kwargs):
@@ -343,8 +348,9 @@ class TestHarness:
         ks_relatedness_harness(z0, t_max, samples=samples)
         (res,) = runs
         event_time = None if res.event_time is None else res.event_time.hex()
+        digest = hashlib.sha256(res.eval_states.tobytes()).hexdigest()
         assert (res.stats.steps, res.stats.rejected_steps, res.stats.rhs_evaluations,
-                res.status, event_time) == fingerprint
+                res.status, event_time, digest) == fingerprint
         if z0 == OFF_AXIS_FALL:
             assert np.all(res.event_state[:3] != 0)
 

@@ -211,8 +211,7 @@ def _radial(u):
     return radial_ode_rhs(0.0, u)
 
 
-# (field, its former numpy formula, the length of a point).  radial_ode_rhs
-# still runs its formula in numpy; its rows pin that body's edge behaviour.
+# (field, its former numpy formula, the length of a point).
 FORMER = [
     (kepler_vector_field, _former_kepler, 6),
     (preregularized_vector_field, _former_preregularized, 6),
@@ -248,7 +247,7 @@ def _warns_as_former(field, former, arg, *messages):
 
 
 class TestFieldsInPythonFloats:
-    """The phase fields run in Python floats; they, and radial_ode_rhs, must
+    """The phase fields and radial_ode_rhs run in Python floats; they must
     give the former numpy formulas' values, warnings and exceptions at every
     input."""
 
@@ -335,6 +334,17 @@ class TestFieldsInPythonFloats:
         # A NaN velocity passes through, without a warning.
         got, caught = _outcome(_radial, (1.0, math.nan))
         assert (got, caught) == (_outcome(_former_radial, (1.0, math.nan))[0], set())
+
+    def test_radial_radii_at_the_ends_of_the_python_float_range(self):
+        """Inside (1e-150, 1e150) no operation of the field can raise a
+        floating-point error, so the Python-float values hold even under a
+        caller's raise setting; at and past each end numpy's body runs."""
+        radii = [1e-150, math.nextafter(1e-150, 1.0), 1e-149, 1e149,
+                 math.nextafter(1e150, 0.0), 1e150]
+        for r in radii:
+            for u in (np.array([r, -1.0]), np.array([[1.0, r], [0.5, -1.0]])):
+                with np.errstate(all="raise"):
+                    assert _outcome(_radial, u) == _outcome(_former_radial, u)
 
 
 class TestConservedQuantities:

@@ -392,6 +392,9 @@ class TestBlock:
         assert [r.stats.steps for r in runs] == [377, 398, 420, 436, 458]
         assert [r.stats.rejected_steps for r in runs] == [0] * 5
         assert [r.stats.rhs_evaluations for r in runs] == [2263, 2389, 2521, 2617, 2749]
+        assert [r.event_time.hex() for r in runs] == [
+            "0x1.f623e8ae0cd4ap-5", "0x1.730a61f06c9a0p-3", "0x1.243f6a84727e4p-1",
+            "0x1.3a766fc0dbb02p+0", "0x1.921fb543092e0p+1"]
 
     def test_stage_times_match_the_lone_runs(self):
         # The field reads t at every stage, so each row's stage times must
@@ -569,19 +572,71 @@ def _noisy_decay(t, y):
 
 def _noisy_crossing(t, y):
     np.log(np.zeros(1))
+    return _crossing_half(t, y)
+
+
+def _crossing_half(t, y):
     return y[0] - 0.5
 
 
-class TestCallerWarnings:
-    """Only the step's own arithmetic runs with numpy's warnings off: a
-    warning raised inside f or event reaches the caller."""
+def _infinite_past_half(t, y):
+    """-y until t = 0.5, inf after it: a row's step across 0.5 ends it nonfinite."""
+    return np.where(t > 0.5, np.inf, -y)
 
-    @pytest.mark.parametrize("y0", [[1.0], [[1.0], [2.0]]], ids=["lone", "block"])
+
+def _fails_past_half(t, y):
+    if np.any(t > 0.5):
+        raise ValueError("f failed")
+    return -y
+
+
+_LONE_AND_BLOCK = pytest.mark.parametrize("y0", [[1.0], [[1.0], [2.0]]], ids=["lone", "block"])
+# Settings no default has, so that a reset or a leak shows.
+_CALLER_SETTINGS = {"divide": "raise", "over": "ignore", "under": "warn", "invalid": "print"}
+
+
+class TestCallerWarnings:
+    """The integrator's own arithmetic runs under one errstate that ignores
+    every floating-point error; f and event run in the caller's context, so
+    the caller's numpy error settings hold inside them: their warnings reach
+    the caller, and under a raise setting their errors leave integrate_ode
+    as FloatingPointError.  The caller's settings are the same after the
+    call, whether it returns or raises."""
+
+    @_LONE_AND_BLOCK
     def test_a_warning_in_f_reaches_the_caller(self, y0):
         with pytest.warns(RuntimeWarning, match="divide by zero"):
             integrate_ode(_noisy_decay, y0, (0.0, 1.0))
 
-    @pytest.mark.parametrize("y0", [[1.0], [[1.0], [2.0]]], ids=["lone", "block"])
+    @_LONE_AND_BLOCK
     def test_a_warning_in_event_reaches_the_caller(self, y0):
         with pytest.warns(RuntimeWarning, match="divide by zero"):
             integrate_ode(_decay, y0, (0.0, 1.0), event=_noisy_crossing)
+
+    @_LONE_AND_BLOCK
+    def test_a_raise_setting_holds_in_f_and_event(self, y0):
+        with np.errstate(divide="raise"):
+            with pytest.raises(FloatingPointError, match="divide by zero"):
+                integrate_ode(_noisy_decay, y0, (0.0, 1.0))
+            with pytest.raises(FloatingPointError, match="divide by zero"):
+                integrate_ode(_decay, y0, (0.0, 1.0), event=_noisy_crossing)
+
+    @_LONE_AND_BLOCK
+    def test_the_integrators_arithmetic_never_raises(self, y0):
+        """An inf from f runs through the stage sums and the error norm,
+        which would raise under the caller's settings."""
+        with np.errstate(all="raise"):
+            runs = integrate_ode(_infinite_past_half, y0, (0.0, 1.0))
+        for res in [runs] if isinstance(runs, OdeResult) else runs:
+            assert res.status == "nonfinite"
+            assert res.times[-1] <= 0.5
+            assert np.all(np.isfinite(res.states))
+
+    @_LONE_AND_BLOCK
+    def test_the_callers_settings_are_kept(self, y0):
+        with np.errstate(**_CALLER_SETTINGS):
+            integrate_ode(_decay, y0, (0.0, 1.0), event=_crossing_half)
+            assert np.geterr() == _CALLER_SETTINGS
+            with pytest.raises(ValueError, match="f failed"):
+                integrate_ode(_fails_past_half, y0, (0.0, 1.0))
+            assert np.geterr() == _CALLER_SETTINGS
