@@ -142,9 +142,9 @@ def collision_triple_batch(Z):
 
 
 def physical_time_of_flight(z, tau: float) -> float:
-    """Physical time accumulated by the doubled regularized flow.
+    """Physical time accumulated by the regularized flow over s = 2 tau.
 
-    Along the matched curves the physical clock advances at 2|x|, and
+    The physical clock advances at |x| per unit s, 2|x| per unit tau, and
     |x| composed with the oscillator flow integrates in closed form.
     """
     z = np.asarray(point8(z), dtype=float)
@@ -180,39 +180,34 @@ class HarnessResult:
     t_max: float
 
 
-def _doubled_field(t, w):
-    field = preregularized_vector_field(w)
-    field *= 2
-    return field
-
-
 def _guard_event(t, w, guard):
-    """|x|^2 - guard^2 per (6, m) column, |x|^2 a stack of (1, 3) @ (3, 1)
-    products: the bits of the BLAS dot on a lone state, which a Python-float
-    sum (dot3) or np.einsum misses in the last bit for about one 3-vector in
-    five, so that event times and the orbit CSVs could move."""
+    """|x|^2 - guard^2 per (6, m) column, |x|^2 by np.vecdot: the bits of
+    the BLAS dot on a lone state, which a Python-float sum (dot3) or
+    np.einsum misses in the last bit for about one 3-vector in five, so
+    that event times and the orbit CSVs could move."""
     x = w[:3].T
-    return (x[:, None] @ x[:, :, None])[:, 0, 0] - guard * guard
+    return np.vecdot(x, x) - guard * guard
 
 
 def ks_relatedness_harness(z0, t_max: float, samples: int = 256) -> HarnessResult:
     """Compare the pushed oscillator flow with the integrated field.
 
-    Curve A is ks composed with the closed-form flow; curve B solves
-    dw/dt = 2 * (regularized field) from the shared start.  Returns the
-    sup over sampled parameters of the euclidean gap.  Seeds whose
-    orbit meets {q = 0} yield a partial result truncated at |x| =
-    COLLISION_GUARD, carrying the closed-form physical collision time.
-    The start must lie on the (1, 0) level within TOL.  The comparison
-    grid holds samples + 1 times, with samples at least 2, and ks_batch
-    rejects a start at q = 0.  The integrator runs at tol = 1e-10 with
-    its default step budget.
+    Curve A is ks composed with the closed-form flow at t; curve B solves
+    dw/ds = (regularized field) from the shared start, sampled at s = 2t,
+    the parameter KS carries t to.  Returns the sup over sampled
+    parameters of the euclidean gap.  Seeds whose orbit meets {q = 0}
+    yield a partial result truncated at |x| = COLLISION_GUARD, carrying
+    the closed-form physical collision time.  The start must lie on the
+    (1, 0) level within TOL, and 2 * t_max must be finite.  The
+    comparison grid holds samples + 1 times, with samples at least 2,
+    and ks_batch rejects a start at q = 0.  The integrator runs at
+    tol = 1e-10 with its default step budget.
     """
     z0 = point8(z0)
     g = eval_generators(z0)
     require_level_set(g[H2], g[XI])
-    if not 0 <= t_max < math.inf:
-        raise ValueError("t_max must be finite and nonnegative")
+    if not 0 <= 2 * t_max < math.inf:
+        raise ValueError("t_max must be nonnegative, and 2 * t_max finite")
     if samples < 2:
         raise ValueError("samples must be at least 2")
 
@@ -221,15 +216,17 @@ def ks_relatedness_harness(z0, t_max: float, samples: int = 256) -> HarnessResul
         times, integrated = np.zeros(1), w0_flat[None, :]
         stats, status = IntegratorStats(), "completed"
     else:
+        # In s = 2t, doubling is exact: every step, sample and event keeps the
+        # bits of the doubled field's run in t, bar the 1e-14 end-of-span slack.
         res = integrate_ode(
-            _doubled_field,
+            lambda s, w: preregularized_vector_field(w),
             w0_flat,
-            (0.0, t_max),
+            (0.0, 2 * t_max),
             tol=1e-10,
-            t_eval=np.linspace(0.0, t_max, samples + 1)[1:],
-            event=lambda t, w: _guard_event(t, w, COLLISION_GUARD),
+            t_eval=np.linspace(0.0, 2 * t_max, samples + 1)[1:],
+            event=lambda s, w: _guard_event(s, w, COLLISION_GUARD),
         )
-        times = np.concatenate([[0.0], res.eval_times])
+        times = np.concatenate([[0.0], res.eval_times / 2])
         integrated = np.vstack([w0_flat, res.eval_states])
         stats, status = res.stats, res.status
     chart = oscillator_flow_batch(z0, times)

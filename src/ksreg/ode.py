@@ -2,8 +2,10 @@
 
 A small embedded-pair integrator is used instead of an off-the-shelf
 one because the pipeline reports accepted and rejected step counts as
-first-class outputs, stops on sign-change events with a controlled
-localization scheme, and must behave identically across platforms.
+first-class outputs and stops on sign-change events with a controlled
+localization scheme.  Its bits hold for one BLAS kernel: the stage sums,
+error norms and interpolants are BLAS products, whose last bit can change
+with the kernel OpenBLAS picks for the CPU.
 
 One step loop advances an (n, d) block of rows in lockstep; a lone
 (d,) state is a one-row block.  Each row keeps its own step size, error
@@ -190,8 +192,8 @@ def _squared_errors(Y, S, H, K, tol):
     scale += tol
     scaled = H * (_ERR @ K)
     scaled /= scale
-    # Each row's dot product scaled @ scaled, as a stack of (1, d) @ (d, 1).
-    squares = (scaled[:, None, :] @ scaled[:, :, None])[:, 0, 0].tolist()
+    # Each row's dot product scaled @ scaled, the BLAS dot per row.
+    squares = np.vecdot(scaled, scaled).tolist()
     # A NaN or infinite entry makes the sum of S NaN or infinite, so a finite
     # sum clears every row in one reduction.
     if math.isfinite(S.sum()):
@@ -277,8 +279,8 @@ def integrate_ode(
         t_eval = np.asarray(t_eval, dtype=float)
         if t_eval.ndim != 1:
             raise ValueError("t_eval must be 1-D")
-        # Both tests are written so that a NaN sample time fails them.
-        if not np.all(np.diff(t_eval) > 0):
+        # A NaN sample time fails both tests; unlike np.diff, neither warns on inf.
+        if not np.all(t_eval[1:] > t_eval[:-1]):
             raise ValueError("t_eval must be strictly increasing")
         if t_eval.size and not (t0 - 1e-12 <= t_eval[0] and t_eval[-1] <= t1 + 1e-12):
             raise ValueError("t_eval must lie inside t_span")

@@ -2,6 +2,7 @@
 import functools
 import hashlib
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from ksreg.flows import (
     physical_time_of_flight,
 )
 from ksreg.invariants import H2, K, L, U, V, XI, eval_generators
-from ksreg.kepler_dynamics import COLLISION_GUARD, radial_collision_time
+from ksreg.kepler_dynamics import COLLISION_GUARD, preregularized_vector_field, radial_collision_time
 from ksreg.ks_map import ks, ks_batch
 from ksreg.ode import integrate_ode
 from ksreg.sampling import sample_collision_slice, sample_level_set
@@ -36,6 +37,12 @@ APOAPSIS = (math.sqrt(2), 0, 0, 0, 0, 0, 0, 0)
 OFF_AXIS_FALL = (0.12801146096234145, -0.13450176419866774, 0.65204243183286104,
                  0.10680341715065199, 0.23062991181226061, -0.24232306843883103,
                  1.1747423818223885, 0.19242076055947235)
+
+# sample_level_set(np.random.default_rng(0), 1)[0]: an orbit that misses the
+# collision guard and runs to t_max.
+LEVEL_SET_START = (0.10206834185519, -0.10724330419441429, 0.5198979008292428,
+                   0.08515837262604284, -0.539750511117119, 0.1937141558184782,
+                   1.141884026951941, 0.26034636958826557)
 
 coords = st.integers(min_value=-6, max_value=6)
 points = st.tuples(*[coords] * 8)
@@ -257,6 +264,30 @@ class TestPhysicalTimeOfFlight:
             assert abs(clock - radial_collision_time(r)) <= 1e-11
 
 
+def _harness_in_t(z0, t_max, samples):
+    """The harness's outputs as it formed them when it integrated twice the
+    preregularized field in t over (0, t_max), on the grid of the t_i."""
+    w0 = ks_batch(z0)[0]
+    res = integrate_ode(
+        lambda t, w: 2 * preregularized_vector_field(w),
+        w0,
+        (0.0, t_max),
+        tol=1e-10,
+        t_eval=np.linspace(0.0, t_max, samples + 1)[1:],
+        event=lambda t, w: flows._guard_event(t, w, COLLISION_GUARD),
+    )
+    times = np.concatenate([[0.0], res.eval_times])
+    integrated = np.vstack([w0, res.eval_states])
+    chart = oscillator_flow_batch(z0, times)
+    pushed = ks_batch(chart)
+    collision_time = None
+    if res.status == "event":
+        collision_time = physical_time_of_flight(z0, first_collision_time(z0))
+    return {"times": times, "chart": chart, "ks_image": pushed, "integrated": integrated,
+            "stats": res.stats, "status": res.status, "collision_time": collision_time,
+            "max_deviation": float(np.max(np.linalg.norm(pushed - integrated, axis=1)))}
+
+
 class TestHarness:
     def test_circular_seed_agrees(self):
         res = ks_relatedness_harness(CIRCULAR, 2 * math.pi)
@@ -302,6 +333,11 @@ class TestHarness:
         with pytest.raises(ValueError):
             ks_relatedness_harness(CIRCULAR, -1.0)
 
+    @pytest.mark.parametrize("t_max", [math.nan, math.inf, 0.75 * sys.float_info.max])
+    def test_horizon_whose_double_is_not_finite_rejected(self, t_max):
+        with pytest.raises(ValueError, match="t_max"):
+            ks_relatedness_harness(CIRCULAR, t_max)
+
     @pytest.mark.parametrize("samples", [1, 0, -5])
     def test_fewer_than_two_samples_rejected(self, samples):
         with pytest.raises(ValueError):
@@ -312,9 +348,9 @@ class TestHarness:
         ((1, 0, 0, 0, 1, 0, 0, 0), 3.0, "event"),
     ])
     def test_sundman_clock_matches_the_time_of_flight(self, z0, t_max, status):
-        # The harness integrates twice the preregularized field, so its
-        # physical clock runs at dt/ds = 2|x|: scipy's cumulative Simpson
-        # rule integrates it as the oracle.
+        # The harness integrates the preregularized field in s = 2t, whose
+        # physical clock runs at |x| per unit s, so at 2|x| per unit t:
+        # scipy's cumulative Simpson rule integrates it as the oracle.
         from scipy import integrate
 
         res = ks_relatedness_harness(z0, t_max)
@@ -337,7 +373,8 @@ class TestHarness:
     def test_integrator_fingerprint(self, monkeypatch, z0, t_max, samples, fingerprint):
         """Steps, rejections, RHS calls, status, event time and the SHA-256
         of the sampled states of the harness's integration, for the CI's
-        three orbit runs and an off-axis fall."""
+        three orbit runs and an off-axis fall.  The integration runs in
+        s = 2t, so its event time is halved, exactly, back to t."""
         runs = []
 
         def spy(*args, **kwargs):
@@ -347,12 +384,26 @@ class TestHarness:
         monkeypatch.setattr(flows, "integrate_ode", spy)
         ks_relatedness_harness(z0, t_max, samples=samples)
         (res,) = runs
-        event_time = None if res.event_time is None else res.event_time.hex()
+        event_time = None if res.event_time is None else (res.event_time / 2).hex()
         digest = hashlib.sha256(res.eval_states.tobytes()).hexdigest()
         assert (res.stats.steps, res.stats.rejected_steps, res.stats.rhs_evaluations,
                 res.status, event_time, digest) == fingerprint
         if z0 == OFF_AXIS_FALL:
             assert np.all(res.event_state[:3] != 0)
+
+    @pytest.mark.parametrize("z0", [LEVEL_SET_START, OFF_AXIS_FALL], ids=["level_set", "collision_slice"])
+    @pytest.mark.parametrize("samples", [2, 16, 256])
+    @pytest.mark.parametrize("t_max", [0.01, 0.5, 1.0, 3.0, 2 * math.pi, 40.0, 100.0, 1000.0])
+    def test_the_run_in_s_is_the_doubled_field_run_in_t(self, z0, t_max, samples):
+        """The harness against its former form, which integrated twice the
+        field in t over (0, t_max): the same bytes in every output."""
+        want = _harness_in_t(z0, t_max, samples)
+        got = ks_relatedness_harness(z0, t_max, samples=samples)
+        for name in ("times", "chart", "ks_image", "integrated"):
+            assert getattr(got, name).tobytes() == want[name].tobytes(), name
+        assert (got.stats, got.status) == (want["stats"], want["status"])
+        assert got.collision_time == want["collision_time"]
+        assert got.max_deviation.hex() == want["max_deviation"].hex()
 
     def test_guard_event_is_the_blas_dot_in_every_column(self):
         """The guard event gives each column the bits of the 1-D BLAS dot

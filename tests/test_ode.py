@@ -79,6 +79,15 @@ class TestSampling:
             with pytest.raises(ValueError, match="t_eval must"):
                 integrate_ode(_decay, np.array([1.0]), (0.0, 1.0), t_eval=t_eval)
 
+    @pytest.mark.parametrize("t_eval", [[math.inf, math.inf], [math.nan, 0.5], [0.5, math.nan]])
+    def test_bad_t_eval_raises_without_a_warning(self, t_eval):
+        """Validation compares sample times without subtracting them, so
+        that inf - inf cannot warn ahead of the ValueError."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="t_eval must"):
+                integrate_ode(_decay, np.array([1.0]), (0.0, 1.0), t_eval=t_eval)
+
     def test_t_eval_must_stay_inside_span(self):
         for t_eval in ([2.0], [math.nan], [[0.5]], [[0.5, 0.7]]):
             with pytest.raises(ValueError, match="t_eval must"):

@@ -11,6 +11,7 @@ import inspect
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ksreg import bench, flows
@@ -25,7 +26,7 @@ from ksreg.orbit_space import (classify_reduced_space, reconstruct_fiber_boundar
                                relation_residuals)
 from ksreg.verify import (FALL_EVENT_BOUND, GENERATOR_FORM_TOL, POSITION_BLOCK_BOUND,
                           QUADRATURE_FLOOR, collision_theorem_passed, fall_times_passed,
-                          poisson_passed, pullbacks_passed)
+                          poisson_passed, pullbacks_passed, run_suites)
 
 
 def _accepts(f, *args) -> bool:
@@ -134,3 +135,14 @@ def test_poisson_gate(tol):
 def test_collision_gate():
     assert collision_theorem_passed(0)
     assert not collision_theorem_passed(1)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="lagrange_identities gates the absolute gap |lhs - rhs|, a few ulps "
+                          "of large sampled terms; the acceptance test bounds the relative one")
+def test_lagrange_gate_at_seed_285800082():
+    """ksreg verify --seed 285800082 --samples 1000 draws a point whose
+    Lagrange gap is 1.164e-10 absolute, past the default 1e-10."""
+    suites = run_suites(np.random.default_rng(285800082), 1000, 1e-10)
+    (lagrange,) = [s for s in suites if s["name"] == "lagrange_identities"]
+    assert lagrange["passed"], lagrange["details"]
