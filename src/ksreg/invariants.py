@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 HALF = Fraction(1, 2)
+_ZERO = Fraction(0)
 
 PI_NAMES = tuple(f"pi{i}" for i in range(1, 17))
 
@@ -161,6 +162,11 @@ def eval_monomials(monomials, z: Sequence) -> object:
     return total
 
 
+def int_quotient(n: int, d: int) -> Fraction:
+    """n / d as a Fraction for ints n and d > 0; a zero n is one shared Fraction(0), no gcd."""
+    return Fraction(n, d) if n else _ZERO
+
+
 def divide(v, d: int):
     """v / d, exact on int and Fraction numbers and on integer arrays.
 
@@ -171,7 +177,7 @@ def divide(v, d: int):
     if isinstance(v, np.ndarray) and v.dtype == object:
         return np.frompyfunc(lambda x: divide(x, d), 1, 1)(v)
     if isinstance(v, (int, np.integer)):
-        return Fraction(v, d)
+        return int_quotient(v, d)
     if d == 1:
         return v
     if isinstance(v, np.ndarray) and v.dtype.kind in "iu":
@@ -202,10 +208,13 @@ def common_denominator(values) -> tuple | None:
     homogeneous of degree k, run on the ints, equals D^k times its value
     at the Fractions, so an exact path divides each output once at the end.
     """
-    if not all(isinstance(v, Fraction) for v in values):
-        return None
-    den = math.lcm(*(v.denominator for v in values))
-    return den, tuple(v.numerator * (den // v.denominator) for v in values)
+    dens = []
+    for v in values:
+        if not isinstance(v, Fraction):
+            return None
+        dens.append(v.denominator)
+    den = math.lcm(*dens)
+    return den, tuple(v.numerator * (den // b) for v, b in zip(values, dens))
 
 
 def point8(z) -> tuple:
@@ -267,7 +276,7 @@ def eval_generators(z: Sequence) -> tuple:
     if scaled is None:
         return eval_generator_columns(z)
     den, n = scaled
-    return tuple(Fraction(eval_monomials(terms, n), d * den * den) for d, terms in _GEN_TERMS)
+    return tuple(int_quotient(eval_monomials(terms, n), d * den * den) for d, terms in _GEN_TERMS)
 
 
 def eval_generators_batch(Z: np.ndarray) -> np.ndarray:

@@ -16,11 +16,10 @@ common-denominator integers and divides each output once at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .invariants import H2, K, L, TOL, U, V, XI, common_denominator, exact_ints
+from .invariants import H2, K, L, TOL, U, V, XI, common_denominator, exact_ints, int_quotient
 
 RELATION_NAMES = (
     "UU", "VV", "UV",
@@ -97,8 +96,8 @@ def relation_residuals(g) -> RelationResidual:
     res = _relations(n)
     d2 = den * den
     return RelationResidual(
-        residuals={name: Fraction(r, d2) for name, r in res.residuals.items()},
-        h2=Fraction(res.h2, den), wedge_gap=Fraction(res.wedge_gap, d2),
+        residuals={name: int_quotient(r, d2) for name, r in res.residuals.items()},
+        h2=int_quotient(res.h2, den), wedge_gap=int_quotient(res.wedge_gap, d2),
     )
 
 
@@ -152,7 +151,8 @@ def lagrange_identity_check(g) -> dict:
     pairs = {}
     for name, (lhs, rhs) in _lagrange_pairs(n).items():
         scale = den ** _LAGRANGE_DEGREES[name]
-        pairs[name] = (Fraction(lhs, scale), Fraction(rhs, scale))
+        q = int_quotient(lhs, scale)
+        pairs[name] = (q, q if rhs == lhs else int_quotient(rhs, scale))
     return pairs
 
 

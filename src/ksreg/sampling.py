@@ -70,9 +70,9 @@ def sample_even_integers(rng: np.random.Generator, n: int, limit: int = 50) -> n
 
 def sample_fractions(rng: np.random.Generator, n: int) -> list:
     """n exact rational 8-tuples of Fraction, numerators in [-12, 12], denominators in [1, 6]."""
-    nums = rng.integers(-12, 13, size=(n, 8))
-    dens = rng.integers(1, 7, size=(n, 8))
+    nums = rng.integers(-12, 13, size=(n, 8)).tolist()
+    dens = rng.integers(1, 7, size=(n, 8)).tolist()
     return [
-        tuple(Fraction(int(a), int(b)) for a, b in zip(row_n, row_d))
+        tuple(Fraction(a, b) for a, b in zip(row_n, row_d))
         for row_n, row_d in zip(nums, dens)
     ]

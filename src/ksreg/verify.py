@@ -91,20 +91,30 @@ def collision_points(rng, half: int) -> np.ndarray:
     return np.concatenate([sample_collision_slice(rng, half), sample_level_set(rng, half)])
 
 
+def relations_passed(worst: float, h2_min: float, gap_min: float, tol: float) -> bool:
+    """The relations gate on the worst residual, the smallest H2 and the smallest wedge gap."""
+    return worst <= tol and h2_min >= 0.0 and gap_min >= -tol
+
+
 def _suite_orbit_relations(rng, samples, tol):
     worst, h2_min, gap_min = worst_relations(sample_phase_points(rng, samples))
     return _suite(
         "orbit_relations",
-        worst <= tol and h2_min >= 0.0 and gap_min >= -tol,
+        relations_passed(worst, h2_min, gap_min, tol),
         max_residual=worst,
         min_h2=h2_min,
         min_wedge_gap=gap_min,
     )
 
 
+def lagrange_passed(worst: float, tol: float) -> bool:
+    """The Lagrange gate on the worst absolute gap |lhs - rhs|."""
+    return worst <= tol
+
+
 def _suite_lagrange(rng, samples, tol):
     worst, _ = worst_lagrange(sample_phase_points(rng, samples))
-    return _suite("lagrange_identities", worst <= tol, max_residual=worst)
+    return _suite("lagrange_identities", lagrange_passed(worst, tol), max_residual=worst)
 
 
 def pullbacks_passed(worst_gap: float, form_gap: float, tol: float) -> bool:

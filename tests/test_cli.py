@@ -1,5 +1,6 @@
 """Tests for the command line interface."""
 
+import hashlib
 import json
 import math
 import os
@@ -222,6 +223,18 @@ class TestTable:
         assert lines[0] == "field,component,transcribed,regenerated,match"
         assert len(lines) == 127
         assert sum(1 for line in lines if line.endswith(",false")) == 23
+
+    # The audit's bytes in each format, pinned so that a change to the
+    # exact bracket and decompose engine cannot alter a row unseen.
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "690d4660bb5102d182142dd6f014a653955787a496f3bf032d0c3e1158352098"),
+        ("csv", "fab243c1edbeea6a2cc5af1101410510d936f480c13111135859ce38072c4468"),
+    ])
+    def test_audit_bytes_are_pinned(self, runner, tmp_path, fmt, digest):
+        out = tmp_path / f"audit.{fmt}"
+        result = runner.invoke(main, ["table", "--format", fmt, "--out", str(out)])
+        assert result.exit_code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def _fresh_python(probe: str, cwd=None) -> str:

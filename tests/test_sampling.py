@@ -49,6 +49,18 @@ class TestExactSamplers:
             assert len(pt) == 8
             assert all(isinstance(v, Fraction) for v in pt)
             assert all(v.denominator <= 6 for v in pt)
+        # The draws are pinned: the two integer draws, in this order, as
+        # Fractions of Python ints.
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            nums = rng.integers(-12, 13, size=(64, 8))
+            dens = rng.integers(1, 7, size=(64, 8))
+            expected = [tuple(Fraction(int(a), int(b)) for a, b in zip(row_n, row_d))
+                        for row_n, row_d in zip(nums, dens)]
+            pts = sample_fractions(np.random.default_rng(seed), 64)
+            assert pts == expected
+            assert all(type(v.numerator) is int and type(v.denominator) is int
+                       for pt in pts for v in pt)
 
 
 class TestReproducibility:

@@ -26,7 +26,8 @@ from ksreg.orbit_space import (classify_reduced_space, reconstruct_fiber_boundar
                                relation_residuals)
 from ksreg.verify import (FALL_EVENT_BOUND, GENERATOR_FORM_TOL, POSITION_BLOCK_BOUND,
                           QUADRATURE_FLOOR, collision_theorem_passed, fall_times_passed,
-                          poisson_passed, pullbacks_passed, run_suites)
+                          lagrange_passed, poisson_passed, pullbacks_passed, relations_passed,
+                          run_suites)
 
 
 def _accepts(f, *args) -> bool:
@@ -130,6 +131,20 @@ def test_poisson_gate(tol):
     assert poisson_passed(tol, POSITION_BLOCK_BOUND, tol)
     assert not poisson_passed(_past(tol), 0.0, tol)
     assert not poisson_passed(0.0, _past(POSITION_BLOCK_BOUND), tol)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-9, 1e-6])
+def test_relations_gate(tol):
+    assert relations_passed(tol, 0.0, -tol, tol)
+    assert not relations_passed(_past(tol), 0.0, 0.0, tol)
+    assert not relations_passed(0.0, math.nextafter(0.0, -math.inf), 0.0, tol)
+    assert not relations_passed(0.0, 0.0, math.nextafter(-tol, -math.inf), tol)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-9, 1e-6])
+def test_lagrange_gate(tol):
+    assert lagrange_passed(tol, tol)
+    assert not lagrange_passed(_past(tol), tol)
 
 
 def test_collision_gate():
