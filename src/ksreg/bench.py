@@ -65,12 +65,11 @@ def _regularized_measure(S):
     return pulled_back_hamiltonian(g) - 1, g[H2] + g[V1]
 
 
-def _block_rows(method, field, starts, t_end, event, measure, l_values, tol) -> list:
+def _block_rows(method, field, starts, t_end, event, measure, l_values) -> list:
     """One row per |L| value: its start integrated over (0, t_end) in one block of rows."""
     grid = np.linspace(0.0, t_end, 2001)
     runs = integrate_ode(
-        field, starts, (0.0, t_end),
-        tol=tol, max_steps=50_000, t_eval=grid[1:-1], event=event,
+        field, starts, (0.0, t_end), max_steps=50_000, t_eval=grid[1:-1], event=event,
     )
     rows = []
     for l_norm, res in zip(l_values, runs):
@@ -89,21 +88,21 @@ def _block_rows(method, field, starts, t_end, event, measure, l_values, tol) -> 
     return rows
 
 
-def run_benchmark(l_values=DEFAULT_GRID, tol: float = 1e-10) -> list:
+def run_benchmark(l_values=DEFAULT_GRID) -> list:
     """One raw and one regularized row per |L| value, raw first.
 
-    Each method integrates all its seeds as one block of rows at tol.
+    Each method integrates all its seeds as one block of rows, at
+    integrate_ode's default tol.
     """
     if not l_values:
         return []
     seeds = np.array([seed_state(l) for l in l_values])
     raw = _block_rows(
         "raw_kepler", lambda t, w: kepler_vector_field(w), ks_batch(seeds), 2 * math.pi,
-        lambda t, w: dot3(w, w) - COLLISION_GUARD**2, _raw_measure, l_values, tol,
+        lambda t, w: dot3(w, w) - COLLISION_GUARD**2, _raw_measure, l_values,
     )
     regularized = _block_rows(
-        "ks_regularized", _oscillator_field, seeds, math.pi, None, _regularized_measure,
-        l_values, tol,
+        "ks_regularized", _oscillator_field, seeds, math.pi, None, _regularized_measure, l_values,
     )
     return [row for pair in zip(raw, regularized) for row in pair]
 

@@ -43,13 +43,6 @@ def main():
 @main.command()
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="RNG seed.")
 @click.option(
-    "--tolerance",
-    type=float,
-    default=1e-10,
-    show_default=True,
-    help="Largest residual accepted by the floating-point suites.",
-)
-@click.option(
     "--samples",
     type=int,
     default=1000,
@@ -62,7 +55,7 @@ def main():
     default="verify_report.json",
     show_default=True,
 )
-def verify(seed, tolerance, samples, out):
+def verify(seed, samples, out):
     """Run the identity suites and write a JSON report.
 
     Exits 0 when every suite passes and 1 otherwise; the report is
@@ -70,14 +63,11 @@ def verify(seed, tolerance, samples, out):
     """
     if samples <= 0:
         raise click.UsageError("--samples must be positive")
-    if not tolerance >= 0:
-        raise click.UsageError("--tolerance must be nonnegative")
-    suites = run_suites(np.random.default_rng(seed), samples, tolerance)
+    suites = run_suites(np.random.default_rng(seed), samples)
     report = {
         "rng": RNG_ALGORITHM,
         "seed": seed,
         "samples": samples,
-        "tolerance": tolerance,
         "suites": suites,
         "passed": all(s["passed"] for s in suites),
     }
@@ -176,13 +166,6 @@ def orbit(state, t_max, samples, out_dir):
     show_default=True,
     help="Angular momentum norms to sweep, comma separated.",
 )
-@click.option(
-    "--tolerance",
-    type=float,
-    default=1e-10,
-    show_default=True,
-    help="Integrator tolerance, relative and absolute alike.",
-)
 @click.option("--out", default="bench.csv", show_default=True)
 @click.option(
     "--format",
@@ -191,7 +174,7 @@ def orbit(state, t_max, samples, out_dir):
     default="csv",
     show_default=True,
 )
-def bench(grid, tolerance, out, fmt):
+def bench(grid, out, fmt):
     """Race the raw and regularized integrations toward collision."""
     try:
         values = tuple(float(s) for s in grid.split(",") if s.strip())
@@ -200,7 +183,7 @@ def bench(grid, tolerance, out, fmt):
     if not values:
         raise click.UsageError("--grid needs at least one value")
     try:
-        rows = run_benchmark(l_values=values, tol=tolerance)
+        rows = run_benchmark(l_values=values)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if fmt == "csv":

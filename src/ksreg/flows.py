@@ -200,8 +200,8 @@ def ks_relatedness_harness(z0, t_max: float, samples: int = 256) -> HarnessResul
     the closed-form physical collision time.  The start must lie on the
     (1, 0) level within TOL, and 2 * t_max must be finite.  The
     comparison grid holds samples + 1 times, with samples at least 2,
-    and ks_batch rejects a start at q = 0.  The integrator runs at
-    tol = 1e-10 with its default step budget.
+    and ks_batch rejects a start at q = 0.  The integrator runs at its
+    default tol and step budget.
     """
     z0 = point8(z0)
     g = eval_generators(z0)
@@ -222,7 +222,6 @@ def ks_relatedness_harness(z0, t_max: float, samples: int = 256) -> HarnessResul
             lambda s, w: preregularized_vector_field(w),
             w0_flat,
             (0.0, 2 * t_max),
-            tol=1e-10,
             t_eval=np.linspace(0.0, 2 * t_max, samples + 1)[1:],
             event=lambda s, w: _guard_event(s, w, COLLISION_GUARD),
         )

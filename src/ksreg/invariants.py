@@ -177,7 +177,7 @@ def divide(v, d: int):
     if isinstance(v, np.ndarray) and v.dtype == object:
         return np.frompyfunc(lambda x: divide(x, d), 1, 1)(v)
     if isinstance(v, (int, np.integer)):
-        return int_quotient(v, d)
+        return int_quotient(int(v), d)
     if d == 1:
         return v
     if isinstance(v, np.ndarray) and v.dtype.kind in "iu":
@@ -220,11 +220,11 @@ def common_denominator(values) -> tuple | None:
 def point8(z) -> tuple:
     """A phase point (q1..q4, p1..p4) as an 8-tuple of its entries.
 
-    int and numpy integer entries become Fractions, so every exact
-    result is a Fraction.  Raises ValueError unless z has exactly 8
-    components.
+    int and numpy integer entries become Fractions of Python ints, so
+    every exact result is a Fraction and no int64 part can wrap.  Raises
+    ValueError unless z has exactly 8 components.
     """
-    z = tuple(Fraction(v) if isinstance(v, (int, np.integer)) else v for v in z)
+    z = tuple(Fraction(int(v)) if isinstance(v, (int, np.integer)) else v for v in z)
     if len(z) != 8:
         raise ValueError(f"a phase point has 8 components (q, p), got {len(z)}")
     return z

@@ -2,10 +2,10 @@
 
 Each suite returns {"name", "passed", "details"}.  The sampling suites
 draw from one shared generator in a fixed order, so a report is a pure
-function of the seed, the sample count and the tolerance.  Each float
-check is one body that takes the points its caller drew and returns the
-raw worst values; the suites and the acceptance tests apply their own
-bounds to them.
+function of the seed and the sample count.  Each float check is one body
+that takes the points its caller drew and returns the raw worst values;
+each suite's gate applies the named bounds below to them, and the
+acceptance tests apply their own.
 """
 from __future__ import annotations
 
@@ -27,6 +27,14 @@ from .sampling import (sample_collision_slice, sample_level_set, sample_phase_po
 
 FALL_GRID = (0.25, 0.5, 1.0, 1.5, 2.0)
 
+#: Bound on the worst relation residual and wedge gap, the worst pullback
+#: gap and the worst Poisson residual.
+RESIDUAL_BOUND = 1e-10
+
+#: Bound on the worst Lagrange gap |lhs - rhs| / max(1, |rhs|): the
+#: identities are quartic, so their absolute gap scales with the terms.
+LAGRANGE_RELATIVE_BOUND = 1e-12
+
 #: Relative bound on the gap between the two evaluation paths of ks:
 #: the monomial table and the generator form.
 GENERATOR_FORM_TOL = 1e-9
@@ -38,9 +46,8 @@ POSITION_BLOCK_BOUND = 1e-12
 #: Bound on the gap between the integrated fall time and the closed form.
 FALL_EVENT_BOUND = 1e-5
 
-#: Smallest bound on the gap between the quadrature and the closed form;
-#: a larger --tolerance loosens it.
-QUADRATURE_FLOOR = 1e-9
+#: Bound on the gap between the fall-time quadrature and the closed form.
+QUADRATURE_BOUND = 1e-9
 
 
 def _suite(name: str, passed: bool, **details) -> dict:
@@ -91,60 +98,65 @@ def collision_points(rng, half: int) -> np.ndarray:
     return np.concatenate([sample_collision_slice(rng, half), sample_level_set(rng, half)])
 
 
-def relations_passed(worst: float, h2_min: float, gap_min: float, tol: float) -> bool:
+def relations_passed(worst: float, h2_min: float, gap_min: float) -> bool:
     """The relations gate on the worst residual, the smallest H2 and the smallest wedge gap."""
-    return worst <= tol and h2_min >= 0.0 and gap_min >= -tol
+    return worst <= RESIDUAL_BOUND and h2_min >= 0.0 and gap_min >= -RESIDUAL_BOUND
 
 
-def _suite_orbit_relations(rng, samples, tol):
+def _suite_orbit_relations(rng, samples):
     worst, h2_min, gap_min = worst_relations(sample_phase_points(rng, samples))
     return _suite(
         "orbit_relations",
-        relations_passed(worst, h2_min, gap_min, tol),
+        relations_passed(worst, h2_min, gap_min),
         max_residual=worst,
         min_h2=h2_min,
         min_wedge_gap=gap_min,
     )
 
 
-def lagrange_passed(worst: float, tol: float) -> bool:
-    """The Lagrange gate on the worst absolute gap |lhs - rhs|."""
-    return worst <= tol
+def lagrange_passed(worst_relative: float) -> bool:
+    """The Lagrange gate on the worst relative gap |lhs - rhs| / max(1, |rhs|)."""
+    return worst_relative <= LAGRANGE_RELATIVE_BOUND
 
 
-def _suite_lagrange(rng, samples, tol):
-    worst, _ = worst_lagrange(sample_phase_points(rng, samples))
-    return _suite("lagrange_identities", lagrange_passed(worst, tol), max_residual=worst)
+def _suite_lagrange(rng, samples):
+    worst, worst_relative = worst_lagrange(sample_phase_points(rng, samples))
+    return _suite(
+        "lagrange_identities",
+        lagrange_passed(worst_relative),
+        max_residual=worst,
+        max_relative_gap=worst_relative,
+    )
 
 
-def pullbacks_passed(worst_gap: float, form_gap: float, tol: float) -> bool:
+def pullbacks_passed(worst_gap: float, form_gap: float) -> bool:
     """The pullback gate on the worst identity gap and the gap between the two ks paths."""
-    return worst_gap <= tol and form_gap <= GENERATOR_FORM_TOL
+    return worst_gap <= RESIDUAL_BOUND and form_gap <= GENERATOR_FORM_TOL
 
 
-def _suite_pullbacks(rng, samples, tol):
+def _suite_pullbacks(rng, samples):
     worst, form_gap = worst_pullbacks(sample_level_set(rng, samples))
     return _suite(
         "pullbacks",
-        pullbacks_passed(max(worst.values()), form_gap, tol),
+        pullbacks_passed(max(worst.values()), form_gap),
         max_gaps=worst,
         generator_form_gap=form_gap,
     )
 
 
-def poisson_passed(worst: float, worst_xx: float, tol: float) -> bool:
+def poisson_passed(worst: float, worst_xx: float) -> bool:
     """The Poisson gate on the worst residual and the worst in the position block."""
-    return worst <= tol and worst_xx <= POSITION_BLOCK_BOUND
+    return worst <= RESIDUAL_BOUND and worst_xx <= POSITION_BLOCK_BOUND
 
 
-def _suite_poisson(rng, samples, tol):
+def _suite_poisson(rng, samples):
     n = min(samples, 200)
     points = sample_xi_zero(rng, n)
     worst, worst_xx = worst_poisson(points)
     sweep = poisson_residual_xi_sweep(points[0], np.linspace(-0.5, 0.5, 9))
     return _suite(
         "poisson_matrix",
-        poisson_passed(worst, worst_xx, tol),
+        poisson_passed(worst, worst_xx),
         points=n,
         max_residual=worst,
         max_position_block_residual=worst_xx,
@@ -157,7 +169,7 @@ def collision_theorem_passed(disagreements: int) -> bool:
     return disagreements == 0
 
 
-def _suite_collision(rng, samples, tol):
+def _suite_collision(rng, samples):
     points = collision_points(rng, max(samples // 2, 1))
     member, falls, collinear_image = collision_triple_batch(points)
     disagreements = int(np.count_nonzero((member != falls) | (member != collinear_image)))
@@ -188,12 +200,12 @@ def fall_time_rows() -> list:
     ]
 
 
-def fall_times_passed(worst_quadrature: float, worst_event: float, tol: float) -> bool:
+def fall_times_passed(worst_quadrature: float, worst_event: float) -> bool:
     """The fall-time gate on the worst quadrature and event gaps to the closed form."""
-    return worst_quadrature <= max(tol, QUADRATURE_FLOOR) and worst_event <= FALL_EVENT_BOUND
+    return worst_quadrature <= QUADRATURE_BOUND and worst_event <= FALL_EVENT_BOUND
 
 
-def _suite_fall_times(tol):
+def _suite_fall_times():
     rows = fall_time_rows()
     worst_quadrature = max(abs(closed - quad) for _, closed, quad, _ in rows)
     worst_event = max(abs(event - closed) for _, closed, _, event in rows)
@@ -201,7 +213,7 @@ def _suite_fall_times(tol):
     apex_exact = radial_collision_time(2.0) == math.pi
     return _suite(
         "fall_times",
-        fall_times_passed(worst_quadrature, worst_event, tol) and below_apex and apex_exact,
+        fall_times_passed(worst_quadrature, worst_event) and below_apex and apex_exact,
         grid=list(FALL_GRID),
         max_quadrature_gap=worst_quadrature,
         max_event_gap=worst_event,
@@ -210,14 +222,14 @@ def _suite_fall_times(tol):
     )
 
 
-def run_suites(rng: np.random.Generator, samples: int, tol: float) -> list:
+def run_suites(rng: np.random.Generator, samples: int) -> list:
     """All seven suites in report order, drawing from rng in that order."""
     return [
         _suite_so4(),
-        _suite_orbit_relations(rng, samples, tol),
-        _suite_lagrange(rng, samples, tol),
-        _suite_pullbacks(rng, samples, tol),
-        _suite_poisson(rng, samples, tol),
-        _suite_collision(rng, samples, tol),
-        _suite_fall_times(tol),
+        _suite_orbit_relations(rng, samples),
+        _suite_lagrange(rng, samples),
+        _suite_pullbacks(rng, samples),
+        _suite_poisson(rng, samples),
+        _suite_collision(rng, samples),
+        _suite_fall_times(),
     ]

@@ -34,6 +34,7 @@ from ksreg.verify import (
     collision_points,
     collision_theorem_passed,
     fall_time_rows,
+    lagrange_passed,
     worst_lagrange,
     worst_poisson,
     worst_pullbacks,
@@ -93,7 +94,7 @@ class TestAcceptance:
             and int_identities == 0
             and fraction_exact
             and float_relations <= 1e-12
-            and float_identities <= 1e-12
+            and lagrange_passed(float_identities)
             and elapsed < 30.0
         )
         _report(

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import ksreg
+from ksreg import verify
 from ksreg.cli import main
 
 
@@ -38,7 +39,7 @@ class TestVerify:
         assert [(s["name"], sorted(s["details"])) for s in suites] == [
             ("so4_relations", ["brackets_checked", "split_basis_factors"]),
             ("orbit_relations", ["max_residual", "min_h2", "min_wedge_gap"]),
-            ("lagrange_identities", ["max_residual"]),
+            ("lagrange_identities", ["max_relative_gap", "max_residual"]),
             ("pullbacks", ["generator_form_gap", "max_gaps"]),
             ("poisson_matrix",
              ["max_position_block_residual", "max_residual", "off_level_sweep", "points"]),
@@ -51,11 +52,10 @@ class TestVerify:
             "angular_momentum", "eccentricity", "hamiltonian", "inner_product",
         ]
 
-    def test_zero_tolerance_fails_the_float_suites(self, runner, tmp_path):
+    def test_zero_tolerance_fails_the_float_suites(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(verify, "RESIDUAL_BOUND", 0.0)
         out = tmp_path / "report.json"
-        result = runner.invoke(
-            main, ["verify", "--samples", "50", "--tolerance", "0", "--out", str(out)]
-        )
+        result = runner.invoke(main, ["verify", "--samples", "50", "--out", str(out)])
         assert result.exit_code == 1
         report = json.loads(out.read_text())
         assert report["passed"] is False
@@ -66,8 +66,8 @@ class TestVerify:
 
     def test_bad_flags_are_usage_errors(self, runner):
         assert runner.invoke(main, ["verify", "--samples", "0"]).exit_code == 2
-        assert runner.invoke(main, ["verify", "--tolerance", "-1"]).exit_code == 2
-        assert runner.invoke(main, ["verify", "--tolerance", "nan"]).exit_code == 2
+        result = runner.invoke(main, ["verify", "--tolerance", "1e-10"])
+        assert result.exit_code == 2 and "No such option" in result.output
         assert runner.invoke(main, ["verify", "--seed", "-1"]).exit_code == 2
 
     def test_reports_are_deterministic_per_seed(self, runner, tmp_path):
@@ -198,9 +198,8 @@ class TestBench:
         assert runner.invoke(main, ["bench", "--grid", ""]).exit_code == 2
         assert runner.invoke(main, ["bench", "--grid", "2.0"]).exit_code == 2
         assert runner.invoke(main, ["bench", "--grid", "x"]).exit_code == 2
-        for tol in ("-1", "0", "nan"):
-            args = ["bench", "--grid", "1e-1", "--tolerance", tol]
-            assert runner.invoke(main, args).exit_code == 2
+        result = runner.invoke(main, ["bench", "--grid", "1e-1", "--tolerance", "1e-10"])
+        assert result.exit_code == 2 and "No such option" in result.output
 
 
 class TestTable:

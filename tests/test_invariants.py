@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ksreg.ks_map import ks
 from ksreg.sampling import sample_fractions
 from ksreg.invariants import (
     GEN_FROM_PI_MATRIX,
@@ -256,6 +257,16 @@ class TestDataShapes:
             g = eval_generators(point)
             xi, eta = reduce(g)
             assert all(type(v) is Fraction for v in g + xi + eta)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("point", [(2**40, 3, 0, 0, 2**40, 0, 0, 0),
+                                       (2**62, 1, 0, 0, 2**62, 0, 0, 0)])
+    def test_numpy_integer_points_are_their_python_int_twins(self, point):
+        """A Fraction built from an np.int64 keeps int64 parts, which wrap."""
+        for f in (eval_generators, ks):
+            got = f(np.array(point))
+            assert got == f(point)
+            assert all(type(v.numerator) is int for v in got)
 
     def test_column_constants_name_the_generators(self):
         assert GENERATOR_NAMES[K] == ("K1", "K2", "K3")

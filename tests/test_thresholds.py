@@ -24,10 +24,10 @@ from ksreg.ks_map import (KS, pullback_angular_momentum, pullback_eccentricity,
 from ksreg.orbit_space import (classify_reduced_space, reconstruct_fiber_boundary,
                                reconstruct_fiber_interior, reduced_momentum,
                                relation_residuals)
-from ksreg.verify import (FALL_EVENT_BOUND, GENERATOR_FORM_TOL, POSITION_BLOCK_BOUND,
-                          QUADRATURE_FLOOR, collision_theorem_passed, fall_times_passed,
-                          lagrange_passed, poisson_passed, pullbacks_passed, relations_passed,
-                          run_suites)
+from ksreg.verify import (FALL_EVENT_BOUND, GENERATOR_FORM_TOL, LAGRANGE_RELATIVE_BOUND,
+                          POSITION_BLOCK_BOUND, QUADRATURE_BOUND, RESIDUAL_BOUND,
+                          collision_theorem_passed, fall_times_passed, lagrange_passed,
+                          poisson_passed, pullbacks_passed, relations_passed, run_suites)
 
 
 def _accepts(f, *args) -> bool:
@@ -102,49 +102,54 @@ def _past(bound):
     return math.nextafter(bound, math.inf)
 
 
-@pytest.mark.parametrize("tol", [0.0, 1e-10, QUADRATURE_FLOOR])
-def test_fall_time_gate(tol):
-    """A --tolerance at or below the floor leaves both bounds as they are."""
-    assert (QUADRATURE_FLOOR, FALL_EVENT_BOUND) == (1e-9, 1e-5)
-    assert fall_times_passed(QUADRATURE_FLOOR, FALL_EVENT_BOUND, tol)
-    assert not fall_times_passed(_past(QUADRATURE_FLOOR), 0.0, tol)
-    assert not fall_times_passed(0.0, _past(FALL_EVENT_BOUND), tol)
+# The values the --tolerance option took before it was removed: a worst gap of
+# that size is judged by the gate's named bound alone, never loosened to it.
+FORMER_TOLERANCES = [1e-10, 1e-9, 1e-6]
 
 
-def test_a_larger_tolerance_loosens_the_quadrature_bound_alone():
-    assert fall_times_passed(1e-6, 0.0, 1e-6)
-    assert not fall_times_passed(_past(1e-6), 0.0, 1e-6)
-    assert not fall_times_passed(0.0, _past(FALL_EVENT_BOUND), 1.0)
+@pytest.mark.parametrize("gap", [0.0, 1e-10, 1e-9])
+def test_fall_time_gate(gap):
+    assert (QUADRATURE_BOUND, FALL_EVENT_BOUND) == (1e-9, 1e-5)
+    assert fall_times_passed(QUADRATURE_BOUND, FALL_EVENT_BOUND)
+    assert not fall_times_passed(_past(QUADRATURE_BOUND), 0.0)
+    assert not fall_times_passed(0.0, _past(FALL_EVENT_BOUND))
+    assert fall_times_passed(gap, 0.0) == (gap <= QUADRATURE_BOUND)
 
 
-@pytest.mark.parametrize("tol", [1e-10, 1e-9, 1e-6])
-def test_pullback_gate(tol):
-    assert GENERATOR_FORM_TOL == 1e-9
-    assert pullbacks_passed(tol, GENERATOR_FORM_TOL, tol)
-    assert not pullbacks_passed(_past(tol), 0.0, tol)
-    assert not pullbacks_passed(0.0, _past(GENERATOR_FORM_TOL), tol)
+@pytest.mark.parametrize("gap", FORMER_TOLERANCES)
+def test_pullback_gate(gap):
+    assert (RESIDUAL_BOUND, GENERATOR_FORM_TOL) == (1e-10, 1e-9)
+    assert pullbacks_passed(RESIDUAL_BOUND, GENERATOR_FORM_TOL)
+    assert not pullbacks_passed(_past(RESIDUAL_BOUND), 0.0)
+    assert not pullbacks_passed(0.0, _past(GENERATOR_FORM_TOL))
+    assert pullbacks_passed(gap, 0.0) == (gap <= RESIDUAL_BOUND)
 
 
-@pytest.mark.parametrize("tol", [1e-10, 1e-9, 1e-6])
-def test_poisson_gate(tol):
-    assert POSITION_BLOCK_BOUND == 1e-12
-    assert poisson_passed(tol, POSITION_BLOCK_BOUND, tol)
-    assert not poisson_passed(_past(tol), 0.0, tol)
-    assert not poisson_passed(0.0, _past(POSITION_BLOCK_BOUND), tol)
+@pytest.mark.parametrize("gap", FORMER_TOLERANCES)
+def test_poisson_gate(gap):
+    assert (RESIDUAL_BOUND, POSITION_BLOCK_BOUND) == (1e-10, 1e-12)
+    assert poisson_passed(RESIDUAL_BOUND, POSITION_BLOCK_BOUND)
+    assert not poisson_passed(_past(RESIDUAL_BOUND), 0.0)
+    assert not poisson_passed(0.0, _past(POSITION_BLOCK_BOUND))
+    assert poisson_passed(gap, 0.0) == (gap <= RESIDUAL_BOUND)
 
 
-@pytest.mark.parametrize("tol", [1e-10, 1e-9, 1e-6])
-def test_relations_gate(tol):
-    assert relations_passed(tol, 0.0, -tol, tol)
-    assert not relations_passed(_past(tol), 0.0, 0.0, tol)
-    assert not relations_passed(0.0, math.nextafter(0.0, -math.inf), 0.0, tol)
-    assert not relations_passed(0.0, 0.0, math.nextafter(-tol, -math.inf), tol)
+@pytest.mark.parametrize("gap", FORMER_TOLERANCES)
+def test_relations_gate(gap):
+    assert RESIDUAL_BOUND == 1e-10
+    assert relations_passed(RESIDUAL_BOUND, 0.0, -RESIDUAL_BOUND)
+    assert not relations_passed(_past(RESIDUAL_BOUND), 0.0, 0.0)
+    assert not relations_passed(0.0, math.nextafter(0.0, -math.inf), 0.0)
+    assert not relations_passed(0.0, 0.0, math.nextafter(-RESIDUAL_BOUND, -math.inf))
+    assert relations_passed(gap, 0.0, -gap) == (gap <= RESIDUAL_BOUND)
 
 
-@pytest.mark.parametrize("tol", [1e-10, 1e-9, 1e-6])
-def test_lagrange_gate(tol):
-    assert lagrange_passed(tol, tol)
-    assert not lagrange_passed(_past(tol), tol)
+@pytest.mark.parametrize("gap", FORMER_TOLERANCES)
+def test_lagrange_gate(gap):
+    assert LAGRANGE_RELATIVE_BOUND == 1e-12
+    assert lagrange_passed(LAGRANGE_RELATIVE_BOUND)
+    assert not lagrange_passed(_past(LAGRANGE_RELATIVE_BOUND))
+    assert not lagrange_passed(gap)
 
 
 def test_collision_gate():
@@ -152,12 +157,11 @@ def test_collision_gate():
     assert not collision_theorem_passed(1)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="lagrange_identities gates the absolute gap |lhs - rhs|, a few ulps "
-                          "of large sampled terms; the acceptance test bounds the relative one")
 def test_lagrange_gate_at_seed_285800082():
     """ksreg verify --seed 285800082 --samples 1000 draws a point whose
-    Lagrange gap is 1.164e-10 absolute, past the default 1e-10."""
-    suites = run_suites(np.random.default_rng(285800082), 1000, 1e-10)
+    Lagrange gap is 1.164e-10 absolute, past RESIDUAL_BOUND, and 7.8e-15
+    relative, inside the gate's LAGRANGE_RELATIVE_BOUND."""
+    suites = run_suites(np.random.default_rng(285800082), 1000)
     (lagrange,) = [s for s in suites if s["name"] == "lagrange_identities"]
+    assert lagrange["details"]["max_residual"] > RESIDUAL_BOUND
     assert lagrange["passed"], lagrange["details"]
