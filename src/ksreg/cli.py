@@ -1,8 +1,10 @@
 """Command line entry points: verify, orbit, bench, and table.
 
 Every command writes a machine-readable file and prints a short human
-summary.  Reports are deterministic for a fixed seed: keys are sorted
-and numpy scalars are converted before serialization.
+summary.  It creates the missing directories of its output (--out's
+parent, or orbit's --out-dir) before it runs.  Reports are
+deterministic for a fixed seed: keys are sorted and numpy scalars are
+converted before serialization.
 """
 
 import json
@@ -21,6 +23,19 @@ from .kepler_dynamics import write_csv, write_trajectory_csv
 from .quadratic_poisson import reference_table_diff
 from .sampling import RNG_ALGORITHM
 from .verify import run_suites
+
+
+def _make_dir(path, option: str) -> None:
+    """Create the missing directories of path, before the run writes into it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise click.UsageError(f"cannot create the directory of {option}: {exc}")
+
+
+def _make_parent(out) -> None:
+    """Create the missing directories above an --out file."""
+    _make_dir(os.path.dirname(os.path.abspath(out)), "--out")
 
 
 def _write_json(path, obj) -> None:
@@ -63,6 +78,7 @@ def verify(seed, samples, out):
     """
     if samples <= 0:
         raise click.UsageError("--samples must be positive")
+    _make_parent(out)
     suites = run_suites(np.random.default_rng(seed), samples)
     report = {
         "rng": RNG_ALGORITHM,
@@ -119,12 +135,12 @@ def orbit(state, t_max, samples, out_dir):
         values = tuple(float(s) for s in state.split(","))
     except ValueError:
         raise click.UsageError("--state must be a comma-separated list of numbers")
+    _make_dir(out_dir, "--out-dir")
     try:
         result = ks_relatedness_harness(values, t_max, samples=samples)
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
-    os.makedirs(out_dir, exist_ok=True)
     paths = {
         "oscillator": os.path.join(out_dir, "oscillator.csv"),
         "ks_image": os.path.join(out_dir, "ks_image.csv"),
@@ -182,6 +198,7 @@ def bench(grid, out, fmt):
         raise click.UsageError("--grid must be a comma-separated list of numbers")
     if not values:
         raise click.UsageError("--grid needs at least one value")
+    _make_parent(out)
     try:
         rows = run_benchmark(l_values=values)
     except ValueError as exc:
@@ -214,6 +231,7 @@ def table(out, fmt):
     Mismatching rows record where the transcription disagrees with the
     regenerated expressions; they are reported, not failed.
     """
+    _make_parent(out)
     diff = reference_table_diff()
     mismatches = sum(1 for r in diff if not r["match"])
     if fmt == "json":

@@ -61,10 +61,14 @@ class QuadraticForm:
     def a(self) -> tuple:
         """The symmetric matrix a with f(z) = z^T a z / 2, so grad f = a z."""
         m = [[Fraction(0)] * _DIM for _ in range(_DIM)]
-        for c, i, j in self.terms:
-            m[i][j] += c
-            m[j][i] += c
+        for i, j, v in _hessian_entries(self.terms):
+            m[i][j] = m[j][i] = Fraction(v)
         return tuple(tuple(row) for row in m)
+
+
+def _hessian_entries(terms):
+    """(i, j, a_ij) for i <= j over canonical terms: c off the diagonal, 2c on it."""
+    return ((i, j, c if i != j else 2 * c) for c, i, j in terms)
 
 
 def _gradient(f: QuadraticForm) -> list:
@@ -135,33 +139,53 @@ def decompose(form: QuadraticForm) -> dict:
     return named
 
 
-# {f, g} = grad f . J grad g in z = (q, p).
-_J = np.kron([[0, 1], [-1, 0]], np.eye(4, dtype=np.int64))
+def _hessian_stack() -> np.ndarray:
+    """The (16, 8, 8) float64 Hessians of GENERATOR_FORMS, read on each call.
+
+    Raises DecompositionError unless every entry is 0 or +-1, which
+    keeps every sum in structure_constants() an exact float64 integer.
+    """
+    m = np.zeros((len(GENERATOR_NAMES), _DIM, _DIM))
+    for g, name in enumerate(GENERATOR_NAMES):
+        for i, j, v in _hessian_entries(GENERATOR_FORMS[name].terms):
+            if v.denominator != 1 or v.numerator not in (-1, 1):
+                raise DecompositionError(
+                    "a generator Hessian is not an integer matrix of 0s and +-1s")
+            m[g, i, j] = m[g, j, i] = v.numerator
+    return m
 
 
 def structure_constants() -> np.ndarray:
     """The generator algebra as one (16, 16, 16) integer tensor T.
 
     {G_a, G_b} = sum_k T[a, b, k] G_k / 8, with indices in
-    GENERATOR_NAMES order.  The Hessian M = form.a of each generator is
-    an integer matrix, and the bracket of two quadratic forms has the
-    Hessian H_ab = M_a J M_b - M_b J M_a.  The Hessians have the Gram
-    matrix 8 I, so T[a, b, k] = <M_k, H_ab>.  The tensor is then expanded
-    back, and DecompositionError is raised unless sum_k T[a, b, k] M_k
-    equals 8 H_ab in integers for every pair.  Built on each call.
+    GENERATOR_NAMES order.  The Hessian M_a of each generator has
+    entries 0 and +-1, and the bracket of two quadratic forms has the
+    Hessian H_ab = M_a J M_b - M_b J M_a, with {f, g} = grad f . J grad g
+    in z = (q, p).  The Hessians have the Gram matrix 8 I, so
+    T[a, b, k] = <M_k, H_ab>.  The tensor is then expanded back, and
+    DecompositionError is raised unless sum_k T[a, b, k] M_k equals
+    8 H_ab for every pair.  Built on each call.
+
+    The three contractions are 2-D float64 products of integers:
+    |H| <= 16, |T| <= 2^10 and every partial sum of the check stays
+    below 2^14, so each is exact in any summation order, and the check
+    is an exact comparison.
     """
-    entries = [v for name in GENERATOR_NAMES for row in GENERATOR_FORMS[name].a for v in row]
-    if any(v.denominator != 1 for v in entries):
-        raise DecompositionError("a generator Hessian is not an integer matrix")
-    m = np.array([v.numerator for v in entries], dtype=np.int64).reshape(-1, _DIM, _DIM)
-    h = (m @ _J)[:, None] @ m[None]
-    h = h - h.transpose(1, 0, 2, 3)
-    t = np.einsum("kij,abij->abk", m, h)
-    if not np.array_equal(np.einsum("abk,kij->abij", t, m), GENERATOR_GRAM * h):
+    m = _hessian_stack()
+    n = len(m)
+    # M J swaps the q and p columns of M and negates the new q half.
+    mj = np.concatenate((-m[..., _DIM // 2:], m[..., :_DIM // 2]), axis=-1)
+    # mjm[a, i, b, j] = (M_a J M_b)[i, j]
+    mjm = (mj.reshape(-1, _DIM) @ m.transpose(1, 0, 2).reshape(_DIM, -1)).reshape(n, _DIM, n, _DIM)
+    h = (mjm - mjm.transpose(2, 1, 0, 3)).transpose(0, 2, 1, 3).reshape(n * n, -1)
+    flat = m.reshape(n, -1)
+    t = h @ flat.T
+    if not np.array_equal(t @ flat, GENERATOR_GRAM * h):
         raise DecompositionError(
             "a generator bracket is not a linear combination of the generators"
         )
-    return t
+    return t.astype(np.int64).reshape(n, n, n)
 
 
 def _named(vector, den: int = GENERATOR_GRAM) -> dict:
@@ -273,11 +297,13 @@ def verify_so4_relations() -> dict:
 
 
 def _induced_field(t, g: int) -> dict:
-    return {
-        coord: component
-        for coord, row in zip(GENERATOR_NAMES, t[:, g])
-        if (component := _named(row))
-    }
+    """{coordinate c: {generator k: T[c, g, k] / 8}} over the nonzero entries of T[:, g]."""
+    column = t[:, g]
+    coords, ks = np.nonzero(column)
+    field = {}
+    for c, k, v in zip(coords.tolist(), ks.tolist(), column[coords, ks].tolist()):
+        field.setdefault(GENERATOR_NAMES[c], {})[GENERATOR_NAMES[k]] = Fraction(v, GENERATOR_GRAM)
+    return field
 
 
 def induced_vector_field(name: str) -> dict:

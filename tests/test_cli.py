@@ -236,6 +236,33 @@ class TestTable:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+class TestOutDirectories:
+    # Each command creates the missing directories above its --out before
+    # it runs, and writes there the bytes it writes into an existing one.
+    @pytest.mark.parametrize("args, name", [
+        (["verify", "--samples", "20"], "verify_report.json"),
+        (["bench", "--grid", "1e-1"], "bench.csv"),
+        (["table"], "table_audit.json"),
+        (["table", "--format", "csv"], "table_audit.csv"),
+    ])
+    def test_out_in_a_missing_directory(self, runner, tmp_path, args, name):
+        existing = tmp_path / name
+        nested = tmp_path / "new" / "sub" / name
+        for out in (existing, nested):
+            result = runner.invoke(main, args + ["--out", str(out)])
+            assert result.exit_code == 0, result.output
+        assert nested.read_bytes() == existing.read_bytes()
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--samples", "20", "--out"], ["bench", "--grid", "1e-1", "--out"],
+        ["table", "--out"], ["orbit", "--t-max", "3", "--samples", "16", "--out-dir"]])
+    def test_output_under_a_file_is_a_usage_error(self, runner, tmp_path, args):
+        (tmp_path / "file").write_text("")
+        result = runner.invoke(main, args + [str(tmp_path / "file" / "out")])
+        assert result.exit_code == 2
+        assert f"cannot create the directory of {args[-1]}" in result.output
+
+
 def _fresh_python(probe: str, cwd=None) -> str:
     """The stdout of probe run in a new interpreter that imports this ksreg."""
     src = os.path.dirname(os.path.dirname(ksreg.__file__))

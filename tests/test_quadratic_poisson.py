@@ -76,6 +76,27 @@ def _form_to_sym(form: QuadraticForm):
     return _monomials_to_sym(form.terms)
 
 
+def _reference_a(form: QuadraticForm) -> tuple:
+    """The Hessian as first built: each term added twice into Fraction zeros."""
+    m = [[Fraction(0)] * 8 for _ in range(8)]
+    for c, i, j in form.terms:
+        m[i][j] += c
+        m[j][i] += c
+    return tuple(tuple(row) for row in m)
+
+
+def _reference_structure_constants() -> np.ndarray:
+    """The tensor from the Fraction Hessians by a stacked matmul and int64 einsums."""
+    m = np.array([[[int(v) for v in row] for row in _reference_a(GENERATOR_FORMS[name])]
+                  for name in GENERATOR_NAMES], dtype=np.int64)
+    j = np.kron([[0, 1], [-1, 0]], np.eye(4, dtype=np.int64))
+    h = (m @ j)[:, None] @ m[None]
+    h = h - h.transpose(1, 0, 2, 3)
+    t = np.einsum("kij,abij->abk", m, h)
+    assert np.array_equal(np.einsum("abk,kij->abij", t, m), 8 * h)
+    return t
+
+
 coeff_st = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 
 # Arbitrary monomial lists (coeff, i, j) over z = (q, p): any order, i > j
@@ -173,6 +194,33 @@ class TestStructureConstants:
         assert not t[xi].any()
         assert sympy.Matrix(t.reshape(16, -1).tolist()).rank() == 15
 
+    def test_equals_the_fraction_matrix_reference(self):
+        t = structure_constants()
+        assert t.dtype.kind == "i"
+        assert np.array_equal(t, _reference_structure_constants())
+
+    def test_killing_form_has_signature_8_7_and_radical_xi(self):
+        """tr(ad_a ad_b) = sum T[a, c, k] T[b, k, c] / 64, exactly 32 diag(s).
+
+        s is -1 on K1..L3 and H2, 0 on Xi and +1 on U1..V4: the form has
+        signature (8, 7), its radical is the center {Xi}, and the compact
+        part so(4) + span{H2} is negative definite.
+        """
+        t = structure_constants()
+        sign = {name: -1 for name in ("K1", "K2", "K3", "L1", "L2", "L3", "H2")}
+        sign.update({name: 1 for name in ("U1", "U2", "U3", "U4", "V1", "V2", "V3", "V4")})
+        sign["Xi"] = 0
+        diag = [sign[name] for name in GENERATOR_NAMES]
+        killing_64 = np.einsum("ack,bkc->ab", t, t)
+        assert np.array_equal(killing_64, 2048 * np.diag(diag))
+        assert (diag.count(1), diag.count(-1)) == (8, 7)
+
+    def test_derived_algebra_has_dimension_15(self):
+        """The brackets {G_a, G_b} span the 15 directions other than Xi."""
+        t = structure_constants()
+        assert sympy.Matrix(t.reshape(256, 16).tolist()).rank() == 15
+        assert not t[:, :, GENERATOR_NAMES.index("Xi")].any()
+
     def test_induced_fields_match_the_reference_engine(self):
         for name in GENERATOR_NAMES:
             reference = {}
@@ -219,6 +267,20 @@ class TestCanonicalForm:
         a = form.a
         assert sum(z[i] * a[i][j] * z[j] for i in range(8) for j in range(8)) == 2 * value
         assert all(a[i][j] == a[j][i] for i in range(8) for j in range(8))
+
+    @given(monomials_st)
+    @settings(max_examples=40, deadline=None)
+    def test_matrix_is_the_fraction_reference(self, terms):
+        form = QuadraticForm.from_monomials(terms)
+        a = form.a
+        assert a == _reference_a(form)
+        assert all(type(v) is Fraction for row in a for v in row)
+
+    def test_generator_matrices_are_the_fraction_reference(self):
+        for name, form in GENERATOR_FORMS.items():
+            a = form.a
+            assert a == _reference_a(form), name
+            assert all(type(v) is Fraction for row in a for v in row), name
 
 
 class TestDecompose:
