@@ -39,9 +39,9 @@ def _make_parent(out) -> None:
 
 
 def _write_json(path, obj) -> None:
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _write_oscillator_csv(path, times, chart) -> None:

@@ -141,25 +141,46 @@ def _integer_terms(monomials) -> tuple:
 _GEN_TERMS = tuple(_integer_terms(GEN_MONOMIALS[name]) for name in GENERATOR_NAMES)
 
 
-def eval_monomials(monomials, z: Sequence) -> object:
-    """Evaluate an integer-coefficient monomial list at eight columns z.
+def compile_monomials(tables) -> tuple:
+    """One straight-line function per table, a sequence of monomial lists.
 
-    A column is one number (int, Fraction or float) or an (n,) array,
-    and the result has the arithmetic of the columns.  The coefficients
-    must be integers: a Fraction times a float array is an object array.
-    Tables with rational coefficients are scaled to integers and divided
-    afterwards, with divide(); for floats that halving is exact.
+    Function k maps eight columns z (numbers or (n,) arrays) to the tuple
+    of the sums of tables[k]'s lists, each written out once, in the
+    list's order, as 0, then "- z[i] * z[j]" for a coefficient -1 and
+    "+ z[i] * z[j] * c" otherwise ("* c" left out for c = 1).  The leading
+    0 keeps a sum's sign of zero fixed, and the result has the arithmetic
+    of the columns.  The coefficients must be ints: a Fraction times a
+    float array is an object array.  Tables with rational coefficients
+    are scaled to integers and divided afterwards, with divide(); for
+    floats that halving is exact.  Raises TypeError on another coefficient.
     """
-    total = 0
-    for c, i, j in monomials:
-        term = z[i] * z[j]
-        if c == 1:
-            total = total + term
-        elif c == -1:
-            total = total - term
-        else:
-            total = total + term * c
-    return total
+    source = []
+    for k, table in enumerate(tables):
+        sums, used = [], set()
+        for monomials in table:
+            expr = "0"
+            for c, i, j in monomials:
+                if type(c) is not int:
+                    raise TypeError(f"monomial coefficient {c!r} is not an int")
+                used.update((i, j))
+                term = f"z{i} * z{j}"
+                expr += f" - {term}" if c == -1 else f" + {term}" if c == 1 else f" + {term} * {c}"
+            sums.append(expr)
+        loads = "".join(f"    z{i} = z[{i}]\n" for i in sorted(used))
+        returns = "".join(f"{e}, " for e in sums)
+        source.append(f"def sums{k}(z):\n{loads}    return ({returns})\n")
+    namespace = {}
+    exec(compile("".join(source), "<compile_monomials>", "exec"), namespace)
+    return tuple(namespace[f"sums{k}"] for k in range(len(tables)))
+
+
+#: The divisors d of _GEN_TERMS, their lcm (2) and the factors lcm / d; and
+#: the integer sums of _GEN_TERMS and of PI_MONOMIALS as straight-line
+#: functions of eight columns.
+_GEN_DIVISORS = tuple(d for d, _ in _GEN_TERMS)
+_GEN_LCM = math.lcm(*_GEN_DIVISORS)
+_GEN_SCALES = tuple(_GEN_LCM // d for d in _GEN_DIVISORS)
+_gen_sums, _pi_sums = compile_monomials((tuple(terms for _, terms in _GEN_TERMS), PI_MONOMIALS))
 
 
 def int_quotient(n: int, d: int) -> Fraction:
@@ -201,13 +222,27 @@ def exact_ints(A, bound: int) -> np.ndarray:
     return A
 
 
-def common_denominator(values) -> tuple | None:
-    """(D, ints): the lcm D of a sequence's denominators and each value times D.
+# The integer form (g, D, ints) of the last tuple g that eval_generators
+# returned for a point of Fractions, with ints == D g.  It holds g itself,
+# so no other object can take g's identity while g is its key, and it is
+# replaced as one tuple, so a reader never sees parts of two forms.
+_last_exact = ((), 1, ())
 
-    None unless every value is a Fraction.  A polynomial that is
-    homogeneous of degree k, run on the ints, equals D^k times its value
-    at the Fractions, so an exact path divides each output once at the end.
+
+def common_denominator(values) -> tuple | None:
+    """(D, ints): a common denominator D of a sequence's values and each value times D.
+
+    None unless every value is a Fraction.  D is the lcm of the
+    denominators, except for the tuple that eval_generators returned
+    last for a point of Fractions: that tuple's integer form is kept, and
+    returned as it is.  A polynomial that is homogeneous of degree k,
+    run on the ints, equals D^k times its value at the Fractions, so an
+    exact path divides each output once at the end; a normalized
+    Fraction does not depend on which common denominator it came from.
     """
+    g, den, ints = _last_exact
+    if values is g:
+        return den, ints
     dens = []
     for v in values:
         if not isinstance(v, Fraction):
@@ -230,22 +265,18 @@ def point8(z) -> tuple:
     return z
 
 
-def _pi_columns(z) -> tuple:
-    return tuple(eval_monomials(m, z) for m in PI_MONOMIALS)
-
-
 def eval_pi(z: Sequence) -> tuple:
     """Evaluate the 16 basic invariants pi1..pi16 at a phase point.
 
     Works for float and Fraction entries alike; the result entries have
     the arithmetic type of the inputs.
     """
-    return _pi_columns(point8(z))
+    return _pi_sums(point8(z))
 
 
 def eval_pi_batch(Z: np.ndarray) -> np.ndarray:
     """Evaluate the invariants over an (n, 8) array, returning (n, 16)."""
-    return np.stack(_pi_columns(np.asarray(Z).T), axis=1)
+    return np.stack(_pi_sums(np.asarray(Z).T), axis=1)
 
 
 def eval_generator_columns(z) -> tuple:
@@ -257,7 +288,7 @@ def eval_generator_columns(z) -> tuple:
     arrays, which must be even, integer arrays, and object arrays of
     Python ints or Fractions arrays of Fractions.
     """
-    return tuple(divide(eval_monomials(terms, z), d) for d, terms in _GEN_TERMS)
+    return tuple(divide(s, d) for s, d in zip(_gen_sums(z), _GEN_DIVISORS))
 
 
 def eval_generators(z: Sequence) -> tuple:
@@ -267,16 +298,23 @@ def eval_generators(z: Sequence) -> tuple:
     point.  Uses the direct (q,p)-monomial form; generators_from_pi(eval_pi(z))
     must agree exactly and the test suite holds the two paths together.
     A point of Fractions runs in ints: its entries times the lcm D of
-    their denominators, each generator divided once by d D^2 at the end,
-    which gives the Fractions eval_generator_columns gives.  Any other
-    point runs eval_generator_columns.
+    their denominators, each generator's sum divided once by d D^2 at the
+    end, which gives the Fractions eval_generator_columns gives.  The
+    same sums are the result's integer form over 2 D^2, which
+    common_denominator hands to the relations and identities run on
+    the result.  Any other point runs eval_generator_columns.
     """
+    global _last_exact
     z = point8(z)
     scaled = common_denominator(z)
     if scaled is None:
         return eval_generator_columns(z)
     den, n = scaled
-    return tuple(int_quotient(eval_monomials(terms, n), d * den * den) for d, terms in _GEN_TERMS)
+    d2 = den * den
+    sums = _gen_sums(n)
+    g = tuple(int_quotient(s, d * d2) for s, d in zip(sums, _GEN_DIVISORS))
+    _last_exact = g, _GEN_LCM * d2, tuple(s * m for s, m in zip(sums, _GEN_SCALES))
+    return g
 
 
 def eval_generators_batch(Z: np.ndarray) -> np.ndarray:

@@ -26,10 +26,10 @@ from .invariants import (
     V1,
     XI,
     combine_monomials,
+    compile_monomials,
     eval_generator_columns,
     eval_generators,
     eval_generators_batch,
-    eval_monomials,
     grad_p_xi,
     point8,
 )
@@ -58,6 +58,7 @@ def _integral(monomials) -> tuple:
 KS_MONOMIALS = tuple(
     _integral(combine_monomials(row, GEN_MONOMIALS)) for row in KS_GENERATOR_FORM
 )
+(_ks_sums,) = compile_monomials((KS_MONOMIALS,))
 
 
 # Row k holds the matrix a_k with grad(table entry k) = a_k z.
@@ -76,9 +77,9 @@ def _as_rows(Z) -> np.ndarray:
     return np.atleast_2d(np.asarray(Z, dtype=float))
 
 
-def _table(z) -> list:
+def _table(z) -> tuple:
     """KS_MONOMIALS at eight columns z: (x1, x2, x3, n1, n2, n3, rho)."""
-    T = [eval_monomials(m, z) for m in KS_MONOMIALS]
+    T = _ks_sums(z)
     _require_chart(T[6])
     return T
 

@@ -196,19 +196,21 @@ def _named(vector, den: int = GENERATOR_GRAM) -> dict:
 def format_linear(coeffs: dict, order=GENERATOR_NAMES) -> str:
     """Render a {name: coeff} dict as a canonical expression string.
 
-    Terms follow the given name order; "0" for the empty combination.
+    Terms follow the given name order, and names outside it are left
+    out; "0" for the empty combination.
     """
     parts = []
-    for name in order:
-        c = coeffs.get(name, 0)
-        if c == 0:
-            continue
-        mag = abs(Fraction(c))
+    for name in sorted((n for n, c in coeffs.items() if c != 0 and n in order), key=order.index):
+        c = coeffs[name]
+        mag = c if isinstance(c, Fraction) else Fraction(c)
+        positive = mag > 0
+        if not positive:
+            mag = -mag
         term = name if mag == 1 else f"{mag}*{name}"
         if not parts:
-            parts.append(term if c > 0 else f"-{term}")
+            parts.append(term if positive else f"-{term}")
         else:
-            parts.append(f" + {term}" if c > 0 else f" - {term}")
+            parts.append(f" + {term}" if positive else f" - {term}")
     return "".join(parts) if parts else "0"
 
 

@@ -236,6 +236,24 @@ class TestTable:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+class TestJsonFiles:
+    # Every JSON file a command writes is json.dumps' text of what it
+    # parses to, with indent 2 and sorted keys, and one final newline.
+    @pytest.mark.parametrize("args, name", [
+        (["verify", "--samples", "20", "--out"], "verify_report.json"),
+        (["orbit", "--t-max", "3", "--samples", "16", "--out-dir"], "orbit_report.json"),
+        (["bench", "--grid", "1e-1", "--format", "json", "--out"], "bench.json"),
+        (["table", "--out"], "table_audit.json"),
+    ])
+    def test_a_json_file_is_its_canonical_text(self, runner, tmp_path, args, name):
+        out = tmp_path / name
+        target = tmp_path if args[-1] == "--out-dir" else out
+        result = runner.invoke(main, args + [str(target)])
+        assert result.exit_code == 0, result.output
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 class TestOutDirectories:
     # Each command creates the missing directories above its --out before
     # it runs, and writes there the bytes it writes into an existing one.

@@ -4,6 +4,7 @@ Oracles: hand-expanded polynomial forms of all 16 generators, frozen
 here independently of the tables in the package, plus an exact matrix
 inverse computed in-test by Fraction Gaussian elimination.
 """
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ksreg.ks_map import ks
+from ksreg import invariants, ks_map
+from ksreg.ks_map import KS_MONOMIALS, ks
 from ksreg.sampling import sample_fractions
 from ksreg.invariants import (
     GEN_FROM_PI_MATRIX,
@@ -20,12 +22,14 @@ from ksreg.invariants import (
     K,
     L,
     PI_FROM_GEN_MATRIX,
+    PI_MONOMIALS,
     U,
     U1,
     V,
     V1,
     XI,
     common_denominator,
+    compile_monomials,
     eval_generator_columns,
     eval_generators,
     eval_generators_batch,
@@ -84,6 +88,68 @@ def _invert_exact(matrix):
 fraction_st = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 point_st = st.tuples(*([fraction_st] * 8))
 
+#: common_denominator on tuples that are not a generator result: the lcm form.
+LCM_CASES = [
+    ((Fraction(0),) * 16, (1, (0,) * 16)),
+    ((Fraction(-1, 4), Fraction(5, 6), Fraction(-3)), (12, (-3, 10, -36))),
+    ((Fraction(1, 2), 0.5), None),
+    ((Fraction(1, 2), 1), None),
+]
+
+
+def eval_monomials(monomials, z):
+    """The loop the compiled sums replace: the reference for their operation order."""
+    total = 0
+    for c, i, j in monomials:
+        term = z[i] * z[j]
+        if c == 1:
+            total = total + term
+        elif c == -1:
+            total = total - term
+        else:
+            total = total + term * c
+    return total
+
+
+def _same_number(a, b) -> bool:
+    """The same type and value; for floats the same bits, the sign of 0.0 included.
+
+    A NaN only has to be a NaN: when both operands of a float addition
+    are NaNs, which one CPython returns depends on the interpreter's code
+    path for that addition, so not even one body fixes the sign of a NaN.
+    """
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return float.hex(a) == float.hex(b) and (
+            math.isnan(a) or math.copysign(1, a) == math.copysign(1, b))
+    return a == b and (not isinstance(a, Fraction) or
+                       (type(a.numerator), type(a.denominator)) == (int, int))
+
+
+def _same_column(a, b) -> bool:
+    """The same dtype and entries; float columns as _same_number compares floats."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    if a.dtype == object:
+        return all(_same_number(x, y) for x, y in zip(a, b))
+    if a.dtype.kind != "f":
+        return np.array_equal(a, b)
+    nan = np.isnan(a)
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a[~nan]), np.signbit(b[~nan])))
+
+
+#: Each compiled table with the monomial lists it was compiled from.
+COMPILED_TABLES = {
+    "generators": (invariants._gen_sums, tuple(terms for _, terms in invariants._GEN_TERMS)),
+    "pi": (invariants._pi_sums, PI_MONOMIALS),
+    "ks": (ks_map._ks_sums, KS_MONOMIALS),
+}
+
+float_entry_st = st.floats(allow_nan=True, allow_infinity=True)
+number_st = st.one_of(st.integers(-2**70, 2**70), fraction_st, float_entry_st)
+
 
 class TestGeneratorValues:
     def test_circular_seed_point(self):
@@ -126,20 +192,104 @@ class TestGeneratorValues:
         assert g == eval_generator_columns(point8(z))
         assert all(type(v) is Fraction for v in g)
 
-    @pytest.mark.parametrize("values, expected", [
-        ((Fraction(0),) * 16, (1, (0,) * 16)),
-        ((Fraction(-1, 4), Fraction(5, 6), Fraction(-3)), (12, (-3, 10, -36))),
-        ((Fraction(1, 2), 0.5), None),
-        ((Fraction(1, 2), 1), None),
-    ])
+    @pytest.mark.parametrize("values, expected", LCM_CASES)
     def test_common_denominator(self, values, expected):
         assert common_denominator(values) == expected
+
+    @pytest.mark.parametrize("values, expected", LCM_CASES)
+    def test_lcm_cases_hold_on_fresh_tuples_after_a_generator_evaluation(self, values, expected):
+        g = eval_generators((Fraction(1, 3), 0, Fraction(-2, 5), 1, Fraction(1, 6), 2, 0, 1))
+        assert invariants._last_exact[0] is g
+        assert common_denominator(tuple(list(values))) == expected
+
+    @given(point_st)
+    @example((1, -2, 0, 3, 4, -5, 6, 7))
+    @example((0,) * 8)
+    @example((Fraction(1, 3), 0, Fraction(-2, 5), Fraction(7, 4), Fraction(1, 6),
+              Fraction(-3, 8), Fraction(5, 2), Fraction(-1, 9)))
+    @example((Fraction(1, 2**32 + 15),) * 8)
+    @settings(max_examples=100, deadline=None)
+    def test_a_fraction_points_generators_keep_their_integer_form(self, z):
+        """common_denominator hands back eval_generators' ints: D g, over a D of its own."""
+        g = eval_generators(z)
+        den, ints = common_denominator(g)
+        assert (g, den, ints) == invariants._last_exact and ints is invariants._last_exact[2]
+        assert all(type(n) is int and n == v * den for n, v in zip(ints, g, strict=True))
+        assert den % math.lcm(*(v.denominator for v in g)) == 0
+        # A distinct tuple of the same values, or a list, gets the lcm form.
+        copy = tuple(list(g))
+        assert copy is not g and tuple(g) is g and g[:] is g
+        lcm = math.lcm(*(v.denominator for v in g))
+        assert common_denominator(copy) == common_denominator(list(g)) == (
+            lcm, tuple(v.numerator * (lcm // v.denominator) for v in g))
+
+    @pytest.mark.parametrize("z", [
+        (0.5, 1.0, -2.0, 0.0, 3.0, 0.25, -1.0, 2.0),
+        (Fraction(1, 3), 0, Fraction(-2, 5), 1, 0.5, Fraction(7, 4), 0, 2),
+    ], ids=["float", "mixed"])
+    def test_float_and_mixed_points_leave_the_integer_form_alone(self, z):
+        before = invariants._last_exact
+        g = eval_generators(z)
+        assert invariants._last_exact is before
+        assert common_denominator(g) is None
 
     def test_one_float_entry_gives_floats(self):
         z = (Fraction(1, 3), 0, Fraction(-2, 5), 1, 0.5, Fraction(7, 4), 0, 2)
         g = eval_generators(z)
         assert all(type(v) is float for v in g)
         assert g == eval_generator_columns(point8(z))
+
+
+class TestCompiledSums:
+    """Each table's straight-line function is the monomial loop, bit for bit."""
+
+    @pytest.mark.parametrize("table", COMPILED_TABLES)
+    @given(z=st.tuples(*([number_st] * 8)))
+    @example(z=(0.0, -0.0, 1.0, -0.0, -1.0, 0.0, -0.0, 2.5))
+    @example(z=(-0.0,) * 8)
+    @example(z=(float("inf"), 1.0, -0.0, float("nan"), 0.0, -2.0, float("-inf"), 3.0))
+    @example(z=(1, Fraction(-1, 3), 0.5, 0, -0.0, Fraction(7, 2), 2**65, -1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_scalars_are_the_loop(self, table, z):
+        fn, lists = COMPILED_TABLES[table]
+        got = fn(z)
+        assert type(got) is tuple and len(got) == len(lists)
+        for value, monomials in zip(got, lists, strict=True):
+            assert _same_number(value, eval_monomials(monomials, z)), (value, monomials)
+
+    @pytest.mark.parametrize("table", COMPILED_TABLES)
+    @pytest.mark.parametrize("kind", ["float64", "int64", "object"])
+    def test_columns_are_the_loop(self, table, kind):
+        rng = np.random.default_rng(29)
+        if kind == "float64":
+            Z = rng.standard_normal((40, 8))
+            Z[:8] = 0.0
+            Z[1, ::2] = -0.0
+            Z[2, 3], Z[3, 0], Z[4, 5], Z[5, :4] = np.inf, -np.inf, np.nan, -0.0
+        elif kind == "int64":
+            Z = rng.integers(-2**29, 2**29, size=(40, 8))
+        else:
+            Z = np.array([[int(v) * 2**40 for v in row]
+                          for row in rng.integers(-50, 50, size=(40, 8))], dtype=object)
+        fn, lists = COMPILED_TABLES[table]
+        with np.errstate(invalid="ignore"):
+            got = fn(Z.T)
+            want = [eval_monomials(m, Z.T) for m in lists]
+        assert len(got) == len(want)
+        for col, ref in zip(got, want):
+            assert col.dtype == np.dtype(kind)
+            assert _same_column(col, ref)
+
+    @pytest.mark.parametrize("coeff", [Fraction(1), 1.0, np.int64(1), True])
+    def test_a_coefficient_that_is_not_an_int_raises(self, coeff):
+        with pytest.raises(TypeError, match="not an int"):
+            compile_monomials(((((1, 0, 0), (coeff, 1, 2)),),))
+
+    def test_empty_lists_and_tables(self):
+        assert compile_monomials(((), ((),)))[1]((1.5,) * 8) == (0,)
+        assert compile_monomials(((),))[0]((1,) * 8) == ()
+        (fn,) = compile_monomials((([(-1, 0, 1), (3, 1, 1), (-2, 0, 0)],),))
+        assert fn((-0.0, 2.0)) == (0 - (-0.0 * 2.0) + 2.0 * 2.0 * 3 + -0.0 * -0.0 * -2,)
 
 
 class TestChangeOfBasis:

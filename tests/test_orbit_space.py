@@ -88,6 +88,37 @@ class TestIntegerPath:
         assert pairs == _lagrange_pairs(g)
         assert all(type(v) is Fraction for pair in pairs.values() for v in pair)
 
+    @given(point_st, point_st)
+    @example((Fraction(0),) * 8, (Fraction(1),) * 8)
+    @example(tuple(map(Fraction, (2, -4, 0, 2, 6, 0, -2, 4))), (Fraction(1, 3),) * 8)
+    @example((Fraction(1, 2**32 + 15),) * 8, (Fraction(0),) * 8)  # D^2 > 2^64
+    @settings(max_examples=100, deadline=None)
+    def test_the_generators_integer_form_gives_the_fresh_results(self, z, other):
+        """On eval_generators' own tuple, the checks equal those on a distinct copy.
+
+        The tuple keeps its integer form until the next Fraction point is
+        evaluated; a tuple checked after that runs the lcm form again.
+        """
+        g = eval_generators(z)
+        copy = tuple(list(g))
+        assert copy is not g
+
+        def results(v):
+            res = relation_residuals(v)
+            return ((*res.residuals.values(), res.h2, res.wedge_gap),
+                    tuple(x for pair in lagrange_identity_check(v).values() for x in pair))
+
+        fresh = results(copy)
+        assert all(type(v) is Fraction for part in fresh for v in part)
+        for got in (results(g), results(g)):
+            assert got == fresh
+            assert all(type(v) is Fraction for part in got for v in part)
+        eval_generators(other)
+        assert results(g) == fresh
+        ref = _relations(g)
+        assert fresh[0] == (*ref.residuals.values(), ref.h2, ref.wedge_gap)
+        assert fresh[1] == tuple(x for pair in _lagrange_pairs(g).values() for x in pair)
+
     @pytest.mark.parametrize("i", range(16))
     def test_one_float_entry_runs_the_body(self, i):
         g = list(eval_generators((Fraction(1, 3), 1, Fraction(-2, 5), 0, Fraction(1, 2),

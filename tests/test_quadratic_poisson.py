@@ -99,6 +99,31 @@ def _reference_structure_constants() -> np.ndarray:
 
 coeff_st = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 
+
+def _reference_format_linear(coeffs: dict, order=GENERATOR_NAMES) -> str:
+    """format_linear as first written: a walk over the whole order."""
+    parts = []
+    for name in order:
+        c = coeffs.get(name, 0)
+        if c == 0:
+            continue
+        mag = abs(Fraction(c))
+        term = name if mag == 1 else f"{mag}*{name}"
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f" + {term}" if c > 0 else f" - {term}")
+    return "".join(parts) if parts else "0"
+
+
+# Coefficients of every kind format_linear renders, zeros included, under
+# names from the generators, the split basis and outside both.
+linear_coeff_st = st.one_of(
+    st.integers(-5, 5), coeff_st, st.just(Fraction(0)), st.just(0.0),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+linear_names_st = st.sampled_from(GENERATOR_NAMES + ("xi1", "eta3", "X"))
+
 # Arbitrary monomial lists (coeff, i, j) over z = (q, p): any order, i > j
 # allowed, repeats allowed, most of them not invariant.
 monomials_st = st.lists(
@@ -304,6 +329,34 @@ class TestDecompose:
         assert format_linear({"K3": Fraction(-2)}) == "-2*K3"
         assert format_linear({"L2": Fraction(1), "K1": Fraction(-1, 2)}) \
             == "-1/2*K1 + L2"
+
+    @given(st.dictionaries(linear_names_st, linear_coeff_st, max_size=8),
+           st.one_of(st.none(), st.permutations(GENERATOR_NAMES + ("xi1", "eta3")),
+                     st.lists(linear_names_st, unique=True, max_size=6)))
+    @settings(max_examples=200, deadline=None)
+    def test_format_linear_is_the_reference(self, coeffs, order):
+        """Same string as the walk over the order, for any coefficient kind and name set."""
+        if order is None:
+            assert format_linear(coeffs) == _reference_format_linear(coeffs)
+        else:
+            order = tuple(order)
+            assert format_linear(coeffs, order) == _reference_format_linear(coeffs, order)
+
+    def test_every_rendered_table_entry_is_the_reference(self, monkeypatch):
+        """All 120 regenerated components and both so(4) tables, call by call."""
+        calls = []
+
+        def checked(coeffs, order=GENERATOR_NAMES):
+            out = format_linear(coeffs, order)
+            assert out == _reference_format_linear(coeffs, order), (coeffs, order)
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(quadratic_poisson, "format_linear", checked)
+        table = regenerated_induced_field_table()
+        assert len(calls) == sum(len(field) for field in table.values()) == 120
+        so4 = verify_so4_relations()
+        assert len(calls) == 120 + 2 * len(so4["so4"]) + len(so4["xi_eta"])
 
 
 class TestSo4Report:
