@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .invariants import H2, V1, eval_generator_columns
-from .kepler_dynamics import COLLISION_GUARD, dot3, kepler_energy, kepler_vector_field, norm3
+from .kepler_dynamics import collision_event, kepler_energy, kepler_vector_field, norm3
 from .ks_map import ks_batch, pulled_back_hamiltonian
 from .ode import integrate_ode
 
@@ -68,9 +68,7 @@ def _regularized_measure(S):
 def _block_rows(method, field, starts, t_end, event, measure, l_values) -> list:
     """One row per |L| value: its start integrated over (0, t_end) in one block of rows."""
     grid = np.linspace(0.0, t_end, 2001)
-    runs = integrate_ode(
-        field, starts, (0.0, t_end), max_steps=50_000, t_eval=grid[1:-1], event=event,
-    )
+    runs = integrate_ode(field, starts, (0.0, t_end), t_eval=grid[1:-1], event=event)
     rows = []
     for l_norm, res in zip(l_values, runs):
         # A radius that underflows to 0 makes the drift NaN, which fails the row.
@@ -92,14 +90,14 @@ def run_benchmark(l_values=DEFAULT_GRID) -> list:
     """One raw and one regularized row per |L| value, raw first.
 
     Each method integrates all its seeds as one block of rows, at
-    integrate_ode's default tol.
+    integrate_ode's default tol and step budget.
     """
     if not l_values:
         return []
     seeds = np.array([seed_state(l) for l in l_values])
     raw = _block_rows(
         "raw_kepler", lambda t, w: kepler_vector_field(w), ks_batch(seeds), 2 * math.pi,
-        lambda t, w: dot3(w, w) - COLLISION_GUARD**2, _raw_measure, l_values,
+        collision_event, _raw_measure, l_values,
     )
     regularized = _block_rows(
         "ks_regularized", _oscillator_field, seeds, math.pi, None, _regularized_measure, l_values,

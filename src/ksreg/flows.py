@@ -12,7 +12,7 @@ import numpy as np
 
 from .invariants import (H2, L, TOL, U1, XI, eval_generator_columns, eval_generators,
                          eval_generators_batch, point8)
-from .kepler_dynamics import COLLISION_GUARD, cross3, dot3, norm3, preregularized_vector_field
+from .kepler_dynamics import collision_event, cross3, dot3, norm3, preregularized_vector_field
 from .ks_map import ks_batch, require_level_set
 from .ode import IntegratorStats, integrate_ode
 from .orbit_space import relation_residuals
@@ -180,15 +180,6 @@ class HarnessResult:
     t_max: float
 
 
-def _guard_event(t, w, guard):
-    """|x|^2 - guard^2 per (6, m) column, |x|^2 by np.vecdot: the bits of
-    the BLAS dot on a lone state, which a Python-float sum (dot3) or
-    np.einsum misses in the last bit for about one 3-vector in five, so
-    that event times and the orbit CSVs could move."""
-    x = w[:3].T
-    return np.vecdot(x, x) - guard * guard
-
-
 def ks_relatedness_harness(z0, t_max: float, samples: int = 256) -> HarnessResult:
     """Compare the pushed oscillator flow with the integrated field.
 
@@ -223,7 +214,7 @@ def ks_relatedness_harness(z0, t_max: float, samples: int = 256) -> HarnessResul
             w0_flat,
             (0.0, 2 * t_max),
             t_eval=np.linspace(0.0, 2 * t_max, samples + 1)[1:],
-            event=lambda s, w: _guard_event(s, w, COLLISION_GUARD),
+            event=collision_event,
         )
         times = np.concatenate([[0.0], res.eval_times / 2])
         integrated = np.vstack([w0_flat, res.eval_states])

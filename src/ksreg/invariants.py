@@ -222,27 +222,24 @@ def exact_ints(A, bound: int) -> np.ndarray:
     return A
 
 
-# The integer form (g, D, ints) of the last tuple g that eval_generators
-# returned for a point of Fractions, with ints == D g.  It holds g itself,
-# so no other object can take g's identity while g is its key, and it is
-# replaced as one tuple, so a reader never sees parts of two forms.
-_last_exact = ((), 1, ())
+class _ExactGenerators(tuple):
+    """eval_generators' tuple g for a point of Fractions, carrying integer_form =
+    (D, D g) for common_denominator; tuple(g), g[:] and list(g) are plain."""
 
 
 def common_denominator(values) -> tuple | None:
     """(D, ints): a common denominator D of a sequence's values and each value times D.
 
     None unless every value is a Fraction.  D is the lcm of the
-    denominators, except for the tuple that eval_generators returned
-    last for a point of Fractions: that tuple's integer form is kept, and
-    returned as it is.  A polynomial that is homogeneous of degree k,
-    run on the ints, equals D^k times its value at the Fractions, so an
-    exact path divides each output once at the end; a normalized
-    Fraction does not depend on which common denominator it came from.
+    denominators, except for a tuple that eval_generators returned for a
+    point of Fractions: it carries its integer form, which is returned
+    as it is.  A polynomial that is homogeneous of degree k, run on the
+    ints, equals D^k times its value at the Fractions, so an exact path
+    divides each output once at the end; a normalized Fraction does not
+    depend on which common denominator it came from.
     """
-    g, den, ints = _last_exact
-    if values is g:
-        return den, ints
+    if type(values) is _ExactGenerators:
+        return values.integer_form
     dens = []
     for v in values:
         if not isinstance(v, Fraction):
@@ -300,11 +297,10 @@ def eval_generators(z: Sequence) -> tuple:
     A point of Fractions runs in ints: its entries times the lcm D of
     their denominators, each generator's sum divided once by d D^2 at the
     end, which gives the Fractions eval_generator_columns gives.  The
-    same sums are the result's integer form over 2 D^2, which
+    result carries the same sums as its integer form over 2 D^2, which
     common_denominator hands to the relations and identities run on
-    the result.  Any other point runs eval_generator_columns.
+    it.  Any other point runs eval_generator_columns.
     """
-    global _last_exact
     z = point8(z)
     scaled = common_denominator(z)
     if scaled is None:
@@ -312,8 +308,8 @@ def eval_generators(z: Sequence) -> tuple:
     den, n = scaled
     d2 = den * den
     sums = _gen_sums(n)
-    g = tuple(int_quotient(s, d * d2) for s, d in zip(sums, _GEN_DIVISORS))
-    _last_exact = g, _GEN_LCM * d2, tuple(s * m for s, m in zip(sums, _GEN_SCALES))
+    g = _ExactGenerators([int_quotient(s, d * d2) for s, d in zip(sums, _GEN_DIVISORS)])
+    g.integer_form = _GEN_LCM * d2, tuple(s * m for s, m in zip(sums, _GEN_SCALES))
     return g
 
 

@@ -15,6 +15,20 @@ import numpy as np
 COLLISION_GUARD = 1e-6
 
 
+def collision_event(t, w) -> list:
+    """|x|^2 - COLLISION_GUARD^2 per (6, m) column, an integrate_ode event.
+
+    x1*x1 + x2*x2 + x3*x3 - guard*guard in Python floats, in that order on any BLAS kernel.
+    """
+    guard2 = COLLISION_GUARD * COLLISION_GUARD
+    return [x1 * x1 + x2 * x2 + x3 * x3 - guard2 for x1, x2, x3 in zip(*w[:3].tolist())]
+
+
+def radial_collision_event(t, u):
+    """r - COLLISION_GUARD per (2, m) radial column (r, rdot), an integrate_ode event."""
+    return u[0] - COLLISION_GUARD
+
+
 def dot3(a, b):
     """Inner product in whatever arithmetic the entries carry."""
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]

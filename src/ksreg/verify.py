@@ -15,7 +15,7 @@ import numpy as np
 
 from .flows import collision_triple_batch
 from .invariants import eval_generators_batch
-from .kepler_dynamics import (COLLISION_GUARD, radial_collision_time,
+from .kepler_dynamics import (radial_collision_event, radial_collision_time,
                               radial_collision_time_quadrature, radial_ode_rhs)
 from .ks_map import (ks_batch, ks_from_generators_batch, poisson_residual_batch,
                      poisson_residual_xi_sweep, pullback_gaps_batch)
@@ -191,7 +191,7 @@ def fall_time_rows() -> list:
         radial_ode_rhs,
         np.column_stack([starts, -np.sqrt(2 / starts - 1)]),
         (0.0, 4.0),
-        event=lambda t, u: u[0] - COLLISION_GUARD,
+        event=radial_collision_event,
     )
     return [
         (r0, radial_collision_time(r0), radial_collision_time_quadrature(r0),

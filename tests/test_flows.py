@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksreg import flows
+from ksreg import flows, kepler_dynamics
 from ksreg.flows import (
     Trajectory,
     collision_set_membership,
@@ -25,7 +25,8 @@ from ksreg.flows import (
     physical_time_of_flight,
 )
 from ksreg.invariants import H2, K, L, U, V, XI, eval_generators
-from ksreg.kepler_dynamics import COLLISION_GUARD, preregularized_vector_field, radial_collision_time
+from ksreg.kepler_dynamics import (COLLISION_GUARD, collision_event, preregularized_vector_field,
+                                   radial_collision_time)
 from ksreg.ks_map import ks, ks_batch
 from ksreg.ode import integrate_ode
 from ksreg.sampling import sample_collision_slice, sample_level_set
@@ -274,7 +275,7 @@ def _harness_in_t(z0, t_max, samples):
         (0.0, t_max),
         tol=1e-10,
         t_eval=np.linspace(0.0, t_max, samples + 1)[1:],
-        event=lambda t, w: flows._guard_event(t, w, COLLISION_GUARD),
+        event=collision_event,
     )
     times = np.concatenate([[0.0], res.eval_times])
     integrated = np.vstack([w0, res.eval_states])
@@ -312,7 +313,7 @@ class TestHarness:
     def test_near_collision_seed_stays_accurate(self, monkeypatch):
         # |L| = 1e-3 passes within 5e-7 of the center; the guard is
         # lowered below that periapsis so the full period is covered
-        monkeypatch.setattr(flows, "COLLISION_GUARD", 1e-8)
+        monkeypatch.setattr(kepler_dynamics, "COLLISION_GUARD", 1e-8)
         lam = 1e-3
         a = math.sqrt(1 + math.sqrt(1 - lam * lam))
         z = (a, 0, 0, 0, 0, 0, lam / a, 0)
@@ -405,24 +406,33 @@ class TestHarness:
         assert got.collision_time == want["collision_time"]
         assert got.max_deviation.hex() == want["max_deviation"].hex()
 
-    def test_guard_event_is_the_blas_dot_in_every_column(self):
-        """The guard event gives each column the bits of the 1-D BLAS dot
-        the harness's event used on a lone state, whatever the layout of
-        the columns: C-ordered, the integrator's transposed rows, or one
-        column at a time as in the event search."""
+    def test_collision_event_is_the_python_float_sum_in_every_column(self, monkeypatch):
+        """The guard event gives each column the bits of x1*x1 + x2*x2 +
+        x3*x3 - guard*guard in Python floats, whatever the layout of the
+        columns: C-ordered, the integrator's transposed rows, or one column
+        at a time as in the event search; NaN and inf columns included.
+        numpy's elementwise sum in the same order gives the same bits."""
         rng = np.random.default_rng(11)
         n = 12_000
         W = rng.standard_normal((6, n)) * 10.0 ** rng.uniform(-4, 2, (6, n))
+        W[:3, :6] = [[np.nan, 1.0, np.inf, np.inf, 1e200, np.nan],
+                     [1.0, np.inf, -np.inf, 2.0, 1.0, np.inf],
+                     [2.0, 3.0, 1.0, -np.inf, 1e-200, -np.inf]]
+        assert COLLISION_GUARD**2 == COLLISION_GUARD * COLLISION_GUARD
         for guard in (COLLISION_GUARD, 1e-3, 0.7):
-            # x @ x on a contiguous 3-vector, as on a lone (6,) state.
-            want = np.array([x @ x - guard * guard for x in np.ascontiguousarray(W[:3].T)])
+            monkeypatch.setattr(kepler_dynamics, "COLLISION_GUARD", guard)
+            want = np.array([x1 * x1 + x2 * x2 + x3 * x3 - guard * guard
+                             for x1, x2, x3 in W[:3].T.tolist()])
+            with np.errstate(all="ignore"):
+                by_numpy = W[0] * W[0] + W[1] * W[1] + W[2] * W[2] - guard * guard
+            assert by_numpy.tobytes() == want.tobytes()
             for columns in (W, np.ascontiguousarray(W.T).T):
-                got = flows._guard_event(np.zeros(n), columns, guard)
-                assert got.shape == (n,)
-                assert got.tobytes() == want.tobytes()
-            for j in range(0, n, 40):
-                lone = flows._guard_event(np.zeros(1), W[:, j].copy()[:, None], guard)
-                assert lone.tobytes() == want[j:j + 1].tobytes()
+                got = collision_event(np.zeros(n), columns)
+                assert type(got) is list and len(got) == n
+                assert np.array(got).tobytes() == want.tobytes()
+            for j in [*range(6), *range(6, n, 40)]:
+                lone = collision_event(np.zeros(1), W[:, j].copy()[:, None])
+                assert np.array(lone).tobytes() == want[j:j + 1].tobytes()
 
     def test_step_budget_status_passes_through(self, monkeypatch):
         monkeypatch.setattr(flows, "integrate_ode", functools.partial(integrate_ode, max_steps=3))

@@ -4,7 +4,9 @@ Oracles: hand-expanded polynomial forms of all 16 generators, frozen
 here independently of the tables in the package, plus an exact matrix
 inverse computed in-test by Fraction Gaussian elimination.
 """
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -199,7 +201,7 @@ class TestGeneratorValues:
     @pytest.mark.parametrize("values, expected", LCM_CASES)
     def test_lcm_cases_hold_on_fresh_tuples_after_a_generator_evaluation(self, values, expected):
         g = eval_generators((Fraction(1, 3), 0, Fraction(-2, 5), 1, Fraction(1, 6), 2, 0, 1))
-        assert invariants._last_exact[0] is g
+        assert common_denominator(g) is g.integer_form
         assert common_denominator(tuple(list(values))) == expected
 
     @given(point_st)
@@ -210,27 +212,44 @@ class TestGeneratorValues:
     @example((Fraction(1, 2**32 + 15),) * 8)
     @settings(max_examples=100, deadline=None)
     def test_a_fraction_points_generators_keep_their_integer_form(self, z):
-        """common_denominator hands back eval_generators' ints: D g, over a D of its own."""
+        """common_denominator hands back the ints g carries: D g, over a D of its own."""
         g = eval_generators(z)
         den, ints = common_denominator(g)
-        assert (g, den, ints) == invariants._last_exact and ints is invariants._last_exact[2]
+        assert (den, ints) == g.integer_form and ints is g.integer_form[1]
         assert all(type(n) is int and n == v * den for n, v in zip(ints, g, strict=True))
         assert den % math.lcm(*(v.denominator for v in g)) == 0
-        # A distinct tuple of the same values, or a list, gets the lcm form.
-        copy = tuple(list(g))
-        assert copy is not g and tuple(g) is g and g[:] is g
+        # Evaluating another point leaves g's form alone.
+        eval_generators((Fraction(1, 7),) * 8)
+        assert common_denominator(g) == (den, ints)
+        # A plain tuple of the same values, a slice or a list gets the lcm form.
         lcm = math.lcm(*(v.denominator for v in g))
-        assert common_denominator(copy) == common_denominator(list(g)) == (
-            lcm, tuple(v.numerator * (lcm // v.denominator) for v in g))
+        lcm_form = (lcm, tuple(v.numerator * (lcm // v.denominator) for v in g))
+        for plain in (tuple(g), g[:], list(g), tuple(list(g))):
+            assert type(plain) in (tuple, list)
+            assert plain == list(g) if type(plain) is list else plain == g
+            assert common_denominator(plain) == lcm_form
+        assert repr(g) == repr(tuple(g)) and hash(g) == hash(tuple(g))
+
+    @pytest.mark.parametrize("z", [
+        (1, -2, 0, 3, 4, -5, 6, 7),
+        (Fraction(1, 3), 0, Fraction(-2, 5), Fraction(7, 4), Fraction(1, 6),
+         Fraction(-3, 8), Fraction(5, 2), Fraction(-1, 9)),
+    ])
+    def test_copy_and_pickle_keep_a_consistent_integer_form(self, z):
+        g = eval_generators(z)
+        for clone in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert type(clone) is type(g) and clone == g
+            den, ints = common_denominator(clone)
+            assert (den, ints) == g.integer_form
+            assert all(n == v * den for n, v in zip(ints, clone, strict=True))
 
     @pytest.mark.parametrize("z", [
         (0.5, 1.0, -2.0, 0.0, 3.0, 0.25, -1.0, 2.0),
         (Fraction(1, 3), 0, Fraction(-2, 5), 1, 0.5, Fraction(7, 4), 0, 2),
     ], ids=["float", "mixed"])
-    def test_float_and_mixed_points_leave_the_integer_form_alone(self, z):
-        before = invariants._last_exact
+    def test_float_and_mixed_points_carry_no_integer_form(self, z):
         g = eval_generators(z)
-        assert invariants._last_exact is before
+        assert type(g) is tuple
         assert common_denominator(g) is None
 
     def test_one_float_entry_gives_floats(self):

@@ -8,9 +8,9 @@ from scipy.integrate import solve_ivp
 
 from ksreg import ode
 from ksreg.bench import seed_state
-from ksreg.flows import _guard_event
-from ksreg.kepler_dynamics import (COLLISION_GUARD, dot3, kepler_vector_field,
-                                   preregularized_vector_field, radial_ode_rhs)
+from ksreg.kepler_dynamics import (collision_event, kepler_vector_field,
+                                   preregularized_vector_field, radial_collision_event,
+                                   radial_ode_rhs)
 from ksreg.ks_map import ks_batch
 from ksreg.ode import OdeResult, OdeResults, integrate_ode
 from ksreg.verify import FALL_GRID
@@ -341,14 +341,6 @@ def _fall_block():
     return np.column_stack([r0, -np.sqrt(2 / r0 - 1)])
 
 
-def _fall_event(t, u):
-    return u[0] - COLLISION_GUARD
-
-
-def _raw_event(t, w):
-    return dot3(w, w) - COLLISION_GUARD**2
-
-
 def _mixed_field(t, y):
     """y = (x, kind): kind 1 blows up after t = 0.5, kind 2 decays fast,
     any other kind drifts at unit speed; one state or (2, m) columns."""
@@ -391,10 +383,10 @@ class TestBlock:
 
     def test_fall_rows_match_their_lone_runs(self):
         y0 = _fall_block()
-        runs = integrate_ode(radial_ode_rhs, y0, (0.0, 4.0), event=_fall_event)
+        runs = integrate_ode(radial_ode_rhs, y0, (0.0, 4.0), event=radial_collision_event)
         assert isinstance(runs, OdeResults) and len(runs) == len(FALL_GRID)
         for row, start in zip(runs, y0):
-            alone = integrate_ode(radial_ode_rhs, start, (0.0, 4.0), event=_fall_event)
+            alone = integrate_ode(radial_ode_rhs, start, (0.0, 4.0), event=radial_collision_event)
             assert row.status == "event"
             _assert_same_run(row, alone)
         # The fall block's integrator fingerprint, as ksreg verify runs it.
@@ -425,9 +417,9 @@ class TestBlock:
         w0 = ks_batch(np.array([seed_state(1e-1), seed_state(1e-3)]))
         grid = np.linspace(0.0, 2 * math.pi, 2001)[1:-1]
         runs = integrate_ode(_kepler_field, w0, (0.0, 2 * math.pi), t_eval=grid,
-                             event=_raw_event)
+                             event=collision_event)
         alone = integrate_ode(_kepler_field, w0[0], (0.0, 2 * math.pi), t_eval=grid,
-                              event=_raw_event)
+                              event=collision_event)
         assert [r.status for r in runs] == ["completed", "event"]
         _assert_same_run(runs[0], alone)
 
@@ -451,7 +443,8 @@ class TestBlock:
         assert abs(runs[0].event_time - 1.0) < 1e-9
 
     def test_block_stats_sum_the_rows_as_ints(self):
-        runs = integrate_ode(radial_ode_rhs, _fall_block(), (0.0, 4.0), event=_fall_event)
+        runs = integrate_ode(radial_ode_rhs, _fall_block(), (0.0, 4.0),
+                             event=radial_collision_event)
         for field in ("steps", "rejected_steps", "rhs_evaluations"):
             total = getattr(runs.stats, field)
             assert type(total) is int
@@ -542,8 +535,7 @@ _EVENT_RUNS = {
     "linear": (lambda t, y: np.array([1.0]), [-1.0], 5.0, lambda t, y: y[0]),
     "tiny": (lambda t, y: np.array([1.0]), [-1.0], 5.0, lambda t, y: 1e-200 * y[0]),
     "rotor": (_rotor, [1.0, 0.0], 10.0, lambda t, y: y[0]),
-    "orbit_collision": (_doubled_field, None, 3.0,
-                        lambda t, w: _guard_event(t, w, COLLISION_GUARD)),
+    "orbit_collision": (_doubled_field, None, 3.0, collision_event),
 }
 
 
@@ -568,9 +560,11 @@ class TestEventSearchStopsEarly:
         assert len(early_calls) < len(full_calls)
 
     def test_fall_rows_match_the_full_bisection(self, monkeypatch):
-        early = integrate_ode(radial_ode_rhs, _fall_block(), (0.0, 4.0), event=_fall_event)
+        early = integrate_ode(radial_ode_rhs, _fall_block(), (0.0, 4.0),
+                              event=radial_collision_event)
         monkeypatch.setattr(ode, "_locate", _full_bisection)
-        full = integrate_ode(radial_ode_rhs, _fall_block(), (0.0, 4.0), event=_fall_event)
+        full = integrate_ode(radial_ode_rhs, _fall_block(), (0.0, 4.0),
+                             event=radial_collision_event)
         assert [r.event_time for r in early] == [r.event_time for r in full]
 
 

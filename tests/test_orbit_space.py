@@ -94,10 +94,10 @@ class TestIntegerPath:
     @example((Fraction(1, 2**32 + 15),) * 8, (Fraction(0),) * 8)  # D^2 > 2^64
     @settings(max_examples=100, deadline=None)
     def test_the_generators_integer_form_gives_the_fresh_results(self, z, other):
-        """On eval_generators' own tuple, the checks equal those on a distinct copy.
+        """On eval_generators' own tuple, the checks equal those on a plain copy.
 
-        The tuple keeps its integer form until the next Fraction point is
-        evaluated; a tuple checked after that runs the lcm form again.
+        The tuple carries its integer form, also after another point is
+        evaluated; the plain copy runs the lcm form.
         """
         g = eval_generators(z)
         copy = tuple(list(g))

@@ -14,13 +14,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ksreg import bench, flows
+from ksreg import bench, flows, verify
 from ksreg.flows import (collision_set_membership, first_collision_time,
                          induced_flow_on_orbit_space, ks_relatedness_harness)
 from ksreg.invariants import H2, TOL, V1, XI, eval_generators
-from ksreg.kepler_dynamics import COLLISION_GUARD
+from ksreg.kepler_dynamics import collision_event, radial_collision_event
 from ksreg.ks_map import (KS, pullback_angular_momentum, pullback_eccentricity,
                           pullback_inner_product, require_level_set)
+from ksreg.ode import integrate_ode
 from ksreg.orbit_space import (classify_reduced_space, reconstruct_fiber_boundary,
                                reconstruct_fiber_interior, reduced_momentum,
                                relation_residuals)
@@ -92,9 +93,29 @@ def test_one_wedge_rule_far_from_the_vertex(xi, inside):
     assert _accepts(classify_reduced_space, (1e6, xi)) is inside
 
 
-def test_one_collision_guard():
-    assert bench.COLLISION_GUARD is COLLISION_GUARD
-    assert flows.COLLISION_GUARD is COLLISION_GUARD
+def _events(monkeypatch, module, run) -> list:
+    """The event of each integrate_ode call that module makes in run()."""
+    events = []
+
+    def spy(*args, event=None, **kwargs):
+        events.append(event)
+        return integrate_ode(*args, event=event, **kwargs)
+
+    monkeypatch.setattr(module, "integrate_ode", spy)
+    run()
+    return events
+
+
+def test_one_collision_guard(monkeypatch):
+    """The raw bench rows, the harness and the fall block stop at
+    kepler_dynamics' events, the only readers of COLLISION_GUARD."""
+    assert _events(monkeypatch, bench, lambda: bench.run_benchmark((1e-1, 1e-3))) == [
+        collision_event, None]
+    assert _events(monkeypatch, flows, lambda: ks_relatedness_harness(
+        (1, 0, 0, 0, 1, 0, 0, 0), 1.0)) == [collision_event]
+    assert _events(monkeypatch, verify, verify.fall_time_rows) == [radial_collision_event]
+    for module in (bench, flows, verify):
+        assert not hasattr(module, "COLLISION_GUARD")
     assert "guard" not in inspect.signature(ks_relatedness_harness).parameters
 
 
