@@ -1,18 +1,23 @@
 """Sweep the gates of ksreg verify's sampling suites over a range of seeds.
 
 Each seed S is drawn as ``ksreg verify --seed S --samples N`` draws it:
-one ``numpy.random.default_rng(S)``, then the five sampling suites in
-report order.  Each suite's own named gate decides pass or fail.  The
-sweep prints, for every gated value, the seed that comes closest to its
-bound and the margin left there, then each failing seed.  It exits 1 if
-any seed fails a gate; such a seed becomes a pinned test, never a
-skipped seed.  Needs only the standard library, numpy and ksreg.
+one ``numpy.random.default_rng(S)``, then ``verify.SAMPLING_SUITES`` in
+report order.  Each suite passes or fails on its gates in
+``ksreg.verify.GATES``, and the sweep reads every margin from there, so a
+suite added to ``SAMPLING_SUITES`` and to ``GATES`` is swept as it is.
+The sweep prints, for every gated value, the seed that comes closest to
+its bound, or the first seed where it is NaN, and the margin left there,
+then each failing seed.  It exits 1 if any seed fails a gate; such a
+seed becomes a pinned test, never a skipped seed.  Needs only the
+standard library, numpy and ksreg.
 
-Run from the root of a source checkout:
+Run from the root of a source checkout, with a RuntimeWarning an error as
+in the tests:
 
-    python3 seedsweep/run.py --first 0 --last 999
+    python3 -W error::RuntimeWarning seedsweep/run.py --first 0 --last 999
 """
 import argparse
+import math
 import os
 import sys
 import time
@@ -24,55 +29,32 @@ import numpy as np  # noqa: E402
 from ksreg import verify  # noqa: E402
 
 
-# Per suite name, the values its gate bounds, read from the suite's details
-# as (quantity, value, sense, bound): sense "<=" means the gate holds
-# value <= bound, ">=" the reverse.  The bounds are read from ksreg.verify
-# on each call, as the gates read them.
-GATED = {
-    "orbit_relations": lambda d: (
-        ("max_residual", d["max_residual"], "<=", verify.RESIDUAL_BOUND),
-        ("min_h2", d["min_h2"], ">=", 0.0),
-        ("min_wedge_gap", d["min_wedge_gap"], ">=", -verify.RESIDUAL_BOUND),
-    ),
-    "lagrange_identities": lambda d: (
-        ("max_relative_gap", d["max_relative_gap"], "<=", verify.LAGRANGE_RELATIVE_BOUND),
-    ),
-    "pullbacks": lambda d: (
-        ("max_gap", max(d["max_gaps"].values()), "<=", verify.RESIDUAL_BOUND),
-        ("generator_form_gap", d["generator_form_gap"], "<=", verify.GENERATOR_FORM_TOL),
-    ),
-    "poisson_matrix": lambda d: (
-        ("max_residual", d["max_residual"], "<=", verify.RESIDUAL_BOUND),
-        ("max_position_block_residual", d["max_position_block_residual"], "<=",
-         verify.POSITION_BLOCK_BOUND),
-    ),
-    "collision_theorem": lambda d: (
-        ("disagreements", d["disagreements"], "<=", 0),
-    ),
-}
-
-
 def sweep_seed(seed: int, samples: int) -> list:
-    """The five sampling suites of ksreg verify --seed seed --samples samples."""
+    """The sampling suites of ksreg verify --seed seed --samples samples."""
     rng = np.random.default_rng(seed)
     return [suite(rng, samples) for suite in verify.SAMPLING_SUITES]
+
+
+def _rank(margin) -> tuple:
+    """Orders margins from worst: a NaN first, then the least."""
+    return (not math.isnan(margin), margin)
 
 
 def sweep(seeds, samples: int):
     """The worst margin of each gated value, and the failing (seed, suite name) pairs.
 
     The first is {(suite name, quantity): (margin, seed, value, sense, bound)};
-    a negative margin is a value past its bound.
+    a negative margin is a value past its bound, and a NaN margin ranks below all.
     """
     worst, failures = {}, []
     for seed in seeds:
         for suite in sweep_seed(seed, samples):
             if not suite["passed"]:
                 failures.append((seed, suite["name"]))
-            for quantity, value, sense, bound in GATED[suite["name"]](suite["details"]):
-                margin = bound - value if sense == "<=" else value - bound
+            for quantity, value, sense, bound, margin in verify.margins(suite["name"],
+                                                                        suite["details"]):
                 key = (suite["name"], quantity)
-                if key not in worst or margin < worst[key][0]:
+                if key not in worst or _rank(margin) < _rank(worst[key][0]):
                     worst[key] = (margin, seed, value, sense, bound)
     return worst, failures
 

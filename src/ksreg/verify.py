@@ -3,13 +3,16 @@
 Each suite returns {"name", "passed", "details"}.  The sampling suites
 draw from one shared generator in a fixed order, so a report is a pure
 function of the seed and the sample count.  Each float check is one body
-that takes the points its caller drew and returns the raw worst values;
-each suite's gate applies the named bounds below to them, and the
-acceptance tests apply their own.
+that takes the points its caller drew and returns the raw worst values.
+GATES declares, once, each quantity a suite's details are gated on and
+its named bound below: every suite's verdict, the seed sweep's margins
+and the threshold tests read it.  The acceptance tests apply their own
+bounds.
 """
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -50,24 +53,86 @@ FALL_EVENT_BOUND = 1e-5
 QUADRATURE_BOUND = 1e-9
 
 
-def _suite(name: str, passed: bool, **details) -> dict:
-    return {"name": name, "passed": passed, "details": details}
+def _nan_max(values) -> float:
+    """The largest of values, or NaN if any is NaN (Python's max drops a NaN after the first)."""
+    return float(np.max(list(values)))
+
+
+#: Per suite with a bound, each gated quantity as (quantity, reader of the
+#: suite's details, sense, bound): sense "<=" holds value <= bound, ">="
+#: value >= bound, and a NaN holds neither.  A bound is a number or the
+#: name of a bound above, negated by a leading "-" and read on each call.
+GATES = {
+    "orbit_relations": (
+        ("max_residual", itemgetter("max_residual"), "<=", "RESIDUAL_BOUND"),
+        ("min_h2", itemgetter("min_h2"), ">=", 0.0),
+        ("min_wedge_gap", itemgetter("min_wedge_gap"), ">=", "-RESIDUAL_BOUND"),
+    ),
+    "lagrange_identities": (
+        ("max_relative_gap", itemgetter("max_relative_gap"), "<=", "LAGRANGE_RELATIVE_BOUND"),
+    ),
+    "pullbacks": (
+        ("max_gap", lambda d: _nan_max(d["max_gaps"].values()), "<=", "RESIDUAL_BOUND"),
+        ("generator_form_gap", itemgetter("generator_form_gap"), "<=", "GENERATOR_FORM_TOL"),
+    ),
+    "poisson_matrix": (
+        ("max_residual", itemgetter("max_residual"), "<=", "RESIDUAL_BOUND"),
+        ("max_position_block_residual", itemgetter("max_position_block_residual"), "<=",
+         "POSITION_BLOCK_BOUND"),
+    ),
+    "collision_theorem": (
+        ("disagreements", itemgetter("disagreements"), "<=", 0),
+    ),
+    "fall_times": (
+        ("max_quadrature_gap", itemgetter("max_quadrature_gap"), "<=", "QUADRATURE_BOUND"),
+        ("max_event_gap", itemgetter("max_event_gap"), "<=", "FALL_EVENT_BOUND"),
+        ("below_apex_bound", itemgetter("below_apex_bound"), ">=", True),
+        ("apex_value_exact", itemgetter("apex_value_exact"), ">=", True),
+    ),
+}
+
+
+def _bound(ref):
+    """A bound of GATES as a number; a name is read from this module on each call."""
+    if not isinstance(ref, str):
+        return ref
+    return -globals()[ref[1:]] if ref.startswith("-") else globals()[ref]
+
+
+def margins(name: str, details: dict):
+    """Yields (quantity, value, sense, bound, margin) per gate of suite name on its details.
+
+    A negative margin is a value past its bound; a NaN value has a NaN margin.
+    """
+    for quantity, read, sense, ref in GATES[name]:
+        value, bound = read(details), _bound(ref)
+        yield quantity, value, sense, bound, bound - value if sense == "<=" else value - bound
+
+
+def passed(name: str, details: dict) -> bool:
+    """Whether details hold every gate of suite name; a NaN fails its gate."""
+    return all(value <= bound if sense == "<=" else value >= bound
+               for _, value, sense, bound, _ in margins(name, details))
+
+
+def _suite(name: str, **details) -> dict:
+    return {"name": name, "passed": passed(name, details), "details": details}
 
 
 def _suite_so4():
     table = verify_so4_relations()
-    return _suite(
-        "so4_relations",
-        all(row["match"] for row in table["so4"]),
-        brackets_checked=len(table["so4"]),
-        split_basis_factors=table["xi_eta"],
-    )
+    return {
+        "name": "so4_relations",
+        "passed": all(row["match"] for row in table["so4"]),
+        "details": {"brackets_checked": len(table["so4"]),
+                    "split_basis_factors": table["xi_eta"]},
+    }
 
 
 def worst_relations(points) -> tuple:
     """Largest |relation residual|, smallest H2 and smallest wedge gap over (n, 8) points."""
     residuals, h2, gap = relation_residuals_batch(eval_generators_batch(points))
-    worst = max(float(np.abs(v).max()) for v in residuals.values())
+    worst = _nan_max(float(np.abs(v).max()) for v in residuals.values())
     return worst, float(h2.min()), float(gap.min())
 
 
@@ -75,7 +140,7 @@ def worst_lagrange(points) -> tuple:
     """Largest |lhs - rhs| of the Lagrange identities, and largest |lhs - rhs| / max(1, |rhs|)."""
     pairs = lagrange_identity_batch(eval_generators_batch(points)).values()
     gaps = [(np.abs(lhs - rhs), np.maximum(1.0, np.abs(rhs))) for lhs, rhs in pairs]
-    return max(float(g.max()) for g, _ in gaps), max(float((g / s).max()) for g, s in gaps)
+    return _nan_max(float(g.max()) for g, _ in gaps), _nan_max(float((g / s).max()) for g, s in gaps)
 
 
 def worst_pullbacks(points) -> tuple:
@@ -98,55 +163,19 @@ def collision_points(rng, half: int) -> np.ndarray:
     return np.concatenate([sample_collision_slice(rng, half), sample_level_set(rng, half)])
 
 
-def relations_passed(worst: float, h2_min: float, gap_min: float) -> bool:
-    """The relations gate on the worst residual, the smallest H2 and the smallest wedge gap."""
-    return worst <= RESIDUAL_BOUND and h2_min >= 0.0 and gap_min >= -RESIDUAL_BOUND
-
-
 def _suite_orbit_relations(rng, samples):
     worst, h2_min, gap_min = worst_relations(sample_phase_points(rng, samples))
-    return _suite(
-        "orbit_relations",
-        relations_passed(worst, h2_min, gap_min),
-        max_residual=worst,
-        min_h2=h2_min,
-        min_wedge_gap=gap_min,
-    )
-
-
-def lagrange_passed(worst_relative: float) -> bool:
-    """The Lagrange gate on the worst relative gap |lhs - rhs| / max(1, |rhs|)."""
-    return worst_relative <= LAGRANGE_RELATIVE_BOUND
+    return _suite("orbit_relations", max_residual=worst, min_h2=h2_min, min_wedge_gap=gap_min)
 
 
 def _suite_lagrange(rng, samples):
     worst, worst_relative = worst_lagrange(sample_phase_points(rng, samples))
-    return _suite(
-        "lagrange_identities",
-        lagrange_passed(worst_relative),
-        max_residual=worst,
-        max_relative_gap=worst_relative,
-    )
-
-
-def pullbacks_passed(worst_gap: float, form_gap: float) -> bool:
-    """The pullback gate on the worst identity gap and the gap between the two ks paths."""
-    return worst_gap <= RESIDUAL_BOUND and form_gap <= GENERATOR_FORM_TOL
+    return _suite("lagrange_identities", max_residual=worst, max_relative_gap=worst_relative)
 
 
 def _suite_pullbacks(rng, samples):
     worst, form_gap = worst_pullbacks(sample_level_set(rng, samples))
-    return _suite(
-        "pullbacks",
-        pullbacks_passed(max(worst.values()), form_gap),
-        max_gaps=worst,
-        generator_form_gap=form_gap,
-    )
-
-
-def poisson_passed(worst: float, worst_xx: float) -> bool:
-    """The Poisson gate on the worst residual and the worst in the position block."""
-    return worst <= RESIDUAL_BOUND and worst_xx <= POSITION_BLOCK_BOUND
+    return _suite("pullbacks", max_gaps=worst, generator_form_gap=form_gap)
 
 
 def _suite_poisson(rng, samples):
@@ -156,7 +185,6 @@ def _suite_poisson(rng, samples):
     sweep = poisson_residual_xi_sweep(points[0], np.linspace(-0.5, 0.5, 9))
     return _suite(
         "poisson_matrix",
-        poisson_passed(worst, worst_xx),
         points=n,
         max_residual=worst,
         max_position_block_residual=worst_xx,
@@ -164,21 +192,11 @@ def _suite_poisson(rng, samples):
     )
 
 
-def collision_theorem_passed(disagreements: int) -> bool:
-    """The collision gate: the theorem's three sides agree on every point."""
-    return disagreements == 0
-
-
 def _suite_collision(rng, samples):
     points = collision_points(rng, max(samples // 2, 1))
     member, falls, collinear_image = collision_triple_batch(points)
     disagreements = int(np.count_nonzero((member != falls) | (member != collinear_image)))
-    return _suite(
-        "collision_theorem",
-        collision_theorem_passed(disagreements),
-        points=int(points.shape[0]),
-        disagreements=disagreements,
-    )
+    return _suite("collision_theorem", points=int(points.shape[0]), disagreements=disagreements)
 
 
 def fall_time_rows() -> list:
@@ -200,20 +218,14 @@ def fall_time_rows() -> list:
     ]
 
 
-def fall_times_passed(worst_quadrature: float, worst_event: float) -> bool:
-    """The fall-time gate on the worst quadrature and event gaps to the closed form."""
-    return worst_quadrature <= QUADRATURE_BOUND and worst_event <= FALL_EVENT_BOUND
-
-
 def _suite_fall_times():
     rows = fall_time_rows()
-    worst_quadrature = max(abs(closed - quad) for _, closed, quad, _ in rows)
-    worst_event = max(abs(event - closed) for _, closed, _, event in rows)
+    worst_quadrature = _nan_max(abs(closed - quad) for _, closed, quad, _ in rows)
+    worst_event = _nan_max(abs(event - closed) for _, closed, _, event in rows)
     below_apex = all(closed < math.pi for r0, closed, _, _ in rows if r0 < 2)
     apex_exact = radial_collision_time(2.0) == math.pi
     return _suite(
         "fall_times",
-        fall_times_passed(worst_quadrature, worst_event) and below_apex and apex_exact,
         grid=list(FALL_GRID),
         max_quadrature_gap=worst_quadrature,
         max_event_gap=worst_event,

@@ -32,9 +32,8 @@ from ksreg.verify import (
     FALL_EVENT_BOUND,
     POSITION_BLOCK_BOUND,
     collision_points,
-    collision_theorem_passed,
     fall_time_rows,
-    lagrange_passed,
+    passed,
     worst_lagrange,
     worst_poisson,
     worst_pullbacks,
@@ -94,7 +93,7 @@ class TestAcceptance:
             and int_identities == 0
             and fraction_exact
             and float_relations <= 1e-12
-            and lagrange_passed(float_identities)
+            and passed("lagrange_identities", {"max_relative_gap": float_identities})
             and elapsed < 30.0
         )
         _report(
@@ -135,7 +134,7 @@ class TestAcceptance:
         points = collision_points(rng, 500)
         member, falls, _ = collision_triple_batch(points)
         disagreements = int(np.count_nonzero(member != falls))
-        _report(5, collision_theorem_passed(disagreements),
+        _report(5, passed("collision_theorem", {"disagreements": disagreements}),
                 f"{len(points)} points, {disagreements} disagreements")
 
     def test_criterion_6_collision_times(self):
