@@ -89,9 +89,20 @@ GEN_FROM_PI_TABLE: dict[str, dict[str, Fraction]] = {
 GENERATOR_GRAM = 8
 
 
-def _hessian_square_norm(monomials) -> int:
-    """<A, A> for the Hessian A of sum c z_i z_j: 4c^2 per square, 2c^2 per cross term."""
-    return sum((4 if i == j else 2) * c * c for c, i, j in monomials)
+def hessian_entries(monomials):
+    """(i, j, a_ij) for each nonzero entry of the symmetric A with sum c z_i z_j = z^T A z / 2.
+
+    The one Hessian rule: a term c z_i z_j gives a_ij = a_ji = c off the
+    diagonal and a_ii = 2c on it, so grad f = A z.  Each unordered pair
+    must appear once, with a nonzero c, as in a canonical list from
+    combine_monomials and in PI_MONOMIALS.
+    """
+    for c, i, j in monomials:
+        if i == j:
+            yield i, i, 2 * c
+        else:
+            yield i, j, c
+            yield j, i, c
 
 
 #: 16x16 exact matrices for the two directions of the linear change of basis.
@@ -101,7 +112,8 @@ GEN_FROM_PI_MATRIX = tuple(
     tuple(Fraction(GEN_FROM_PI_TABLE[g].get(p, 0)) for p in PI_NAMES) for g in GENERATOR_NAMES
 )
 PI_FROM_GEN_MATRIX = tuple(
-    tuple(m * _hessian_square_norm(monomials) / GENERATOR_GRAM for m in column)
+    tuple(m * sum(a * a for _, _, a in hessian_entries(monomials)) / GENERATOR_GRAM
+          for m in column)
     for monomials, column in zip(PI_MONOMIALS, zip(*GEN_FROM_PI_MATRIX))
 )
 

@@ -25,16 +25,17 @@ from .invariants import (
     U1,
     V1,
     XI,
+    _integer_terms,
     combine_monomials,
     compile_monomials,
     eval_generator_columns,
     eval_generators,
     eval_generators_batch,
     grad_p_xi,
+    hessian_entries,
     point8,
 )
 from .kepler_dynamics import angular_momentum, dot3, eccentricity, preregularized_hamiltonian
-from .quadratic_poisson import QuadraticForm
 
 
 #: The map in generator form, one {generator: coefficient} row per table
@@ -47,23 +48,24 @@ KS_GENERATOR_FORM = (
 )
 
 
-def _integral(monomials) -> tuple:
-    if any(c.denominator != 1 for c, _, _ in monomials):
-        raise ValueError(f"non-integral coefficient in {monomials}")
-    return tuple((int(c), i, j) for c, i, j in monomials)
-
+# Each row as (d, d times its monomials); a row with d != 1 has no integer table.
+_KS_SCALED = tuple(
+    _integer_terms(combine_monomials(row, GEN_MONOMIALS)) for row in KS_GENERATOR_FORM
+)
+if any(d != 1 for d, _ in _KS_SCALED):
+    raise ValueError(f"non-integral coefficient in {_KS_SCALED}")
 
 #: Bilinear table of (x1, x2, x3, n1, n2, n3, rho) as integer monomial
 #: lists (coeff, i, j) over z = (q, p), expanded from KS_GENERATOR_FORM.
-KS_MONOMIALS = tuple(
-    _integral(combine_monomials(row, GEN_MONOMIALS)) for row in KS_GENERATOR_FORM
-)
+KS_MONOMIALS = tuple(terms for _, terms in _KS_SCALED)
 (_ks_sums,) = compile_monomials((KS_MONOMIALS,))
 
 
 # Row k holds the matrix a_k with grad(table entry k) = a_k z.
-_KS_GRADIENTS = np.array(
-    [QuadraticForm.from_monomials(m).a for m in KS_MONOMIALS], dtype=float)
+_KS_GRADIENTS = np.zeros((len(KS_MONOMIALS), 8, 8))
+for _k, _monomials in enumerate(KS_MONOMIALS):
+    for _i, _j, _a in hessian_entries(_monomials):
+        _KS_GRADIENTS[_k, _i, _j] = _a
 _KS_FROM_GENERATORS = np.array(
     [[row.get(n, 0) for n in GENERATOR_NAMES] for row in KS_GENERATOR_FORM], dtype=float)
 

@@ -11,8 +11,9 @@ set.
 poisson_bracket and decompose are the general engine, for any forms,
 and the reference the generator algebra is tested against.  The algebra
 itself is read from one integer tensor: structure_constants() takes the
-generators' Hessians, whose Gram matrix is 8 I, brackets them as
-matrices and projects back, so {G_a, G_b} = sum_k T[a, b, k] G_k / 8.
+generators' Hessians (invariants.hessian_entries), whose Gram matrix is
+8 I, brackets them as matrices and projects back, so
+{G_a, G_b} = sum_k T[a, b, k] G_k / 8.
 The induced vector fields and the so(4) report contract that tensor,
 the one reader of the algebra.  A verbatim transcription of the
 reference component table ships alongside the regenerated one, and
@@ -20,90 +21,44 @@ discrepancies are reported, never silently edited.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .invariants import (GEN_MONOMIALS, GENERATOR_GRAM, GENERATOR_NAMES, PI_FROM_GEN_MATRIX,
-                         PI_MONOMIALS, K, L, combine_monomials)
+                         PI_MONOMIALS, K, L, combine_monomials, hessian_entries)
 
 _DIM = 8
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
-    """Quadratic form f(z) = sum of c * z_i * z_j over its terms (c, i, j).
-
-    terms is canonical, as combine_monomials returns it: i <= j, sorted
-    by (i, j), one entry per pair, no zero coefficient.  Build forms with
-    from_monomials, which canonicalises any monomial list.
-    """
-
-    terms: tuple
-
-    @classmethod
-    def from_monomials(cls, monomials) -> "QuadraticForm":
-        """Build from (coeff, i, j) terms meaning coeff * z_i * z_j.
-
-        Coefficients are ints or Fractions; the terms may come in any
-        order, with i > j, repeated, or cancelling.
-        """
-        return cls(combine_monomials({0: 1}, (monomials,)))
-
-    def __add__(self, other: "QuadraticForm") -> "QuadraticForm":
-        return QuadraticForm(combine_monomials({0: 1, 1: 1}, (self.terms, other.terms)))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def a(self) -> tuple:
-        """The symmetric matrix a with f(z) = z^T a z / 2, so grad f = a z."""
-        m = [[Fraction(0)] * _DIM for _ in range(_DIM)]
-        for i, j, v in _hessian_entries(self.terms):
-            m[i][j] = m[j][i] = Fraction(v)
-        return tuple(tuple(row) for row in m)
-
-
-def _hessian_entries(terms):
-    """(i, j, a_ij) for i <= j over canonical terms: c off the diagonal, 2c on it."""
-    return ((i, j, c if i != j else 2 * c) for c, i, j in terms)
-
-
-def _gradient(f: QuadraticForm) -> list:
+def _gradient(f: tuple) -> list:
     """df/dz_k for k = 0..7, each a linear form as a list of (c, l): sum c z_l."""
     grad = [[] for _ in range(_DIM)]
-    for c, i, j in f.terms:
+    for c, i, j in f:
         grad[i].append((c, j))
         grad[j].append((c, i))
     return grad
 
 
-def poisson_bracket(f: QuadraticForm, g: QuadraticForm) -> QuadraticForm:
+def poisson_bracket(f: tuple, g: tuple) -> tuple:
     """Bracket {f, g} = sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i).
 
-    The gradients of quadratic forms are linear forms, read off the
-    monomials (a diagonal term c z_i^2 contributes c z_i twice); the
-    bracket is the sum of their products, canonicalised.
+    f and g are monomial lists, canonical or not.  The gradients of
+    quadratic forms are linear forms, read off the monomials (a diagonal
+    term c z_i^2 contributes c z_i twice); the bracket is the sum of
+    their products, canonicalised.
     """
     df, dg = _gradient(f), _gradient(g)
     products = []
     for k in range(4):
         for left, right, sign in ((df[k], dg[k + 4], 1), (df[k + 4], dg[k], -1)):
             products.extend((sign * c * d, l, m) for c, l in left for d, m in right)
-    return QuadraticForm.from_monomials(products)
+    return combine_monomials({0: 1}, (products,))
 
 
-GENERATOR_FORMS: dict[str, QuadraticForm] = {
-    name: QuadraticForm.from_monomials(GEN_MONOMIALS[name])
-    for name in GENERATOR_NAMES
-}
-
-
-def linear_combination(coeffs: dict) -> QuadraticForm:
-    """Sum of coeff * generator over a {name: coeff} dict."""
-    return QuadraticForm(combine_monomials(coeffs, GEN_MONOMIALS))
+def linear_combination(coeffs: dict) -> tuple:
+    """Sum of coeff * generator over a {name: coeff} dict, as a canonical list."""
+    return combine_monomials(coeffs, GEN_MONOMIALS)
 
 
 class DecompositionError(ValueError):
@@ -117,8 +72,8 @@ class DecompositionError(ValueError):
 _PI_PROBES = tuple(((i, j), Fraction(c)) for (c, i, j), *_ in PI_MONOMIALS)
 
 
-def decompose(form: QuadraticForm) -> dict:
-    """Express an invariant quadratic form over the generators.
+def decompose(form) -> dict:
+    """Express an invariant quadratic form, a monomial list, over the generators.
 
     Returns {generator name: rational coefficient} with zero entries
     omitted.  The pi coefficients are read off the form and mapped
@@ -127,7 +82,8 @@ def decompose(form: QuadraticForm) -> dict:
     outside the span, which is how non-invariant forms announce
     themselves.
     """
-    on_pair = {(i, j): c for c, i, j in form.terms}
+    form = combine_monomials({0: 1}, (form,))
+    on_pair = {(i, j): c for c, i, j in form}
     pi = [on_pair.get(pair, 0) / div for pair, div in _PI_PROBES]
     coeffs = (sum(c * p for c, p in zip(pi, column) if c and p)
               for column in zip(*PI_FROM_GEN_MATRIX))
@@ -140,19 +96,20 @@ def decompose(form: QuadraticForm) -> dict:
 
 
 def _hessian_stack() -> np.ndarray:
-    """The (16, 8, 8) float64 Hessians of GENERATOR_FORMS, read on each call.
+    """The (16, 8, 8) float64 Hessians of GEN_MONOMIALS, read on each call.
 
     Raises DecompositionError unless every entry is 0 or +-1, which
     keeps every sum in structure_constants() an exact float64 integer.
     """
-    m = np.zeros((len(GENERATOR_NAMES), _DIM, _DIM))
-    for g, name in enumerate(GENERATOR_NAMES):
-        for i, j, v in _hessian_entries(GENERATOR_FORMS[name].terms):
+    # Flat rows of 64 take each entry with one integer index, cheaper than m[g, i, j].
+    m = np.zeros((len(GENERATOR_NAMES), _DIM * _DIM))
+    for row, name in zip(m, GENERATOR_NAMES):
+        for i, j, v in hessian_entries(GEN_MONOMIALS[name]):
             if v.denominator != 1 or v.numerator not in (-1, 1):
                 raise DecompositionError(
                     "a generator Hessian is not an integer matrix of 0s and +-1s")
-            m[g, i, j] = m[g, j, i] = v.numerator
-    return m
+            row[_DIM * i + j] = v.numerator
+    return m.reshape(-1, _DIM, _DIM)
 
 
 def structure_constants() -> np.ndarray:

@@ -297,6 +297,23 @@ class TestImport:
         probe = "import sys, ksreg.cli; print('scipy.integrate' in sys.modules)"
         assert _fresh_python(probe).strip() == "False"
 
+    def test_ks_map_import_leaves_quadratic_poisson_unloaded(self):
+        # The Jacobian table reads invariants' Hessian rule, not the bracket engine.
+        probe = "import sys, ksreg.ks_map; print('ksreg.quadratic_poisson' in sys.modules)"
+        assert _fresh_python(probe).strip() == "False"
+
+    def test_a_non_integral_ks_row_fails_the_import(self):
+        probe = (
+            "from ksreg import invariants\n"
+            "v2 = invariants.GEN_MONOMIALS['V2']\n"
+            "invariants.GEN_MONOMIALS['V2'] = tuple((c / 2, i, j) for c, i, j in v2)\n"
+            "try:\n"
+            "    import ksreg.ks_map\n"
+            "except ValueError as error:\n"
+            "    print('non-integral coefficient' in str(error))"
+        )
+        assert _fresh_python(probe).strip() == "True"
+
     def test_verify_run_leaves_scipy_integrate_unloaded(self, tmp_path):
         # The fall quadrature is a stdlib rule; loading scipy.integrate
         # would double the peak memory of a verify run.

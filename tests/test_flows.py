@@ -361,6 +361,7 @@ class TestHarness:
         flight = [physical_time_of_flight(z0, s) for s in res.times]
         assert np.max(np.abs(t - flight)) <= 1e-6
 
+    @pytest.mark.blas_bits
     @pytest.mark.parametrize("z0, t_max, samples, fingerprint", [
         (CIRCULAR, 3.0, 16, (173, 0, 1039, "completed", None,
                              "7d1dedd87286e9a0f563fd144e7bac862638622b1dc947dcec10db8ebb87e644")),

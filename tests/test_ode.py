@@ -240,6 +240,7 @@ class TestAccounting:
         _assert_same_run(runs[1], alone)
         assert np.array_equal(runs[1].states, alone.states)
 
+    @pytest.mark.blas_bits
     def test_infinite_slope_at_a_finite_end_point_rejects_the_row_alone(self):
         """f is inf for row 0 at its first end point only: that row's step is
         rejected, and the interpolants the other row's samples need stay
@@ -381,6 +382,7 @@ def _assert_same_run(row, alone):
 class TestBlock:
     """An (n, d) y0 steps n rows in lockstep, each as it would run alone."""
 
+    @pytest.mark.blas_bits
     def test_fall_rows_match_their_lone_runs(self):
         y0 = _fall_block()
         runs = integrate_ode(radial_ode_rhs, y0, (0.0, 4.0), event=radial_collision_event)
@@ -495,6 +497,7 @@ class TestBlock:
         assert isinstance(block, OdeResults) and len(block) == 1
         _assert_same_run(block[0], res)
 
+    @pytest.mark.blas_bits
     def test_a_nan_event_ends_its_row_alone(self):
         def event(t, y):
             return np.where((t > 0.5) & (y[0] < 0.9), math.nan, 1.0)

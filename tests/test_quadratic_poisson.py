@@ -15,11 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksreg import quadratic_poisson
-from ksreg.invariants import GENERATOR_NAMES
+from ksreg.invariants import (GEN_MONOMIALS, GENERATOR_NAMES, PI_MONOMIALS, combine_monomials,
+                              hessian_entries)
 from ksreg.quadratic_poisson import (
     DecompositionError,
-    GENERATOR_FORMS,
-    QuadraticForm,
     decompose,
     format_linear,
     induced_vector_field,
@@ -72,22 +71,37 @@ def _monomials_to_sym(monomials):
     ))
 
 
-def _form_to_sym(form: QuadraticForm):
-    return _monomials_to_sym(form.terms)
+def _canonical(monomials) -> tuple:
+    return combine_monomials({0: 1}, (monomials,))
 
 
-def _reference_a(form: QuadraticForm) -> tuple:
+def _sum(*forms) -> tuple:
+    return combine_monomials(dict.fromkeys(range(len(forms)), 1), forms)
+
+
+def _reference_a(form) -> tuple:
     """The Hessian as first built: each term added twice into Fraction zeros."""
     m = [[Fraction(0)] * 8 for _ in range(8)]
-    for c, i, j in form.terms:
+    for c, i, j in form:
         m[i][j] += c
         m[j][i] += c
     return tuple(tuple(row) for row in m)
 
 
+def _entry_matrix(form) -> tuple:
+    """The matrix hessian_entries(form) describes, each entry written once into Fraction zeros."""
+    m = [[Fraction(0)] * 8 for _ in range(8)]
+    written = set()
+    for i, j, a in hessian_entries(form):
+        assert (i, j) not in written and a != 0, (form, i, j, a)
+        written.add((i, j))
+        m[i][j] = a
+    return tuple(tuple(row) for row in m)
+
+
 def _reference_structure_constants() -> np.ndarray:
     """The tensor from the Fraction Hessians by a stacked matmul and int64 einsums."""
-    m = np.array([[[int(v) for v in row] for row in _reference_a(GENERATOR_FORMS[name])]
+    m = np.array([[[int(v) for v in row] for row in _reference_a(GEN_MONOMIALS[name])]
                   for name in GENERATOR_NAMES], dtype=np.int64)
     j = np.kron([[0, 1], [-1, 0]], np.eye(4, dtype=np.int64))
     h = (m @ j)[:, None] @ m[None]
@@ -143,8 +157,8 @@ class TestBracketEngine:
                     grads[a][i] * grads[b][i + 4] - grads[a][i + 4] * grads[b][i]
                     for i in range(4)
                 ))
-                computed = _form_to_sym(
-                    poisson_bracket(GENERATOR_FORMS[a], GENERATOR_FORMS[b])
+                computed = _monomials_to_sym(
+                    poisson_bracket(GEN_MONOMIALS[a], GEN_MONOMIALS[b])
                 )
                 assert sympy.expand(oracle - computed) == 0, (a, b)
 
@@ -152,35 +166,35 @@ class TestBracketEngine:
     @settings(max_examples=40, deadline=None)
     def test_arbitrary_forms_match_symbolic_oracle(self, f, g):
         """The bracket of any two quadratic forms, invariant or not."""
-        computed = poisson_bracket(
-            QuadraticForm.from_monomials(f), QuadraticForm.from_monomials(g))
+        computed = poisson_bracket(_canonical(f), _canonical(g))
         oracle = _sym_bracket(_monomials_to_sym(f), _monomials_to_sym(g))
-        assert sympy.expand(_form_to_sym(computed) - oracle) == 0
+        assert sympy.expand(_monomials_to_sym(computed) - oracle) == 0
+        assert computed == _canonical(computed) == poisson_bracket(f, g)
 
     def test_antisymmetry_all_pairs(self):
         for a in GENERATOR_NAMES:
             for b in GENERATOR_NAMES:
-                fa, fb = GENERATOR_FORMS[a], GENERATOR_FORMS[b]
-                assert (poisson_bracket(fa, fb) + poisson_bracket(fb, fa)).is_zero()
+                fa, fb = GEN_MONOMIALS[a], GEN_MONOMIALS[b]
+                assert _sum(poisson_bracket(fa, fb), poisson_bracket(fb, fa)) == ()
 
     def test_jacobi_identity_sampled_triples(self):
         rng = np.random.default_rng(3)
         names = list(GENERATOR_NAMES)
         for _ in range(40):
             a, b, c = (names[i] for i in rng.integers(0, 16, size=3))
-            fa, fb, fc = (GENERATOR_FORMS[n] for n in (a, b, c))
-            cyclic = (
-                poisson_bracket(fa, poisson_bracket(fb, fc))
-                + poisson_bracket(fb, poisson_bracket(fc, fa))
-                + poisson_bracket(fc, poisson_bracket(fa, fb))
+            fa, fb, fc = (GEN_MONOMIALS[n] for n in (a, b, c))
+            cyclic = _sum(
+                poisson_bracket(fa, poisson_bracket(fb, fc)),
+                poisson_bracket(fb, poisson_bracket(fc, fa)),
+                poisson_bracket(fc, poisson_bracket(fa, fb)),
             )
-            assert cyclic.is_zero(), (a, b, c)
+            assert cyclic == (), (a, b, c)
 
     def test_bracket_closes_on_generator_span(self):
         """Every pairwise bracket decomposes without residual."""
         for a in GENERATOR_NAMES:
             for b in GENERATOR_NAMES:
-                decompose(poisson_bracket(GENERATOR_FORMS[a], GENERATOR_FORMS[b]))
+                decompose(poisson_bracket(GEN_MONOMIALS[a], GEN_MONOMIALS[b]))
 
 
 class TestStructureConstants:
@@ -192,7 +206,7 @@ class TestStructureConstants:
         for a, name_a in enumerate(GENERATOR_NAMES):
             for b, name_b in enumerate(GENERATOR_NAMES):
                 reference = decompose(
-                    poisson_bracket(GENERATOR_FORMS[name_a], GENERATOR_FORMS[name_b]))
+                    poisson_bracket(GEN_MONOMIALS[name_a], GEN_MONOMIALS[name_b]))
                 row = {GENERATOR_NAMES[k]: Fraction(int(c), 8)
                        for k, c in enumerate(t[a, b]) if c}
                 assert row == reference, (name_a, name_b)
@@ -250,68 +264,72 @@ class TestStructureConstants:
         for name in GENERATOR_NAMES:
             reference = {}
             for coord in GENERATOR_NAMES:
-                br = poisson_bracket(GENERATOR_FORMS[coord], GENERATOR_FORMS[name])
-                if not br.is_zero():
+                br = poisson_bracket(GEN_MONOMIALS[coord], GEN_MONOMIALS[name])
+                if br:
                     reference[coord] = decompose(br)
             assert induced_vector_field(name) == reference, name
 
     def test_a_form_outside_the_algebra_is_rejected(self, monkeypatch):
-        lone = QuadraticForm.from_monomials(((Fraction(1), 0, 4),))  # q1*p1 alone
-        monkeypatch.setitem(quadratic_poisson.GENERATOR_FORMS, "K1", lone)
+        monkeypatch.setitem(GEN_MONOMIALS, "K1", ((Fraction(1), 0, 4),))  # q1*p1 alone
         with pytest.raises(DecompositionError, match="linear combination"):
             structure_constants()
-        half = QuadraticForm.from_monomials(((Fraction(1, 2), 0, 4),))
-        monkeypatch.setitem(quadratic_poisson.GENERATOR_FORMS, "K1", half)
+        monkeypatch.setitem(GEN_MONOMIALS, "K1", ((Fraction(1, 2), 0, 4),))
         with pytest.raises(DecompositionError, match="integer"):
             structure_constants()
 
 
 class TestCanonicalForm:
+    """combine_monomials' canonical list and the one Hessian rule, hessian_entries."""
+
     @given(monomials_st, st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_permuted_duplicated_and_cancelling_lists_build_equal_forms(self, terms, rnd):
-        form = QuadraticForm.from_monomials(terms)
+        form = _canonical(terms)
         permuted = list(terms)
         rnd.shuffle(permuted)
         flipped = [(c, j, i) for c, i, j in permuted]
         halved = [(c / 2, i, j) for c, i, j in terms for _ in range(2)]
         cancelling = terms + [(Fraction(3), 1, 6), (Fraction(-3), 6, 1)]
         for other in (permuted, flipped, halved, cancelling):
-            assert QuadraticForm.from_monomials(other) == form
-        pairs = [(i, j) for _, i, j in form.terms]
+            assert _canonical(other) == form
+        pairs = [(i, j) for _, i, j in form]
         assert pairs == sorted(set(pairs))
-        assert all(i <= j and c != 0 for c, i, j in form.terms)
-        assert _form_to_sym(form) == _monomials_to_sym(terms)
+        assert all(i <= j and c != 0 for c, i, j in form)
+        assert _monomials_to_sym(form) == _monomials_to_sym(terms)
 
     @given(monomials_st, st.lists(coeff_st, min_size=8, max_size=8))
     @settings(max_examples=30, deadline=None)
     def test_matrix_is_half_the_hessian(self, terms, z):
-        """f(z) = z^T a z / 2 for the derived matrix a."""
-        form = QuadraticForm.from_monomials(terms)
+        """f(z) = z^T a z / 2 for the matrix of the Hessian entries."""
         value = sum(c * z[i] * z[j] for c, i, j in terms)
-        a = form.a
+        a = _entry_matrix(_canonical(terms))
         assert sum(z[i] * a[i][j] * z[j] for i in range(8) for j in range(8)) == 2 * value
         assert all(a[i][j] == a[j][i] for i in range(8) for j in range(8))
 
     @given(monomials_st)
     @settings(max_examples=40, deadline=None)
     def test_matrix_is_the_fraction_reference(self, terms):
-        form = QuadraticForm.from_monomials(terms)
-        a = form.a
-        assert a == _reference_a(form)
-        assert all(type(v) is Fraction for row in a for v in row)
+        form = _canonical(terms)
+        assert _entry_matrix(form) == _reference_a(form)
+        assert all(type(a) is Fraction for _, _, a in hessian_entries(form))
 
     def test_generator_matrices_are_the_fraction_reference(self):
-        for name, form in GENERATOR_FORMS.items():
-            a = form.a
-            assert a == _reference_a(form), name
-            assert all(type(v) is Fraction for row in a for v in row), name
+        for name, form in GEN_MONOMIALS.items():
+            assert _entry_matrix(form) == _reference_a(form), name
+            assert all(type(a) is Fraction for _, _, a in hessian_entries(form)), name
+
+    def test_pi_matrices_are_the_reference(self):
+        """PI_MONOMIALS is not built by combine_monomials, but names each pair once."""
+        for monomials in PI_MONOMIALS:
+            assert _entry_matrix(monomials) == _reference_a(monomials), monomials
 
 
 class TestDecompose:
     def test_each_generator_is_its_own_decomposition(self):
         for name in GENERATOR_NAMES:
-            assert decompose(GENERATOR_FORMS[name]) == {name: 1}
+            assert decompose(GEN_MONOMIALS[name]) == {name: 1}
+            flipped = [(c, j, i) for c, i, j in reversed(GEN_MONOMIALS[name])]
+            assert decompose(flipped) == {name: 1}
 
     @given(st.dictionaries(st.sampled_from(GENERATOR_NAMES), coeff_st, max_size=5))
     @settings(max_examples=60, deadline=None)
@@ -320,9 +338,8 @@ class TestDecompose:
         assert recovered == {k: v for k, v in coeffs.items() if v != 0}
 
     def test_non_invariant_form_is_rejected(self):
-        lone = QuadraticForm.from_monomials(((Fraction(1), 0, 4),))  # q1*p1 alone
         with pytest.raises(DecompositionError):
-            decompose(lone)
+            decompose(((Fraction(1), 0, 4),))  # q1*p1 alone
 
     def test_format_linear(self):
         assert format_linear({}) == "0"
