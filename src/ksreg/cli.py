@@ -33,6 +33,12 @@ def _make_dir(path, option: str) -> None:
         raise click.UsageError(f"cannot create the directory of {option}: {exc}")
 
 
+def _out_option(default: str):
+    """--out, a file: an existing directory is a usage error, raised before the run."""
+    return click.option("--out", type=click.Path(dir_okay=False, writable=True),
+                        default=default, show_default=True)
+
+
 def _make_parent(out) -> None:
     """Create the missing directories above an --out file."""
     _make_dir(os.path.dirname(os.path.abspath(out)), "--out")
@@ -64,12 +70,7 @@ def main():
     show_default=True,
     help="Random phase points per suite.",
 )
-@click.option(
-    "--out",
-    type=click.Path(dir_okay=False, writable=True),
-    default="verify_report.json",
-    show_default=True,
-)
+@_out_option("verify_report.json")
 def verify(seed, samples, out):
     """Run the identity suites and write a JSON report.
 
@@ -182,7 +183,7 @@ def orbit(state, t_max, samples, out_dir):
     show_default=True,
     help="Angular momentum norms to sweep, comma separated.",
 )
-@click.option("--out", default="bench.csv", show_default=True)
+@_out_option("bench.csv")
 @click.option(
     "--format",
     "fmt",
@@ -217,7 +218,7 @@ def bench(grid, out, fmt):
 
 
 @main.command()
-@click.option("--out", default="table_audit.json", show_default=True)
+@_out_option("table_audit.json")
 @click.option(
     "--format",
     "fmt",

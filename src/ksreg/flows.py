@@ -13,7 +13,7 @@ import numpy as np
 from .invariants import (H2, L, TOL, U1, XI, eval_generator_columns, eval_generators,
                          eval_generators_batch, point8)
 from .kepler_dynamics import collision_event, cross3, dot3, norm3, preregularized_vector_field
-from .ks_map import ks_batch, require_level_set
+from .ks_map import _as_rows, ks_batch, require_level_set
 from .ode import IntegratorStats, integrate_ode
 from .orbit_space import relation_residuals
 
@@ -134,7 +134,7 @@ def collision_triple_batch(Z):
     a zero, and whether x cross y vanishes at ks(z), all within TOL.
     Raises ValueError when any row is off the level.
     """
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    Z = _as_rows(Z)
     member, tau = _collision_columns(Z.T)
     W = ks_batch(Z).T
     collinear_image = norm3(cross3(W[:3], W[3:])) <= TOL

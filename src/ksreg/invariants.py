@@ -221,17 +221,18 @@ def divide(v, d: int):
     return v / d
 
 
-def exact_ints(A, bound: int) -> np.ndarray:
-    """A as an array, turned to Python ints if an integer entry exceeds +-bound.
+def exact_columns(A, bound: int) -> tuple:
+    """The columns of a batch A, in an integer type that cannot wrap.
 
-    numpy integers wrap silently.  A batch body that multiplies passes the
-    largest entry for which its int64 partial sums stay below 2^63; past it
-    the same body runs on Python ints, which divide keeps exact.
+    A float or object batch passes through.  numpy integers wrap in their
+    own width, so an integer batch of any dtype runs in int64 within +-bound,
+    the body's largest entry with int64 sums below 2^63, else in Python ints.
     """
     A = np.asarray(A)
-    if A.dtype.kind in "iu" and A.size and (A.max() > bound or A.min() < -bound):
-        return A.astype(object)
-    return A
+    if A.dtype.kind in "iu":
+        inside = not A.size or -bound <= int(A.min()) and int(A.max()) <= bound
+        A = A.astype(np.int64 if inside else object, copy=False)
+    return tuple(A.T)
 
 
 class _ExactGenerators(tuple):
@@ -284,8 +285,12 @@ def eval_pi(z: Sequence) -> tuple:
 
 
 def eval_pi_batch(Z: np.ndarray) -> np.ndarray:
-    """Evaluate the invariants over an (n, 8) array, returning (n, 16)."""
-    return np.stack(_pi_sums(np.asarray(Z).T), axis=1)
+    """Evaluate the invariants over an (n, 8) array, returning (n, 16).
+
+    Each pi sums 2 products with coefficient +-1: 2 * (2^30)^2 = 2^61 keeps
+    int64 exact up to entries of 2^30, where 2^31 would reach 2^63.
+    """
+    return np.stack(_pi_sums(exact_columns(Z, 2**30)), axis=1)
 
 
 def eval_generator_columns(z) -> tuple:
@@ -334,7 +339,7 @@ def eval_generators_batch(Z: np.ndarray) -> np.ndarray:
     Fractions: each generator sums at most 8 products of two entries with
     coefficient +-1, and 8 * (2^29)^2 = 2^61 stays below the int64 limit.
     """
-    return np.stack(eval_generator_columns(exact_ints(Z, 2**29).T), axis=1)
+    return np.stack(eval_generator_columns(exact_columns(Z, 2**29)), axis=1)
 
 
 def _apply_linear(matrix, values) -> tuple:

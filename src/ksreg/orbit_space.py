@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import H2, K, L, TOL, U, V, XI, common_denominator, exact_ints, int_quotient
+from .invariants import H2, K, L, TOL, U, V, XI, common_denominator, exact_columns, int_quotient
 
 RELATION_NAMES = (
     "UU", "VV", "UV",
@@ -113,13 +113,6 @@ def _relations(g) -> RelationResidual:
     )
 
 
-def _columns(G, bound: int) -> tuple:
-    # The scalar formulas are polymorphic, so they run unchanged on the
-    # sixteen columns of an (n, 16) generator array, in Python ints when
-    # an integer entry exceeds the bound that keeps int64 from wrapping.
-    return tuple(exact_ints(G, bound).T)
-
-
 def relation_residuals_batch(G: np.ndarray):
     """Vectorized residuals over an (n, 16) generator array.
 
@@ -128,7 +121,7 @@ def relation_residuals_batch(G: np.ndarray):
     degree 2, with partial sums at most 6 g^2 in the largest entry g, so
     int64 stays exact up to g = 2^29.
     """
-    res = _relations(_columns(G, 2**29))
+    res = _relations(exact_columns(G, 2**29))
     return res.residuals, res.h2, res.wedge_gap
 
 
@@ -175,7 +168,7 @@ def lagrange_identity_batch(G: np.ndarray) -> dict:
     bilinear is at most 2 g^2 and <u, v> at most 4 g^2, so the wedge_sum
     side reaches 6 * 4 g^4 + 16 g^4 = 40 g^4: below 2^63 up to g = 2^14.
     """
-    return _lagrange_pairs(_columns(G, 2**14))
+    return _lagrange_pairs(exact_columns(G, 2**14))
 
 
 @dataclass(frozen=True)

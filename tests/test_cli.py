@@ -280,6 +280,15 @@ class TestOutDirectories:
         assert result.exit_code == 2
         assert f"cannot create the directory of {args[-1]}" in result.output
 
+    @pytest.mark.parametrize("args", [
+        ["verify", "--samples", "20"], ["bench", "--grid", "1e-1"], ["table"]])
+    def test_out_naming_a_directory_is_a_usage_error(self, runner, tmp_path, args):
+        # Refused before the run: no report is written.
+        result = runner.invoke(main, args + ["--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "--out" in result.output
+        assert "written to" not in result.output
+
 
 def _fresh_python(probe: str, cwd=None) -> str:
     """The stdout of probe run in a new interpreter that imports this ksreg."""

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from ksreg import invariants, ks_map
 from ksreg.ks_map import KS_MONOMIALS, ks
+from ksreg.orbit_space import lagrange_identity_batch, relation_residuals_batch
 from ksreg.sampling import sample_fractions
 from ksreg.invariants import (
     GEN_FROM_PI_MATRIX,
@@ -391,6 +392,81 @@ class TestBatchEvaluation:
         for row, zrow in zip(batch, Z):
             scalar = eval_pi(tuple(zrow))
             assert np.allclose(row, np.array(scalar, dtype=float), atol=1e-12)
+
+
+#: The four exact batch bodies: (body, columns, int64 bound, entry step).
+#: The generators take even entries, so their half-integer sums stay integral.
+EXACT_BODIES = {
+    "eval_pi_batch": (eval_pi_batch, 8, 2**30, 1),
+    "eval_generators_batch": (eval_generators_batch, 8, 2**29, 2),
+    "relation_residuals_batch": (relation_residuals_batch, 16, 2**29, 1),
+    "lagrange_identity_batch": (lagrange_identity_batch, 16, 2**14, 1),
+}
+
+
+def _outputs(result) -> list:
+    """The arrays a batch body returns, from its arrays, tuples and dicts, in order."""
+    if isinstance(result, dict):
+        return [a for key in sorted(result) for a in _outputs(result[key])]
+    if isinstance(result, tuple):
+        return [a for part in result for a in _outputs(part)]
+    return [result]
+
+
+def _same_outputs(a, b) -> bool:
+    """Equal values and equal dtypes, output by output."""
+    a, b = _outputs(a), _outputs(b)
+    return len(a) == len(b) and all(
+        x.dtype == y.dtype and x.tolist() == y.tolist() for x, y in zip(a, b))
+
+
+class TestIntegerWidths:
+    # numpy integers wrap in their own width, and an identity that holds in
+    # the integers also holds mod 2^k, so a narrow batch must run as int64.
+    @pytest.mark.parametrize("dtype", ["int8", "int16", "int32", "uint8", "uint16",
+                                       "uint32", "uint64"])
+    @pytest.mark.parametrize("name", EXACT_BODIES)
+    def test_every_width_gives_the_int64_run(self, name, dtype):
+        """Entries whose products overflow the width run in int64; past the bound, Python ints."""
+        body, width, bound, step = EXACT_BODIES[name]
+        info = np.iinfo(dtype)
+        lo, hi = max(info.min, -bound) // step, min(info.max, bound) // step
+        Z = step * np.random.default_rng(0).integers(lo, hi + 1, size=(50, width))
+        batches = [Z]
+        if info.max > bound:
+            beyond = Z.copy()
+            beyond[0, 0] = min(info.max, 2**40) // step * step
+            batches.append(beyond)
+        for A in batches:
+            expected = body(A)
+            wanted = np.dtype(np.int64 if A is Z else object)
+            assert {a.dtype for a in _outputs(expected)} == {wanted}
+            assert _same_outputs(body(A.astype(dtype)), expected)
+
+    @pytest.mark.parametrize("name", EXACT_BODIES)
+    def test_uint64_past_int64_runs_in_python_ints(self, name):
+        body, width, _, step = EXACT_BODIES[name]
+        A = np.zeros((2, width), np.uint64)
+        A[0, 0] = 2**63 + step
+        A[1, 1] = step
+        assert _same_outputs(body(A), body(A.astype(object)))
+
+    @pytest.mark.parametrize("dtype", [np.int64, float])
+    def test_int64_and_float_batches_are_not_copied(self, dtype):
+        A = np.arange(16, dtype=dtype).reshape(2, 8)
+        assert all(np.shares_memory(column, A) for column in invariants.exact_columns(A, 2**29))
+
+    def test_pi_batch_bound(self):
+        """2 (2^30)^2 = 2^61 stays int64; at 2^32, pi1 = 2^64 needs Python ints."""
+        Z = np.zeros((1, 8), np.int64)
+        Z[0, :2] = 2**30
+        pi = eval_pi_batch(Z)
+        assert pi.dtype == np.int64 and pi[0, 0] == 2**61
+        Z = np.zeros((1, 8), np.int64)
+        Z[0, 0] = 2**32
+        pi = eval_pi_batch(Z)
+        assert pi.dtype == object and pi[0, 0] == 2**64
+        assert type(pi[0, 0]) is int
 
 
 class TestReduction:
