@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import (H2, L, TOL, U1, XI, eval_generator_columns, eval_generators,
+from .invariants import (H2, L, TOL, U1, XI, as_batch, eval_generator_columns, eval_generators,
                          eval_generators_batch, point8)
 from .kepler_dynamics import collision_event, cross3, dot3, norm3, preregularized_vector_field
-from .ks_map import _as_rows, ks_batch, require_level_set
+from .ks_map import ks_batch, require_level_set
 from .ode import IntegratorStats, integrate_ode
 from .orbit_space import relation_residuals
 
@@ -127,14 +127,14 @@ def first_collision_time(z):
 
 
 def collision_triple_batch(Z):
-    """The three sides of the collision theorem over an (n, 8) array.
+    """The three sides of the collision theorem over an (n, 8) array or one (8,) row.
 
     Returns boolean (n,) arrays (member, falls, collinear_image): the
     test of collision_set_membership, whether first_collision_time finds
     a zero, and whether x cross y vanishes at ks(z), all within TOL.
     Raises ValueError when any row is off the level.
     """
-    Z = _as_rows(Z)
+    Z = as_batch(np.asarray(Z, dtype=float), 8)
     member, tau = _collision_columns(Z.T)
     W = ks_batch(Z).T
     collinear_image = norm3(cross3(W[:3], W[3:])) <= TOL

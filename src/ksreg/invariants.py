@@ -221,14 +221,30 @@ def divide(v, d: int):
     return v / d
 
 
-def exact_columns(A, bound: int) -> tuple:
-    """The columns of a batch A, in an integer type that cannot wrap.
+def as_batch(A, width: int) -> np.ndarray:
+    """A as an (n, width) batch: the one shape rule of every batch body.
 
-    A float or object batch passes through.  numpy integers wrap in their
-    own width, so an integer batch of any dtype runs in int64 within +-bound,
-    the body's largest entry with int64 sums below 2^63, else in Python ints.
+    An (n, width) array comes back as it is, with no copy, and a lone
+    (width,) row as the one-row batch, a view.  Raises ValueError naming
+    the expected and the given shape for any other shape: another width,
+    a 0-d array, three or more dimensions.
     """
     A = np.asarray(A)
+    rows = A[None] if A.ndim == 1 else A
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"a batch is (n, {width}) or one ({width},) row, got shape {A.shape}")
+    return rows
+
+
+def exact_columns(A, width: int, bound: int) -> tuple:
+    """The columns of a batch A of the given width, in an integer type that cannot wrap.
+
+    A is read by as_batch.  A float or object batch passes through.  numpy
+    integers wrap in their own width, so an integer batch of any dtype runs
+    in int64 within +-bound, the body's largest entry with int64 sums below
+    2^63, else in Python ints.
+    """
+    A = as_batch(A, width)
     if A.dtype.kind in "iu":
         inside = not A.size or -bound <= int(A.min()) and int(A.max()) <= bound
         A = A.astype(np.int64 if inside else object, copy=False)
@@ -285,12 +301,12 @@ def eval_pi(z: Sequence) -> tuple:
 
 
 def eval_pi_batch(Z: np.ndarray) -> np.ndarray:
-    """Evaluate the invariants over an (n, 8) array, returning (n, 16).
+    """Evaluate the invariants over an (n, 8) array or one (8,) row, returning (n, 16).
 
     Each pi sums 2 products with coefficient +-1: 2 * (2^30)^2 = 2^61 keeps
     int64 exact up to entries of 2^30, where 2^31 would reach 2^63.
     """
-    return np.stack(_pi_sums(exact_columns(Z, 2**30)), axis=1)
+    return np.stack(_pi_sums(exact_columns(Z, 8, 2**30)), axis=1)
 
 
 def eval_generator_columns(z) -> tuple:
@@ -331,7 +347,7 @@ def eval_generators(z: Sequence) -> tuple:
 
 
 def eval_generators_batch(Z: np.ndarray) -> np.ndarray:
-    """Evaluate the generators over an (n, 8) array, returning (n, 16).
+    """Evaluate the generators over an (n, 8) array or one (8,) row, returning (n, 16).
 
     For exact integer input use an even-integer array: the four
     generators with half-integer coefficients then stay integral.  An
@@ -339,7 +355,7 @@ def eval_generators_batch(Z: np.ndarray) -> np.ndarray:
     Fractions: each generator sums at most 8 products of two entries with
     coefficient +-1, and 8 * (2^29)^2 = 2^61 stays below the int64 limit.
     """
-    return np.stack(eval_generator_columns(exact_columns(Z, 2**29)), axis=1)
+    return np.stack(eval_generator_columns(exact_columns(Z, 8, 2**29)), axis=1)
 
 
 def _apply_linear(matrix, values) -> tuple:

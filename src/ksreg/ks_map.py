@@ -26,6 +26,7 @@ from .invariants import (
     V1,
     XI,
     _integer_terms,
+    as_batch,
     combine_monomials,
     compile_monomials,
     eval_generator_columns,
@@ -75,10 +76,6 @@ def _require_chart(rho):
         raise ValueError("q = 0 is outside the domain of the map")
 
 
-def _as_rows(Z) -> np.ndarray:
-    return np.atleast_2d(np.asarray(Z, dtype=float))
-
-
 def _table(z) -> tuple:
     """KS_MONOMIALS at eight columns z: (x1, x2, x3, n1, n2, n3, rho)."""
     T = _ks_sums(z)
@@ -111,30 +108,30 @@ def ks(z) -> tuple:
 
 
 def ks_batch(Z) -> np.ndarray:
-    """ks over an (n, 8) float array, returning the (n, 6) rows (x, y)."""
-    return np.column_stack(_image(_table(_as_rows(Z).T)))
+    """ks over an (n, 8) float array or one (8,) row, returning the (n, 6) rows (x, y)."""
+    return np.column_stack(_image(_table(as_batch(np.asarray(Z, dtype=float), 8).T)))
 
 
 def ks_from_generators_batch(G) -> np.ndarray:
-    """The generator form of ks over an (n, 16) generator array, (n, 6).
+    """The generator form of ks over an (n, 16) generator array or one (16,) row, (n, 6).
 
     A second evaluation path: ks_batch expands the same GEN_MONOMIALS,
     so comparing the two checks the expansion and its arithmetic, not
     the monomials themselves.
     """
-    T = (np.asarray(G, dtype=float) @ _KS_FROM_GENERATORS.T).T
+    T = (as_batch(np.asarray(G, dtype=float), 16) @ _KS_FROM_GENERATORS.T).T
     _require_chart(T[6])
     return np.column_stack(_image(T))
 
 
 def ks_jacobian_batch(Z) -> np.ndarray:
-    """Analytic Jacobians of ks over an (n, 8) array, shape (n, 6, 8).
+    """Analytic Jacobians of ks over an (n, 8) array or one (8,) row, shape (n, 6, 8).
 
     Rows are (x1, x2, x3, y1, y2, y3), columns (q1..q4, p1..p4).  The x
     rows have zero p-derivatives; the y rows carry the quotient rule
     for the division by <q,q>.
     """
-    Z = _as_rows(Z)
+    Z = as_batch(np.asarray(Z, dtype=float), 8)
     T = np.stack(_table(Z.T), axis=1)
     D = np.einsum("kab,nb->nka", _KS_GRADIENTS, Z)
     rho = T[:, 6, None, None]
@@ -233,14 +230,14 @@ def pullback_inner_product(z):
 
 
 def pullback_gaps_batch(Z) -> dict:
-    """Per-row gaps of the four pullback identities over an (n, 8) array.
+    """Per-row gaps of the four pullback identities over an (n, 8) array or one (8,) row.
 
     Keys hamiltonian, angular_momentum, eccentricity and inner_product
     map to (n,) arrays: the largest absolute componentwise difference
     between the Kepler-side value at ks(z) and its generator.  Raises
     ValueError when any row is off the (1, 0) level set beyond TOL.
     """
-    pairs = _pullback_pairs(_as_rows(Z).T, True)
+    pairs = _pullback_pairs(as_batch(np.asarray(Z, dtype=float), 8).T, True)
     return {
         key: np.abs(np.atleast_2d(np.subtract(lhs, rhs))).max(axis=0)
         for key, (lhs, rhs) in pairs.items()
@@ -252,7 +249,7 @@ _POISSON_TARGET = np.kron([[0.0, 2.0], [-2.0, 0.0]], np.eye(3))
 
 
 def poisson_residual_batch(Z) -> np.ndarray:
-    """poisson_property_residual over an (n, 8) array, shape (n, 6, 6)."""
+    """poisson_property_residual over an (n, 8) array or one (8,) row, shape (n, 6, 6)."""
     J = ks_jacobian_batch(Z)
     gq, gp = J[:, :, 0:4], J[:, :, 4:8]
     brackets = gq @ gp.transpose(0, 2, 1) - gp @ gq.transpose(0, 2, 1)

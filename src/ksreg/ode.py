@@ -206,18 +206,20 @@ def _interpolants(H, K):
     return H[:, :1, None] * (_P.T @ K)
 
 
-def _locate(event, side, t, h, y, Q):
-    """The time of the sign change of event(t, y) inside one step, by bisection.
+def _locate(sign, side, t, h, y, Q):
+    """The time of the sign change of the event inside one step, by bisection.
 
-    Once the midpoint rounds onto lo or hi the bracket cannot move its
-    midpoint any more, so the search stops there with that midpoint.
+    sign evaluates the event on a block of rows, here the one-row block
+    of the continuous extension at the midpoint.  Once the midpoint
+    rounds onto lo or hi the bracket cannot move its midpoint any more,
+    so the search stops there with that midpoint.
     """
     lo, hi = t, t + h
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
-        if side * event(mid, _dense((mid - t) / h, y, Q)) <= 0:
+        if side * sign(np.array([mid]), _dense((mid - t) / h, y, Q)[None])[0] <= 0:
             hi = mid
         else:
             lo = mid
@@ -303,9 +305,6 @@ def integrate_ode(
 
         def sign(T, Y):
             return np.asarray(caller.run(event, T, Y.T), dtype=float).tolist()
-
-        def point(t, y):
-            return caller.run(event, np.array([t]), y[:, None])[0]
 
         T0 = np.full(n, t0)
         F0 = np.asarray(caller.run(f, T0, Y.T), dtype=float).T.reshape(n, d)
@@ -403,7 +402,7 @@ def integrate_ode(
                     r.g = g
                     if side * g <= 0:
                         Q = _interpolants(H, K) if Q is None else Q
-                        horizon = r.event_time = _locate(point, side, r.t, r.h, Y[p], Q[p])
+                        horizon = r.event_time = _locate(sign, side, r.t, r.h, Y[p], Q[p])
                         r.event_state = _dense((horizon - r.t) / r.h, Y[p], Q[p])
                         r.status = "event"
                 if t_eval is not None:

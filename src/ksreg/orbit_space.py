@@ -114,14 +114,14 @@ def _relations(g) -> RelationResidual:
 
 
 def relation_residuals_batch(G: np.ndarray):
-    """Vectorized residuals over an (n, 16) generator array.
+    """Vectorized residuals over an (n, 16) generator array or one (16,) row.
 
     Columns follow GENERATOR_NAMES order.  Returns (residuals dict of
     (n,) arrays, h2 column, wedge gap column).  The relations are of
     degree 2, with partial sums at most 6 g^2 in the largest entry g, so
     int64 stays exact up to g = 2^29.
     """
-    res = _relations(exact_columns(G, 2**29))
+    res = _relations(exact_columns(G, 16, 2**29))
     return res.residuals, res.h2, res.wedge_gap
 
 
@@ -162,13 +162,13 @@ def _lagrange_pairs(g) -> dict:
 
 
 def lagrange_identity_batch(G: np.ndarray) -> dict:
-    """lagrange_identity_check over an (n, 16) array: pairs of (n,) arrays.
+    """lagrange_identity_check over an (n, 16) array or one (16,) row: pairs of (n,) arrays.
 
     The identities are of degree 4.  In the largest entry g, each wedge
     bilinear is at most 2 g^2 and <u, v> at most 4 g^2, so the wedge_sum
     side reaches 6 * 4 g^4 + 16 g^4 = 40 g^4: below 2^63 up to g = 2^14.
     """
-    return _lagrange_pairs(exact_columns(G, 2**14))
+    return _lagrange_pairs(exact_columns(G, 16, 2**14))
 
 
 @dataclass(frozen=True)

@@ -58,11 +58,14 @@ def _nan_max(values) -> float:
     return float(np.max(list(values)))
 
 
-#: Per suite with a bound, each gated quantity as (quantity, reader of the
+#: Per suite, in report order, each gated quantity as (quantity, reader of the
 #: suite's details, sense, bound): sense "<=" holds value <= bound, ">="
 #: value >= bound, and a NaN holds neither.  A bound is a number or the
 #: name of a bound above, negated by a leading "-" and read on each call.
 GATES = {
+    "so4_relations": (
+        ("mismatched_brackets", itemgetter("mismatched_brackets"), "<=", 0),
+    ),
     "orbit_relations": (
         ("max_residual", itemgetter("max_residual"), "<=", "RESIDUAL_BOUND"),
         ("min_h2", itemgetter("min_h2"), ">=", 0.0),
@@ -121,12 +124,9 @@ def _suite(name: str, **details) -> dict:
 
 def _suite_so4():
     table = verify_so4_relations()
-    return {
-        "name": "so4_relations",
-        "passed": all(row["match"] for row in table["so4"]),
-        "details": {"brackets_checked": len(table["so4"]),
-                    "split_basis_factors": table["xi_eta"]},
-    }
+    return _suite("so4_relations", brackets_checked=len(table["so4"]),
+                  mismatched_brackets=sum(not row["match"] for row in table["so4"]),
+                  split_basis_factors=table["xi_eta"])
 
 
 def worst_relations(points) -> tuple:

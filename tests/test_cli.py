@@ -37,7 +37,7 @@ class TestVerify:
         runner.invoke(main, ["verify", "--samples", "20", "--out", str(out)])
         suites = json.loads(out.read_text())["suites"]
         assert [(s["name"], sorted(s["details"])) for s in suites] == [
-            ("so4_relations", ["brackets_checked", "split_basis_factors"]),
+            ("so4_relations", ["brackets_checked", "mismatched_brackets", "split_basis_factors"]),
             ("orbit_relations", ["max_residual", "min_h2", "min_wedge_gap"]),
             ("lagrange_identities", ["max_relative_gap", "max_residual"]),
             ("pullbacks", ["generator_form_gap", "max_gaps"]),

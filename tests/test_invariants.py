@@ -15,9 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ksreg import invariants, ks_map
+from ksreg.flows import collision_triple_batch
 from ksreg.ks_map import KS_MONOMIALS, ks
 from ksreg.orbit_space import lagrange_identity_batch, relation_residuals_batch
-from ksreg.sampling import sample_fractions
+from ksreg.sampling import sample_fractions, sample_level_set
 from ksreg.invariants import (
     GEN_FROM_PI_MATRIX,
     GENERATOR_NAMES,
@@ -420,6 +421,58 @@ def _same_outputs(a, b) -> bool:
         x.dtype == y.dtype and x.tolist() == y.tolist() for x, y in zip(a, b))
 
 
+#: Every batch body of the package with the width of its rows: (n, 8) phase
+#: points or (n, 16) generator vectors.
+BATCH_BODIES = {
+    "eval_pi_batch": (eval_pi_batch, 8),
+    "eval_generators_batch": (eval_generators_batch, 8),
+    "relation_residuals_batch": (relation_residuals_batch, 16),
+    "lagrange_identity_batch": (lagrange_identity_batch, 16),
+    "ks_batch": (ks_map.ks_batch, 8),
+    "ks_jacobian_batch": (ks_map.ks_jacobian_batch, 8),
+    "poisson_residual_batch": (ks_map.poisson_residual_batch, 8),
+    "pullback_gaps_batch": (ks_map.pullback_gaps_batch, 8),
+    "ks_from_generators_batch": (ks_map.ks_from_generators_batch, 16),
+    "collision_triple_batch": (collision_triple_batch, 8),
+}
+
+
+def _level_rows(width):
+    """Two rows on the (1, 0) level set, as phase points or as their generators."""
+    Z = sample_level_set(np.random.default_rng(0), 2)
+    return Z if width == 8 else eval_generators_batch(Z)
+
+
+class TestShapeRule:
+    """One shape rule, invariants.as_batch, for every batch body: an (n, k)
+    array, or one (k,) row read as the one-row batch; any other shape is a
+    ValueError that names the expected and the given shape."""
+
+    @pytest.mark.parametrize("name", BATCH_BODIES)
+    def test_a_lone_row_is_the_one_row_batch(self, name):
+        body, width = BATCH_BODIES[name]
+        row = _level_rows(width)[0]
+        lone = body(row)
+        assert all(a.shape[0] == 1 for a in _outputs(lone))
+        assert _same_outputs(lone, body(row[None]))
+
+    @pytest.mark.parametrize("name", BATCH_BODIES)
+    @pytest.mark.parametrize("malformed", ["narrow", "wide", "scalar", "stacked"])
+    def test_any_other_shape_is_a_value_error(self, name, malformed):
+        body, width = BATCH_BODIES[name]
+        rows = _level_rows(width)
+        bad = {
+            "narrow": rows[:, :-1],
+            "wide": np.hstack([rows, rows[:, :1]]),
+            "scalar": rows[0, 0],
+            "stacked": np.stack([rows, rows]),
+        }[malformed]
+        with pytest.raises(ValueError) as raised:
+            body(bad)
+        assert f"(n, {width})" in str(raised.value)
+        assert f"got shape {np.shape(bad)}" in str(raised.value)
+
+
 class TestIntegerWidths:
     # numpy integers wrap in their own width, and an identity that holds in
     # the integers also holds mod 2^k, so a narrow batch must run as int64.
@@ -454,7 +507,10 @@ class TestIntegerWidths:
     @pytest.mark.parametrize("dtype", [np.int64, float])
     def test_int64_and_float_batches_are_not_copied(self, dtype):
         A = np.arange(16, dtype=dtype).reshape(2, 8)
-        assert all(np.shares_memory(column, A) for column in invariants.exact_columns(A, 2**29))
+        assert invariants.as_batch(A, 8) is A
+        for batch in (A, A[0]):
+            columns = invariants.exact_columns(batch, 8, 2**29)
+            assert all(np.shares_memory(column, batch) for column in columns)
 
     def test_pi_batch_bound(self):
         """2 (2^30)^2 = 2^61 stays int64; at 2^32, pi1 = 2^64 needs Python ints."""

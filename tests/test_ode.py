@@ -515,12 +515,12 @@ class TestBlock:
                 integrate_ode(_decay, bad, (0.0, 1.0))
 
 
-def _full_bisection(event, side, t, h, y, Q):
+def _full_bisection(sign, side, t, h, y, Q):
     """The event search without its early stop: all 80 halvings."""
     lo, hi = t, t + h
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if side * event(mid, ode._dense((mid - t) / h, y, Q)) <= 0:
+        if side * sign(np.array([mid]), ode._dense((mid - t) / h, y, Q)[None])[0] <= 0:
             hi = mid
         else:
             lo = mid

@@ -26,7 +26,7 @@ def test_every_gated_value_has_a_worst_seed(capsys):
     worst, failures = seedsweep.sweep(range(3), 20)
     assert not failures
     assert set(worst) == {(name, gate[0]) for name, gates in GATES.items()
-                          if name != "fall_times" for gate in gates}
+                          if name not in ("so4_relations", "fall_times") for gate in gates}
     assert all(margin >= 0 and seed in range(3) for margin, seed, *_ in worst.values())
     assert "FAIL" not in capsys.readouterr().out
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ksreg import bench, flows, verify
+from ksreg import bench, flows, quadratic_poisson, verify
 from ksreg.flows import (collision_set_membership, first_collision_time,
                          induced_flow_on_orbit_space, ks_relatedness_harness)
 from ksreg.invariants import H2, TOL, V1, XI, eval_generators
@@ -222,6 +222,19 @@ def test_collision_gate():
     assert not _gate_collision_theorem(1)
 
 
+def test_so4_gate(monkeypatch):
+    """A bracket whose expected target is wrong is one mismatch, which fails
+    so4_relations through its GATES row."""
+    assert verify._suite_so4()["passed"]
+    table = quadratic_poisson._SO4_EXPECTED
+    monkeypatch.setattr(quadratic_poisson, "_SO4_EXPECTED",
+                        (table[0][:2] + ({"L3": -2},),) + table[1:])
+    suite = verify._suite_so4()
+    assert suite["details"]["mismatched_brackets"] == 1
+    assert suite["passed"] is False
+    assert suite["passed"] == passed("so4_relations", suite["details"])
+
+
 def test_lagrange_gate_at_seed_285800082():
     """ksreg verify --seed 285800082 --samples 1000 draws a point whose
     Lagrange gap is 1.164e-10 absolute, past RESIDUAL_BOUND, and 7.8e-15
@@ -237,7 +250,7 @@ def test_every_gate_reads_its_suite(seed):
     """Each reader finds its keys in its suite's details, each bound name is
     a number in verify, and each suite's verdict is the table's."""
     suites = {s["name"]: s for s in run_suites(np.random.default_rng(seed), 30)}
-    assert set(GATES) == set(suites) - {"so4_relations"}
+    assert set(GATES) == set(suites)
     for name, gates in GATES.items():
         details = suites[name]["details"]
         for _, _, sense, ref in gates:
