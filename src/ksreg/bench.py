@@ -14,12 +14,12 @@ through the image identities, where no cancellation occurs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .invariants import H2, V1, eval_generator_columns
-from .kepler_dynamics import collision_event, kepler_energy, kepler_vector_field, norm3
+from .kepler_dynamics import collision_event, kepler_energy, kepler_vector_field, norm3, write_csv
 from .ks_map import ks_batch, pulled_back_hamiltonian
 from .ode import integrate_ode
 
@@ -106,11 +106,5 @@ def run_benchmark(l_values=DEFAULT_GRID) -> list:
 
 
 def write_bench_csv(path, rows) -> None:
-    """One line per BenchRow under BENCH_CSV_HEADER; floats round-trip exactly."""
-    with open(path, "w") as fh:
-        fh.write(BENCH_CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(
-                f"{r.l_norm:.17g},{r.method},{r.steps},{r.max_energy_drift:.17g},"
-                f"{r.periapsis_error:.17g},{'true' if r.failed else 'false'}\n"
-            )
+    """One line per BenchRow under BENCH_CSV_HEADER, each cell as write_csv writes it."""
+    write_csv(path, BENCH_CSV_HEADER, [astuple(r) for r in rows])

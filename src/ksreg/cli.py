@@ -44,6 +44,14 @@ def _make_parent(out) -> None:
     _make_dir(os.path.dirname(os.path.abspath(out)), "--out")
 
 
+def _numbers(text: str, option: str) -> tuple:
+    """The numbers of a comma-separated list; a blank or non-numeric entry is a usage error."""
+    try:
+        return tuple(float(s) for s in text.split(","))
+    except ValueError:
+        raise click.UsageError(f"{option} must be a comma-separated list of numbers")
+
+
 def _write_json(path, obj) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
@@ -132,10 +140,7 @@ def orbit(state, t_max, samples, out_dir):
     of samples + 1 times, cut at the collision guard when the orbit
     falls onto the center.
     """
-    try:
-        values = tuple(float(s) for s in state.split(","))
-    except ValueError:
-        raise click.UsageError("--state must be a comma-separated list of numbers")
+    values = _numbers(state, "--state")
     _make_dir(out_dir, "--out-dir")
     try:
         result = ks_relatedness_harness(values, t_max, samples=samples)
@@ -193,12 +198,7 @@ def orbit(state, t_max, samples, out_dir):
 )
 def bench(grid, out, fmt):
     """Race the raw and regularized integrations toward collision."""
-    try:
-        values = tuple(float(s) for s in grid.split(",") if s.strip())
-    except ValueError:
-        raise click.UsageError("--grid must be a comma-separated list of numbers")
-    if not values:
-        raise click.UsageError("--grid needs at least one value")
+    values = _numbers(grid, "--grid")
     _make_parent(out)
     try:
         rows = run_benchmark(l_values=values)
@@ -238,13 +238,7 @@ def table(out, fmt):
     if fmt == "json":
         _write_json(out, {"rows": diff, "row_count": len(diff), "mismatch_count": mismatches})
     else:
-        with open(out, "w") as fh:
-            fh.write("field,component,transcribed,regenerated,match\n")
-            for r in diff:
-                flag = "true" if r["match"] else "false"
-                fh.write(
-                    f"{r['field']},{r['component']},{r['transcribed']},"
-                    f"{r['regenerated']},{flag}\n"
-                )
+        fields = ("field", "component", "transcribed", "regenerated", "match")
+        write_csv(out, ",".join(fields), [[r[k] for k in fields] for r in diff])
     click.echo(f"{len(diff)} nonzero components, {mismatches} transcription mismatches")
     click.echo(f"audit written to {out}")

@@ -292,15 +292,24 @@ def write_trajectory_csv(path, times: np.ndarray, states: np.ndarray) -> None:
     write_csv(path, header, table)
 
 
-def write_csv(path, header: str, table) -> None:
-    """Write a header line, then one CSV line per row of a 2-D float table.
+def _cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return format(v, ".17g") if isinstance(v, float) else str(v)
 
-    Each value is written as format(v, ".17g"), which reads back as the
-    same float; the whole table is one %-format call.
+
+def write_csv(path, header: str, rows) -> None:
+    """Write a header line, then one CSV line per row.
+
+    rows is a 2-D float array or a sequence of equal-length rows.  A
+    float is written as format(v, ".17g"), which reads back as the same
+    float, a bool as true or false, and anything else as str(v).  A
+    float array is one %-format call, since "%.17g" % v is that format.
     """
-    table = np.asarray(table, dtype=float)
-    rows, cols = table.shape
-    line = ",".join(["%.17g"] * cols) + "\n"
+    if isinstance(rows, np.ndarray):
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        body = line * len(rows) % tuple(rows.ravel().tolist())
+    else:
+        body = "".join(",".join(map(_cell, row)) + "\n" for row in rows)
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.write(line * rows % tuple(table.ravel().tolist()))
+        fh.write(header + "\n" + body)

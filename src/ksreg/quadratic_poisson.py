@@ -192,6 +192,15 @@ _SO4_EXPECTED = (
 
 _EPS = {(1, 2): (3, 1), (1, 3): (2, -1), (2, 3): (1, 1)}
 
+# The split-basis pairs {x_i, y_j} in report order, each with its documented
+# bracket doc * eps * x_k: (x, i, y, j, k, eps, doc).  Across the two families
+# the bracket is 0, written as eps = 0 (so any k) with the documented factor 0.
+_SPLIT_PAIRS = (
+    *((x, i, x, j, k, eps, doc) for x, doc in (("xi", 1), ("eta", -1))
+      for (i, j), (k, eps) in _EPS.items()),
+    *(("xi", i, "eta", j, i, 0, 0) for i in (1, 2, 3) for j in (1, 2, 3)),
+)
+
 
 def verify_so4_relations() -> dict:
     """Check the bracket table of (K, L) and the split basis (xi, eta).
@@ -216,42 +225,27 @@ def verify_so4_relations() -> dict:
         })
 
     # Rows i = 0..2 of xi and eta are the integral vectors 2 xi_i = K_i + L_i
-    # and 2 eta_i = K_i - L_i, so {x_i / 2, y_j / 2} = (x T y)[i, j] / 32.
+    # and 2 eta_i = K_i - L_i, so {x_i / 2, y_j / 2} = (x_i T y_j) / 32.
     unit = np.eye(len(GENERATOR_NAMES), dtype=np.int64)
-    xi, eta = unit[K] + unit[L], unit[K] - unit[L]
+    basis = {"xi": unit[K] + unit[L], "eta": unit[K] - unit[L]}
     xi_eta_rows = []
-    for family, basis, doc in (("xi", xi, 1), ("eta", eta, -1)):
-        brackets = np.einsum("ia,jb,abk->ijk", basis, basis, t)
-        for (i, j), (k, eps) in _EPS.items():
-            b, w = brackets[i - 1, j - 1], eps * basis[k - 1]
-            # The factor f in {xi_i, xi_j} = f eps xi_k is (b / 32) / (w / 2)
-            # on the K_k entry, kept only if b is that multiple of w throughout.
-            on_k = index(f"K{k}")
-            factor = Fraction(int(b[on_k]), 16 * int(w[on_k]))
-            if not np.array_equal(b * w[on_k], b[on_k] * w):
-                factor = None
-            name_k = f"{family}{k}"
-            xi_eta_rows.append({
-                "pair": f"{{{family}{i},{family}{j}}}",
-                "computed": format_linear(
-                    {name_k: factor * eps} if factor else {}, order=(name_k,)
-                ),
-                "factor": float(factor) if factor is not None else None,
-                "documented_factor": float(doc),
-                "matches_documented": factor == doc,
-            })
-    cross = np.einsum("ia,jb,abk->ijk", xi, eta, t)
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            br = _named(cross[i - 1, j - 1], 4 * GENERATOR_GRAM)
-            factor = None if br else Fraction(0)
-            xi_eta_rows.append({
-                "pair": f"{{xi{i},eta{j}}}",
-                "computed": format_linear(br),
-                "factor": float(factor) if factor is not None else None,
-                "documented_factor": 0.0,
-                "matches_documented": factor == 0,
-            })
+    for x, i, y, j, k, eps, doc in _SPLIT_PAIRS:
+        b = np.einsum("a,b,abk->k", basis[x][i - 1], basis[y][j - 1], t)
+        # The factor f in {x_i, y_j} = f eps x_k, that is b = 16 f w, kept only
+        # if b is that multiple of w throughout; for w = 0 it is 0 if b is.
+        w = eps * basis[x][k - 1]
+        ww = int(w @ w)
+        f = Fraction(int(b @ w), 16 * ww) if ww else Fraction(0)
+        factor = f if np.array_equal(b * f.denominator, 16 * f.numerator * w) else None
+        name_k = f"{x}{k}"
+        bracket = _named(b, 4 * GENERATOR_GRAM) if factor is None else {name_k: factor * eps}
+        xi_eta_rows.append({
+            "pair": f"{{{x}{i},{y}{j}}}",
+            "computed": format_linear(bracket, order=(name_k, *GENERATOR_NAMES)),
+            "factor": float(factor) if factor is not None else None,
+            "documented_factor": float(doc),
+            "matches_documented": factor == doc,
+        })
     return {"so4": so4_rows, "xi_eta": xi_eta_rows}
 
 

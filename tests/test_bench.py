@@ -129,6 +129,19 @@ class TestCsvOutput:
         assert lines[1].endswith(",false")
         assert lines[2].endswith(",true")
 
+    def test_edge_floats_and_a_true_flag_follow_the_cell_rule(self, tmp_path):
+        # Each float as format(v, ".17g"), the int and string as str, the flag as true.
+        row = BenchRow(-0.0, "raw_kepler", 3, 5e-324, math.inf, True)
+        nan_row = BenchRow(1e-1, "ks_regularized", 70, math.nan, -math.inf, False)
+        path = tmp_path / "bench.csv"
+        write_bench_csv(path, [row, nan_row])
+        assert path.read_text().split("\n")[1:] == [
+            "-0,raw_kepler,3,4.9406564584124654e-324,inf,true",
+            "0.10000000000000001,ks_regularized,70,nan,-inf,false",
+            "",
+        ]
+        assert "4.9406564584124654e-324" == format(5e-324, ".17g")
+
     def test_rows_round_trip_through_the_text(self, tmp_path):
         row = BenchRow(1e-2, "ks", 70, 4.05e-10, 3.2e-13, False)
         path = tmp_path / "bench.csv"

@@ -1,9 +1,12 @@
 """Tests for the command line interface."""
 
+import ast
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -12,12 +15,32 @@ from click.testing import CliRunner
 
 import ksreg
 from ksreg import verify
+from ksreg.bench import BenchRow
 from ksreg.cli import main
 
 
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def _same_field(cell: str, value) -> bool:
+    """Whether a CSV cell holds the value its JSON twin parses to."""
+    if isinstance(value, bool):
+        return cell == ("true" if value else "false")
+    if isinstance(value, float):
+        return float(cell) == value or (math.isnan(value) and math.isnan(float(cell)))
+    return cell == str(value)
+
+
+def _csv_and_json(runner, tmp_path, args):
+    """The header and rows of args run with --format csv, and the JSON of the same run."""
+    for fmt in ("csv", "json"):
+        result = runner.invoke(main, args + ["--format", fmt, "--out", str(tmp_path / fmt)])
+        assert result.exit_code == 0, result.output
+    header, *lines = (tmp_path / "csv").read_text().splitlines()
+    return header.split(","), [line.split(",") for line in lines], json.loads(
+        (tmp_path / "json").read_text())
 
 
 class TestVerify:
@@ -162,7 +185,10 @@ class TestOrbit:
 
     def test_malformed_and_off_level_states_are_usage_errors(self, runner):
         assert runner.invoke(main, ["orbit", "--state", "1,2,3"]).exit_code == 2
-        assert runner.invoke(main, ["orbit", "--state", "a,b,c,d,e,f,g,h"]).exit_code == 2
+        for state in ("a,b,c,d,e,f,g,h", "1,0,0,0,0,0,1,0,", "1,0,0,0,,0,0,1,0", ""):
+            result = runner.invoke(main, ["orbit", "--state", state])
+            assert result.exit_code == 2
+            assert "--state must be a comma-separated list of numbers" in result.output
         assert runner.invoke(main, ["orbit", "--state", "1,1,1,1,0,0,0,0"]).exit_code == 2
         assert runner.invoke(main, ["orbit", "--samples", "1"]).exit_code == 2
         assert runner.invoke(main, ["orbit", "--state", "nan,0,0,0,0,0,1,0"]).exit_code == 2
@@ -194,10 +220,23 @@ class TestBench:
         assert [r["method"] for r in rows] == ["raw_kepler", "ks_regularized"]
         assert all(r["failed"] is False for r in rows)
 
-    def test_bad_grids_are_usage_errors(self, runner):
-        assert runner.invoke(main, ["bench", "--grid", ""]).exit_code == 2
+    def test_csv_and_json_give_the_same_rows(self, runner, tmp_path):
+        header, rows, records = _csv_and_json(runner, tmp_path, ["bench", "--grid", "1e-1,1e-5"])
+        assert header == ["|L|", "method", "steps", "max_energy_drift", "periapsis_error", "failed"]
+        names = [f.name for f in dataclasses.fields(BenchRow)]
+        assert len(rows) == len(records) == 4
+        assert [r["failed"] for r in records] == [False, False, True, False]
+        for row, record in zip(rows, records):
+            assert len(row) == len(names) == len(record)
+            assert all(_same_field(row[c], record[n]) for c, n in enumerate(names)), (row, record)
+
+    def test_bad_grids_are_usage_errors(self, runner, tmp_path):
         assert runner.invoke(main, ["bench", "--grid", "2.0"]).exit_code == 2
-        assert runner.invoke(main, ["bench", "--grid", "x"]).exit_code == 2
+        for grid in ("", "x", "1e-1,,1e-2", "1e-1,", ",1e-1", " "):
+            result = runner.invoke(main, ["bench", "--grid", grid, "--out", str(tmp_path / "b")])
+            assert result.exit_code == 2
+            assert "--grid must be a comma-separated list of numbers" in result.output
+        assert not (tmp_path / "b").exists()
         result = runner.invoke(main, ["bench", "--grid", "1e-1", "--tolerance", "1e-10"])
         assert result.exit_code == 2 and "No such option" in result.output
 
@@ -223,6 +262,14 @@ class TestTable:
         assert len(lines) == 127
         assert sum(1 for line in lines if line.endswith(",false")) == 23
 
+    def test_csv_and_json_give_the_same_rows(self, runner, tmp_path):
+        header, rows, audit = _csv_and_json(runner, tmp_path, ["table"])
+        assert header == ["field", "component", "transcribed", "regenerated", "match"]
+        assert len(rows) == len(audit["rows"]) == 126
+        for row, record in zip(rows, audit["rows"]):
+            assert len(row) == len(header) and sorted(record) == sorted(header)
+            assert all(_same_field(cell, record[k]) for cell, k in zip(row, header)), (row, record)
+
     # The audit's bytes in each format, pinned so that a change to the
     # exact bracket and decompose engine cannot alter a row unseen.
     @pytest.mark.parametrize("fmt, digest", [
@@ -234,6 +281,26 @@ class TestTable:
         result = runner.invoke(main, ["table", "--format", fmt, "--out", str(out)])
         assert result.exit_code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _opens(node) -> list:
+    """The calls to open or to an .open method under an AST node."""
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+            and getattr(n.func, "id", getattr(n.func, "attr", None)) == "open"]
+
+
+class TestWriters:
+    def test_only_the_json_and_csv_writers_open_a_file(self):
+        # Every file a command writes goes through cli._write_json or
+        # kepler_dynamics.write_csv.
+        openers = []
+        for path in sorted(pathlib.Path(ksreg.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            found = [(path.stem, fn.name) for fn in tree.body
+                     if isinstance(fn, ast.FunctionDef) for _ in _opens(fn)]
+            assert len(found) == len(_opens(tree)), f"an open outside a function in {path}"
+            openers += found
+        assert openers == [("cli", "_write_json"), ("kepler_dynamics", "write_csv")]
 
 
 class TestJsonFiles:

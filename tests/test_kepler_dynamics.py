@@ -580,3 +580,20 @@ class TestWriteCsv:
         write_csv(path, "a,b", table)
         lines = [",".join(format(v, ".17g") for v in row) for row in table]
         assert path.read_text() == "a,b\n" + "".join(line + "\n" for line in lines)
+
+    def test_a_float_array_gives_the_text_of_its_rows_as_floats(self, tmp_path):
+        # The array's one %-format call writes what the cell rule writes.
+        table = np.array([self.EDGES, self.EDGES[::-1]])
+        write_csv(tmp_path / "array.csv", "a,b", table)
+        write_csv(tmp_path / "rows.csv", "a,b", table.tolist())
+        assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_bools_as_true_or_false_and_other_cells_as_str(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        rows = [(True, False, 7, "2*L3 + U1", 0.1), [np.float64(-0.0), 2**60, 1, "", 5e-324]]
+        write_csv(path, "a,b,c,d,e", rows)
+        assert path.read_text() == (
+            "a,b,c,d,e\n"
+            "true,false,7,2*L3 + U1,0.10000000000000001\n"
+            "-0,1152921504606846976,1,,4.9406564584124654e-324\n"
+        )

@@ -405,6 +405,30 @@ class TestSo4Report:
             assert r["matches_documented"]
             assert r["computed"] == "0"
 
+    def test_a_bracket_off_its_target_reads_in_the_generators(self, monkeypatch):
+        # A tensor whose {K1, K2} gains U1: the split-basis rows it reaches
+        # are no multiple of their target and show the bracket, never "0".
+        real = verify_so4_relations()
+        patched = structure_constants()
+        index = GENERATOR_NAMES.index
+        patched[index("K1"), index("K2"), index("U1")] += 8
+        patched[index("K2"), index("K1"), index("U1")] -= 8
+        monkeypatch.setattr(quadratic_poisson, "structure_constants", lambda: patched)
+        report = verify_so4_relations()
+        so4 = {r["pair"]: r for r in report["so4"]}
+        assert (so4["{K1,K2}"]["computed"], so4["{K1,K2}"]["match"]) == ("2*L3 + U1", False)
+        reached = {
+            "{xi1,xi2}": ("K3 + L3 + 1/4*U1", 1.0), "{eta1,eta2}": ("-K3 + L3 + 1/4*U1", -1.0),
+            "{xi1,eta2}": ("1/4*U1", 0.0), "{xi2,eta1}": ("-1/4*U1", 0.0),
+        }
+        for row, before in zip(report["xi_eta"], real["xi_eta"]):
+            if row["pair"] not in reached:
+                assert row == before
+                continue
+            computed, documented = reached[row["pair"]]
+            assert row == {"pair": row["pair"], "computed": computed, "factor": None,
+                           "documented_factor": documented, "matches_documented": False}
+
     def test_every_row_is_the_term_engine_bracket(self):
         """Each row's string, factor and flag, from decompose(poisson_bracket(...))."""
         def bracket(f, g):
