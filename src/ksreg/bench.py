@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .invariants import H2, V1, eval_generator_columns
-from .kepler_dynamics import collision_event, kepler_energy, kepler_vector_field, norm3, write_csv
+from .kepler_dynamics import collision_event, kepler_energy, kepler_rows, norm3, write_csv
 from .ks_map import ks_batch, pulled_back_hamiltonian
 from .ode import integrate_ode
 
@@ -50,8 +50,9 @@ def analytic_periapsis(l_norm: float) -> float:
     return 1 - math.sqrt(1 - l_norm * l_norm)
 
 
-def _oscillator_field(t, z):
-    return np.concatenate([z[4:], -z[:4]])
+def _oscillator_field(t, Z) -> list:
+    """dq/dt = p, dp/dt = -q at each row (q, p) of Z, an integrate_ode field."""
+    return [[p1, p2, p3, p4, -q1, -q2, -q3, -q4] for q1, q2, q3, q4, p1, p2, p3, p4 in Z]
 
 
 def _raw_measure(S):
@@ -96,7 +97,7 @@ def run_benchmark(l_values=DEFAULT_GRID) -> list:
         return []
     seeds = np.array([seed_state(l) for l in l_values])
     raw = _block_rows(
-        "raw_kepler", lambda t, w: kepler_vector_field(w), ks_batch(seeds), 2 * math.pi,
+        "raw_kepler", kepler_rows, ks_batch(seeds), 2 * math.pi,
         collision_event, _raw_measure, l_values,
     )
     regularized = _block_rows(

@@ -12,7 +12,7 @@ import numpy as np
 
 from .invariants import (H2, L, TOL, U1, XI, as_batch, eval_generator_columns, eval_generators,
                          eval_generators_batch, point8)
-from .kepler_dynamics import collision_event, cross3, dot3, norm3, preregularized_vector_field
+from .kepler_dynamics import collision_event, cross3, dot3, norm3, preregularized_rows
 from .ks_map import ks_batch, require_level_set
 from .ode import IntegratorStats, integrate_ode
 from .orbit_space import relation_residuals
@@ -210,7 +210,7 @@ def ks_relatedness_harness(z0, t_max: float, samples: int = 256) -> HarnessResul
         # In s = 2t, doubling is exact: every step, sample and event keeps the
         # bits of the doubled field's run in t, bar the 1e-14 end-of-span slack.
         res = integrate_ode(
-            lambda s, w: preregularized_vector_field(w),
+            preregularized_rows,
             w0_flat,
             (0.0, 2 * t_max),
             t_eval=np.linspace(0.0, 2 * t_max, samples + 1)[1:],

@@ -15,18 +15,18 @@ import numpy as np
 COLLISION_GUARD = 1e-6
 
 
-def collision_event(t, w) -> list:
-    """|x|^2 - COLLISION_GUARD^2 per (6, m) column, an integrate_ode event.
+def collision_event(t, W) -> list:
+    """|x|^2 - COLLISION_GUARD^2 per row (x, y) of W, an integrate_ode event.
 
-    x1*x1 + x2*x2 + x3*x3 - guard*guard in Python floats, in that order on any BLAS kernel.
+    x1*x1 + x2*x2 + x3*x3 - guard*guard in Python floats, in that order.
     """
     guard2 = COLLISION_GUARD * COLLISION_GUARD
-    return [x1 * x1 + x2 * x2 + x3 * x3 - guard2 for x1, x2, x3 in zip(*w[:3].tolist())]
+    return [x1 * x1 + x2 * x2 + x3 * x3 - guard2 for x1, x2, x3, _, _, _ in W]
 
 
-def radial_collision_event(t, u):
-    """r - COLLISION_GUARD per (2, m) radial column (r, rdot), an integrate_ode event."""
-    return u[0] - COLLISION_GUARD
+def radial_collision_event(t, U) -> list:
+    """r - COLLISION_GUARD per radial row (r, rdot) of U, an integrate_ode event."""
+    return [r - COLLISION_GUARD for r, _ in U]
 
 
 def dot3(a, b):
@@ -101,38 +101,44 @@ def _state(w, d: int) -> np.ndarray:
     return w
 
 
-def _phase_field(body, w) -> np.ndarray:
-    """A field at one point w or on (6, m) columns, as a (6,) or (6, m) array.
+def _on_rows(field, w, d: int) -> np.ndarray:
+    """A row field that does not read t, at one point w or on (d, m) columns.
+
+    Returns a (d,) or (d, m) array.  A lone point is a one-row call, so it
+    gets the bytes, warnings and errors of its column.
+    """
+    w = _state(w, d)
+    if w.ndim == 1:
+        return np.array(field(None, [w.tolist()])[0])
+    return np.array(field(None, w.T.tolist())).reshape(-1, d).T
+
+
+def _phase_rows(body, W) -> list:
+    """A field at each row (x, y) of W, a list of rows of six floats.
 
     body(x1, x2, x3, y1, y2, y3, r) returns its divisor and the six values.
-    It runs point by point in Python floats, which round as numpy's float64
+    It runs row by row in Python floats, which round as numpy's float64
     arithmetic does without its call overhead, but raise ZeroDivisionError
     where numpy returns inf or NaN, and never warn.  So where a divisor is 0
     or not finite, or a value is not finite (every case in which numpy
-    warns, bar the underflow it ignores by default), body runs on the numpy
-    rows of w as (6, m) columns instead, a lone point as one column: numpy's
-    values and warnings, and the ValueError at x = 0, the same for a point
-    and its column.  The loop costs per point, so past about 20 columns it
-    is slower than numpy (BENCH_18.json, wide_grid).
+    warns, bar the underflow it ignores by default), body runs on the rows
+    as numpy (6, m) columns instead: numpy's values and warnings, and the
+    ValueError at x = 0.
     """
-    w = _state(w, 6)
-    one = w.ndim == 1
     values = []
     try:
-        for x1, x2, x3, y1, y2, y3 in [w.tolist()] if one else w.T.tolist():
+        for x1, x2, x3, y1, y2, y3 in W:
             divisor, v = body(x1, x2, x3, y1, y2, y3, math.sqrt(x1 * x1 + x2 * x2 + x3 * x3))
             if not 0 < divisor < math.inf:
                 break
-            values += v
+            values.append(v)
         else:
-            if math.isfinite(sum(values)):
-                out = np.array(values)
-                return out if one else out.reshape(-1, 6).T
+            if math.isfinite(sum(map(sum, values))):
+                return values
     except ZeroDivisionError:
         pass
-    c = w.reshape(6, -1)
-    out = np.array(body(*c, np.sqrt(_require_noncollision(c[:3])))[1])
-    return out[:, 0] if one else out
+    c = np.array(W, dtype=float).T
+    return np.array(body(*c, np.sqrt(_require_noncollision(c[:3])))[1]).T.tolist()
 
 
 def _preregularized(x1, x2, x3, y1, y2, y3, r):
@@ -140,13 +146,18 @@ def _preregularized(x1, x2, x3, y1, y2, y3, r):
     return r, (r * y1, r * y2, r * y3, c * x1 / r, c * x2 / r, c * x3 / r)
 
 
+def preregularized_rows(t, W) -> list:
+    """The preregularized field at each row of W, an integrate_ode field; t is unused."""
+    return _phase_rows(_preregularized, W)
+
+
 def preregularized_vector_field(w) -> np.ndarray:
     """Symplectic gradient of the preregularized energy.
 
-    dx/ds = |x| y, dy/ds = -(|y|^2 + 1) x / (2|x|), in Python floats
-    point by point (see _phase_field).
+    dx/ds = |x| y, dy/ds = -(|y|^2 + 1) x / (2|x|), at a (6,) point or on
+    (6, m) columns, in Python floats row by row (see _phase_rows).
     """
-    return _phase_field(_preregularized, w)
+    return _on_rows(preregularized_rows, w, 6)
 
 
 def _rescaled(x1, x2, x3, y1, y2, y3, r):
@@ -164,7 +175,7 @@ def rescaled_kepler_vector_field(w) -> np.ndarray:
     an independent construction that agrees with the symplectic
     gradient; the cross-validation lives in the tests.
     """
-    return _phase_field(_rescaled, w)
+    return _on_rows(lambda t, W: _phase_rows(_rescaled, W), w, 6)
 
 
 def _kepler(x1, x2, x3, y1, y2, y3, r):
@@ -174,12 +185,18 @@ def _kepler(x1, x2, x3, y1, y2, y3, r):
     return r3, (y1, y2, y3, -x1 / r3, -x2 / r3, -x3 / r3)
 
 
+def kepler_rows(t, W) -> list:
+    """The raw Kepler field at each row of W, an integrate_ode field; t is unused."""
+    return _phase_rows(_kepler, W)
+
+
 def kepler_vector_field(w) -> np.ndarray:
     """The raw field dx/dt = y, dy/dt = -x/|x|^3, singular at x = 0.
 
-    In Python floats point by point (see _phase_field).
+    At a (6,) point or on (6, m) columns, in Python floats row by row (see
+    _phase_rows).
     """
-    return _phase_field(_kepler, w)
+    return _on_rows(kepler_rows, w, 6)
 
 
 def angular_momentum(w):
@@ -198,27 +215,34 @@ def eccentricity(w):
     return tuple(-xi / r + w_ for xi, w_ in zip(x, yxj))
 
 
-def radial_ode_rhs(t, u) -> np.ndarray:
-    """Collinear Kepler motion u = (r, rdot): d(r)/dt = rdot, d(rdot)/dt = -1/r^2.
+def radial_rows(t, U) -> list:
+    """Collinear Kepler motion at each row (r, rdot) of U, an integrate_ode field.
 
-    Takes integrate_ode's arguments, (2, m) columns, or one (2,) state;
-    t is unused.  It runs in Python floats, which round as numpy's float64
-    arithmetic does, without its call overhead.  For 1e-150 < r < 1e150,
-    r * r and -1/(r * r) are normal floats, so no operation can overflow,
-    underflow or divide by zero; where any r lies outside that range
-    (r not positive or NaN included), the numpy body below runs instead:
-    numpy's values, warnings and ValueError.
+    d(r)/dt = rdot, d(rdot)/dt = -1/r^2; t is unused.  It runs in Python
+    floats, which round as numpy's float64 arithmetic does, without its
+    call overhead.  For 1e-150 < r < 1e150, r * r and -1/(r * r) are
+    normal floats, so no operation can overflow, underflow or divide by
+    zero; where any r lies outside that range (r not positive or NaN
+    included), the numpy body below runs instead: numpy's values,
+    warnings and ValueError.
     """
-    u = _state(u, 2)
-    radii, speeds = u.reshape(2, -1).tolist()
-    accelerations = [-1 / (r * r) for r in radii if 1e-150 < r < 1e150]
-    if len(accelerations) == len(radii):
-        return np.array(speeds + accelerations).reshape(u.shape)
-    r = u[0]
+    values = []
+    for r, v in U:
+        if not 1e-150 < r < 1e150:
+            break
+        values.append((v, -1 / (r * r)))
+    else:
+        return values
+    r, v = np.array(U, dtype=float).T
     # One reduction; a NaN radius makes the minimum NaN and fails the test.
     if not r.min() > 0:
         raise ValueError("r must be positive")
-    return np.array([u[1], -1 / (r * r)])  # r * r, not r**2: see _kepler
+    return np.array([v, -1 / (r * r)]).T.tolist()  # r * r, not r**2: see _kepler
+
+
+def radial_ode_rhs(t, u) -> np.ndarray:
+    """radial_rows at one (2,) state u or on (2, m) columns; t is unused."""
+    return _on_rows(radial_rows, u, 2)
 
 
 def radial_collision_time(r0: float) -> float:

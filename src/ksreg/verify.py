@@ -19,7 +19,7 @@ import numpy as np
 from .flows import collision_triple_batch
 from .invariants import eval_generators_batch
 from .kepler_dynamics import (radial_collision_event, radial_collision_time,
-                              radial_collision_time_quadrature, radial_ode_rhs)
+                              radial_collision_time_quadrature, radial_rows)
 from .ks_map import (ks_batch, ks_from_generators_batch, poisson_residual_batch,
                      poisson_residual_xi_sweep, pullback_gaps_batch)
 from .ode import integrate_ode
@@ -206,7 +206,7 @@ def fall_time_rows() -> list:
     """
     starts = np.array(FALL_GRID)
     runs = integrate_ode(
-        radial_ode_rhs,
+        radial_rows,
         np.column_stack([starts, -np.sqrt(2 / starts - 1)]),
         (0.0, 4.0),
         event=radial_collision_event,

@@ -10,12 +10,15 @@ from ksreg.kepler_dynamics import (
     angular_momentum,
     eccentricity,
     kepler_energy,
+    kepler_rows,
     kepler_vector_field,
     preregularized_hamiltonian,
+    preregularized_rows,
     preregularized_vector_field,
     radial_collision_time,
     radial_collision_time_quadrature,
     radial_ode_rhs,
+    radial_rows,
     rescaled_kepler_vector_field,
     write_csv,
     write_trajectory_csv,
@@ -335,6 +338,22 @@ class TestFieldsInPythonFloats:
         got, caught = _outcome(_radial, (1.0, math.nan))
         assert (got, caught) == (_outcome(_former_radial, (1.0, math.nan))[0], set())
 
+    @pytest.mark.parametrize("rows, field, d", [
+        (kepler_rows, kepler_vector_field, 6),
+        (preregularized_rows, preregularized_vector_field, 6),
+        (radial_rows, lambda u: radial_ode_rhs(0.0, u), 2),
+    ], ids=["kepler", "preregularized", "radial"])
+    def test_row_evaluators_give_the_column_bytes(self, rows, field, d):
+        """integrate_ode's row fields are the bodies the point and column
+        functions wrap: the same values, row for column, finite or not."""
+        rng = np.random.default_rng(37)
+        cols = rng.uniform(0.01, 2.0, (d, 40)) * 10.0 ** rng.integers(-6, 7, (d, 40))
+        cols[-1, 0] = math.nan  # a NaN velocity: numpy's body runs, without a warning
+        got = rows([0.0] * 40, cols.T.tolist())
+        want = field(cols)
+        assert type(got) is list and len(got) == 40
+        assert np.array(got).T.tobytes() == want.tobytes()
+
     def test_radial_radii_at_the_ends_of_the_python_float_range(self):
         """Inside (1e-150, 1e150) no operation of the field can raise a
         floating-point error, so the Python-float values hold even under a
@@ -385,9 +404,7 @@ class TestConservedQuantities:
         w0 = np.array([1.5, 0, 0, 0, math.sqrt(1 / 3), 0])
         j0 = np.array(angular_momentum(w0))
         e0 = np.array(eccentricity(w0))
-        res = integrate_ode(
-            lambda s, w: preregularized_vector_field(w), w0, (0.0, 4 * math.pi)
-        )
+        res = integrate_ode(preregularized_rows, w0, (0.0, 4 * math.pi))
         assert res.status == "completed"
         for w in res.states:
             assert abs(preregularized_hamiltonian(w) - 1) <= 1e-8
@@ -431,11 +448,11 @@ class TestRadialFall:
 
     def test_energy_relation_preserved_during_fall(self):
         res = integrate_ode(
-            radial_ode_rhs,
+            radial_rows,
             np.array([2.0, 0.0]),
             (0.0, 4.0),
             tol=1e-13,
-            event=lambda t, u: u[0] - 1e-3,
+            event=lambda t, U: [r - 1e-3 for r, _ in U],
         )
         assert res.status == "event"
         for r, rdot in res.states:
@@ -483,10 +500,10 @@ class TestRadialFall:
         for r0 in (0.25, 0.5, 1.0, 1.5, 2.0):
             rdot0 = -math.sqrt(2 / r0 - 1)
             res = integrate_ode(
-                radial_ode_rhs,
+                radial_rows,
                 np.array([r0, rdot0]),
                 (0.0, 4.0),
-                event=lambda t, u: u[0] - 1e-6,
+                event=lambda t, U: [r - 1e-6 for r, _ in U],
             )
             assert res.status == "event"
             assert abs(res.event_time - radial_collision_time(r0)) <= 1e-5
@@ -522,7 +539,7 @@ class TestSundmanTime:
 
         s_grid = np.linspace(0.0, 3.0, 301)
         res = integrate_ode(
-            lambda s, w: preregularized_vector_field(w),
+            preregularized_rows,
             np.array([0.0, 0.0, 2.0, 0.0, 0.0, 0.0]),
             (0.0, 3.0),
             t_eval=s_grid,

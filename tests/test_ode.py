@@ -1,4 +1,10 @@
-"""Integrator behavior on problems with closed-form answers."""
+"""Integrator behavior on problems with closed-form answers.
+
+integrate_ode calls f and event with a list of m times and a list of m
+rows, each a list of d floats; the fields and events below take rows.
+"""
+import ast
+import inspect
 import math
 import warnings
 
@@ -8,32 +14,39 @@ from scipy.integrate import solve_ivp
 
 from ksreg import ode
 from ksreg.bench import seed_state
-from ksreg.kepler_dynamics import (collision_event, kepler_vector_field,
-                                   preregularized_vector_field, radial_collision_event,
-                                   radial_ode_rhs)
+from ksreg.kepler_dynamics import (collision_event, kepler_rows, preregularized_rows,
+                                   radial_collision_event, radial_rows)
 from ksreg.ks_map import ks_batch
 from ksreg.ode import OdeResult, OdeResults, integrate_ode
 from ksreg.verify import FALL_GRID
 
 
-def _decay(t, y):
-    return -y
+def _decay(t, Y):
+    return [[-v for v in y] for y in Y]
 
 
-def _rotor(t, y):
-    return np.array([y[1], -y[0]])
+def _rotor(t, Y):
+    return [[y1, -y0] for y0, y1 in Y]
 
 
-def _overflow(t, y):
+def _unit_speed(t, Y):
+    return [[1.0] for _ in Y]
+
+
+def _first(t, Y):
+    """The first component of each row, as an event."""
+    return [y[0] for y in Y]
+
+
+def _overflow(t, Y):
     """Finite everywhere, but a step from y = 1e308 overflows to inf."""
-    return np.full_like(y, 1e308)
+    return [[1e308] * len(y) for y in Y]
 
 
-def _overflow_or_decay(t, y):
+def _overflow_or_decay(t, Y):
     """y = (x, kind): x runs at the speed 1e308 for kind 1, as in _overflow,
-    and decays for any other kind; one state or (2, m) columns."""
-    x, kind = y
-    return np.array([np.where(kind == 1, 1e308, -x), np.zeros_like(x)])
+    and decays for any other kind."""
+    return [[1e308 if kind == 1 else -x, 0.0] for x, kind in Y]
 
 
 class TestAccuracy:
@@ -106,8 +119,7 @@ class TestSampling:
 
 class TestEvents:
     def test_linear_crossing_found(self):
-        res = integrate_ode(lambda t, y: np.array([1.0]), np.array([-1.0]),
-                            (0.0, 5.0), event=lambda t, y: y[0])
+        res = integrate_ode(_unit_speed, np.array([-1.0]), (0.0, 5.0), event=_first)
         assert res.status == "event"
         assert abs(res.event_time - 1.0) < 1e-9
         assert abs(res.event_state[0]) < 1e-9
@@ -115,26 +127,24 @@ class TestEvents:
 
     def test_tiny_event_values_still_change_sign(self):
         # g_prev * g_new underflows to -0.0 here; the crossing must still fire.
-        res = integrate_ode(lambda t, y: np.array([1.0]), np.array([-1.0]),
-                            (0.0, 5.0), event=lambda t, y: 1e-200 * y[0])
+        res = integrate_ode(_unit_speed, np.array([-1.0]), (0.0, 5.0),
+                            event=lambda t, Y: [1e-200 * y[0] for y in Y])
         assert res.status == "event"
         assert abs(res.event_time - 1.0) < 1e-9
 
     def test_rotor_zero_crossing_at_quarter_period(self):
-        res = integrate_ode(_rotor, np.array([1.0, 0.0]), (0.0, 10.0),
-                            event=lambda t, y: y[0])
+        res = integrate_ode(_rotor, np.array([1.0, 0.0]), (0.0, 10.0), event=_first)
         assert res.status == "event"
         assert abs(res.event_time - np.pi / 2) < 1e-9
 
     def test_no_crossing_runs_to_completion(self):
         res = integrate_ode(_rotor, np.array([1.0, 0.0]), (0.0, 1.0),
-                            event=lambda t, y: y[0] - 5.0)
+                            event=lambda t, Y: [y[0] - 5.0 for y in Y])
         assert res.status == "completed"
         assert res.event_time is None
 
     def test_zero_at_the_start_is_an_event_at_the_start(self):
-        res = integrate_ode(lambda t, y: np.array([1.0]), np.array([0.0]),
-                            (0.0, 1.0), event=lambda t, y: y[0],
+        res = integrate_ode(_unit_speed, np.array([0.0]), (0.0, 1.0), event=_first,
                             t_eval=np.linspace(0.0, 1.0, 5))
         assert res.status == "event"
         assert res.event_time == 0.0
@@ -147,16 +157,16 @@ class TestEvents:
     def test_nan_at_the_start_ends_the_run_there(self):
         calls = []
 
-        def decay(t, y):
+        def decay(t, Y):
             calls.append(t)
-            return -y
+            return _decay(t, Y)
 
         # A NaN with its sign bit set, then y[0] ~ 1, which never crosses 0:
         # read as a sign, that NaN gave an event at t ~ 4.1e-27.
         signed_nan = -math.nan
         assert math.copysign(1.0, signed_nan) == -1.0
-        for event in (lambda t, y: y[0] * math.nan,
-                      lambda t, y: np.where(t == 0.0, signed_nan, y[0])):
+        for event in (lambda t, Y: [y[0] * math.nan for y in Y],
+                      lambda t, Y: [signed_nan if s == 0.0 else y[0] for s, y in zip(t, Y)]):
             calls.clear()
             res = integrate_ode(decay, [1.0], (0.0, 1.0), event=event,
                                 t_eval=np.linspace(0.0, 1.0, 5))
@@ -171,15 +181,14 @@ class TestEvents:
     def test_nan_inside_the_run_ends_it_at_the_last_number(self):
         calls = []
 
-        def decay(t, y):
+        def decay(t, Y):
             calls.append(t)
-            return -y
+            return _decay(t, Y)
 
         grid = np.linspace(0.05, 1.0, 20)
         res = integrate_ode(decay, [1.0], (0.0, 1.0), t_eval=grid,
-                            event=lambda t, y: np.where(t < 0.5, y[0], math.nan))
-        plain = integrate_ode(_decay, [1.0], (0.0, 1.0), t_eval=grid,
-                              event=lambda t, y: y[0])
+                            event=lambda t, Y: [y[0] if s < 0.5 else math.nan for s, y in zip(t, Y)])
+        plain = integrate_ode(_decay, [1.0], (0.0, 1.0), t_eval=grid, event=_first)
         assert res.status == "nonfinite" and res.event_time is None
         # Every state kept is one the run without the NaN takes, and none
         # lies past the last point where the event was a number.
@@ -195,8 +204,7 @@ class TestEvents:
         assert res.stats.rhs_evaluations == 1 + 6 * attempts
 
     def test_samples_before_event_are_kept(self):
-        res = integrate_ode(lambda t, y: np.array([1.0]), np.array([-1.0]),
-                            (0.0, 5.0), event=lambda t, y: y[0],
+        res = integrate_ode(_unit_speed, np.array([-1.0]), (0.0, 5.0), event=_first,
                             t_eval=np.linspace(0.0, 5.0, 51))
         assert res.status == "event"
         assert res.eval_times[-1] <= res.event_time + 1e-12
@@ -211,8 +219,8 @@ class TestAccounting:
         assert res.stats.steps == 5
 
     def test_nonfinite_rhs_ends_the_run(self):
-        def blows_up(t, y):
-            return np.array([np.inf]) if t > 0.5 else np.array([1.0])
+        def blows_up(t, Y):
+            return [[math.inf] if s > 0.5 else [1.0] for s in t]
 
         res = integrate_ode(blows_up, np.array([0.0]), (0.0, 1.0))
         assert res.status == "nonfinite"
@@ -240,18 +248,17 @@ class TestAccounting:
         _assert_same_run(runs[1], alone)
         assert np.array_equal(runs[1].states, alone.states)
 
-    @pytest.mark.blas_bits
     def test_infinite_slope_at_a_finite_end_point_rejects_the_row_alone(self):
         """f is inf for row 0 at its first end point only: that row's step is
         rejected, and the interpolants the other row's samples need stay
         free of its inf."""
         calls = []
 
-        def spike_at_first_end_point(t, y):
+        def spike_at_first_end_point(t, Y):
             calls.append(t)
-            dy = -y
+            dy = _decay(t, Y)
             if len(calls) == 7:  # f at t0, then stages 1-6 of the first attempt
-                dy[0, 0] = np.inf
+                dy[0][0] = math.inf
             return dy
 
         y0 = np.array([[1.0], [1.0]])
@@ -289,17 +296,14 @@ class TestAccounting:
         assert res.states.shape == (res.times.size, 1)
 
 
-def _kepler_field(t, w):
-    return kepler_vector_field(w)
-
-
-def _doubled_field(t, w):
-    return 2 * preregularized_vector_field(w)
+def _doubled_field(t, W):
+    return [[2 * v for v in row] for row in preregularized_rows(t, W)]
 
 
 def _dop853(f, w0, t_end, grid):
-    ref = solve_ivp(f, (0.0, t_end), w0, method="DOP853", rtol=1e-12, atol=1e-12,
-                    t_eval=grid)
+    """scipy's DOP853 on the row field f, called on one row."""
+    ref = solve_ivp(lambda t, y: f([t], [y.tolist()])[0], (0.0, t_end), w0, method="DOP853",
+                    rtol=1e-12, atol=1e-12, t_eval=grid)
     assert ref.success
     return ref.y.T
 
@@ -309,7 +313,7 @@ class TestAgainstDop853:
 
     @pytest.mark.parametrize(
         "f, z0, samples",
-        [(_kepler_field, seed_state(1e-2), 63),
+        [(kepler_rows, seed_state(1e-2), 63),
          (_doubled_field, [1.0, 0, 0, 0, 0, 0, 1, 0], 256)],
         ids=["raw_bench_seed", "harness_circular_seed"],
     )
@@ -330,8 +334,8 @@ class TestAgainstDop853:
         # not the last stage of the rejected attempt (which left the final
         # state 1.2e-3 away from the reference).
         w0 = ks_batch(seed_state(1e-2))[0]
-        res = integrate_ode(_kepler_field, w0, (0.0, 2 * math.pi))
-        ref = _dop853(_kepler_field, w0, 2 * math.pi, [2 * math.pi])
+        res = integrate_ode(kepler_rows, w0, (0.0, 2 * math.pi))
+        ref = _dop853(kepler_rows, w0, 2 * math.pi, [2 * math.pi])
         assert res.stats.rejected_steps > 0
         assert np.max(np.abs(res.states[-1] - ref[-1])) <= 1e-5
 
@@ -342,27 +346,30 @@ def _fall_block():
     return np.column_stack([r0, -np.sqrt(2 / r0 - 1)])
 
 
-def _mixed_field(t, y):
+def _mixed_speed(t, x, kind):
+    if kind == 1:
+        return math.inf if t > 0.5 else 1.0
+    return -30 * x if kind == 2 else 1.0
+
+
+def _mixed_field(t, Y):
     """y = (x, kind): kind 1 blows up after t = 0.5, kind 2 decays fast,
-    any other kind drifts at unit speed; one state or (2, m) columns."""
-    x, kind = y
-    dx = np.where(kind == 1, np.where(t > 0.5, np.inf, 1.0), np.where(kind == 2, -30 * x, 1.0))
-    return np.array([dx, np.zeros_like(x)])
+    any other kind drifts at unit speed."""
+    return [[_mixed_speed(s, x, kind), 0.0] for s, (x, kind) in zip(t, Y)]
 
 
-def _mixed_event(t, y):
+def _mixed_event(t, Y):
     """x for kind 0, which crosses 0 at t = 1 from x0 = -1; -1 otherwise."""
-    x, kind = y
-    return np.where(kind == 0, x, -1.0)
+    return [x if kind == 0 else -1.0 for x, kind in Y]
 
 
-def _clocked_field(t, y):
-    """A field that reads t in every stage; one state or (2, m) columns."""
-    return np.array([np.cos(3 * t) * y[1] + t, -y[0] * (1 + 0.1 * t)])
+def _clocked_field(t, Y):
+    """A field that reads t in every stage."""
+    return [[math.cos(3 * s) * y1 + s, -y0 * (1 + 0.1 * s)] for s, (y0, y1) in zip(t, Y)]
 
 
-def _clocked_event(t, y):
-    return y[0] - 1.5
+def _clocked_event(t, Y):
+    return [y[0] - 1.5 for y in Y]
 
 
 def _assert_same_run(row, alone):
@@ -382,13 +389,12 @@ def _assert_same_run(row, alone):
 class TestBlock:
     """An (n, d) y0 steps n rows in lockstep, each as it would run alone."""
 
-    @pytest.mark.blas_bits
     def test_fall_rows_match_their_lone_runs(self):
         y0 = _fall_block()
-        runs = integrate_ode(radial_ode_rhs, y0, (0.0, 4.0), event=radial_collision_event)
+        runs = integrate_ode(radial_rows, y0, (0.0, 4.0), event=radial_collision_event)
         assert isinstance(runs, OdeResults) and len(runs) == len(FALL_GRID)
         for row, start in zip(runs, y0):
-            alone = integrate_ode(radial_ode_rhs, start, (0.0, 4.0), event=radial_collision_event)
+            alone = integrate_ode(radial_rows, start, (0.0, 4.0), event=radial_collision_event)
             assert row.status == "event"
             _assert_same_run(row, alone)
         # The fall block's integrator fingerprint, as ksreg verify runs it.
@@ -396,8 +402,8 @@ class TestBlock:
         assert [r.stats.rejected_steps for r in runs] == [0] * 5
         assert [r.stats.rhs_evaluations for r in runs] == [2263, 2389, 2521, 2617, 2749]
         assert [r.event_time.hex() for r in runs] == [
-            "0x1.f623e8ae0cd4ap-5", "0x1.730a61f06c9a0p-3", "0x1.243f6a84727e4p-1",
-            "0x1.3a766fc0dbb02p+0", "0x1.921fb543092e0p+1"]
+            "0x1.f623e8ae0cd42p-5", "0x1.730a61f06c9a0p-3", "0x1.243f6a84727eap-1",
+            "0x1.3a766fc0dbb0cp+0", "0x1.921fb543092d6p+1"]
 
     def test_stage_times_match_the_lone_runs(self):
         # The field reads t at every stage, so each row's stage times must
@@ -418,9 +424,9 @@ class TestBlock:
         # |L| = 0.1 runs the whole period next to a colliding |L| = 1e-3 row.
         w0 = ks_batch(np.array([seed_state(1e-1), seed_state(1e-3)]))
         grid = np.linspace(0.0, 2 * math.pi, 2001)[1:-1]
-        runs = integrate_ode(_kepler_field, w0, (0.0, 2 * math.pi), t_eval=grid,
+        runs = integrate_ode(kepler_rows, w0, (0.0, 2 * math.pi), t_eval=grid,
                              event=collision_event)
-        alone = integrate_ode(_kepler_field, w0[0], (0.0, 2 * math.pi), t_eval=grid,
+        alone = integrate_ode(kepler_rows, w0[0], (0.0, 2 * math.pi), t_eval=grid,
                               event=collision_event)
         assert [r.status for r in runs] == ["completed", "event"]
         _assert_same_run(runs[0], alone)
@@ -428,9 +434,9 @@ class TestBlock:
     def test_rows_that_end_early_drop_out(self):
         calls = []
 
-        def field(t, y):
-            calls.append(y.shape[1])
-            return _mixed_field(t, y)
+        def field(t, Y):
+            calls.append(len(Y))
+            return _mixed_field(t, Y)
 
         y0 = np.array([[-1.0, 0.0], [0.0, 1.0], [1.0, 2.0], [0.0, 3.0]])
         runs = integrate_ode(field, y0, (0.0, 2.0), max_steps=40, event=_mixed_event)
@@ -445,7 +451,7 @@ class TestBlock:
         assert abs(runs[0].event_time - 1.0) < 1e-9
 
     def test_block_stats_sum_the_rows_as_ints(self):
-        runs = integrate_ode(radial_ode_rhs, _fall_block(), (0.0, 4.0),
+        runs = integrate_ode(radial_rows, _fall_block(), (0.0, 4.0),
                              event=radial_collision_event)
         for field in ("steps", "rejected_steps", "rhs_evaluations"):
             total = getattr(runs.stats, field)
@@ -472,35 +478,39 @@ class TestBlock:
                                                 t_eval=grid, event=_mixed_event))
 
     def test_a_lone_row_calls_f_and_event_on_one_column(self):
-        """A (d,) y0 is a one-row block: f, event and the event search get an
-        (m,) time array and (d, m) columns with m = 1, like any block."""
+        """A (d,) y0 is a one-row block: f, event and the event search get a
+        list of m times and a list of m rows of d floats with m = 1, like
+        any block."""
         seen = []
 
-        def field(t, y):
-            seen.append(("f", type(t), t.shape, y.shape))
-            return _rotor(t, y)
+        def shape(t, Y):
+            return (type(t), [type(s) for s in t], type(Y), [type(y) for y in Y],
+                    [[type(v) for v in y] for y in Y])
 
-        def crossing(t, y):
-            seen.append(("event", type(t), t.shape, y.shape))
-            return y[0]
+        def field(t, Y):
+            seen.append(("f", shape(t, Y)))
+            return _rotor(t, Y)
+
+        def crossing(t, Y):
+            seen.append(("event", shape(t, Y)))
+            return _first(t, Y)
 
         res = integrate_ode(field, [1.0, 0.0], (0.0, 4.0), t_eval=[1.0, 2.0], event=crossing)
         assert isinstance(res, OdeResult) and res.status == "event"
         assert res.states.shape == (res.times.size, 2) and res.event_state.shape == (2,)
-        assert all(call[1:] == (np.ndarray, (1,), (2, 1)) for call in seen)
+        one_row = (list, [float], list, [list], [[float, float]])
+        assert all(call[1] == one_row for call in seen)
         kinds = [call[0] for call in seen]
         assert kinds.count("f") == res.stats.rhs_evaluations
         # One event call at t0 and one per step; the rest are the search's.
         assert kinds.count("event") > 1 + res.stats.steps
-        block = integrate_ode(_rotor, [[1.0, 0.0]], (0.0, 4.0), t_eval=[1.0, 2.0],
-                              event=lambda t, y: y[0])
+        block = integrate_ode(_rotor, [[1.0, 0.0]], (0.0, 4.0), t_eval=[1.0, 2.0], event=_first)
         assert isinstance(block, OdeResults) and len(block) == 1
         _assert_same_run(block[0], res)
 
-    @pytest.mark.blas_bits
     def test_a_nan_event_ends_its_row_alone(self):
-        def event(t, y):
-            return np.where((t > 0.5) & (y[0] < 0.9), math.nan, 1.0)
+        def event(t, Y):
+            return [math.nan if s > 0.5 and y[0] < 0.9 else 1.0 for s, y in zip(t, Y)]
 
         y0 = np.array([[1.0], [3.0]])
         runs = integrate_ode(_decay, y0, (0.0, 1.0), event=event)
@@ -520,7 +530,7 @@ def _full_bisection(sign, side, t, h, y, Q):
     lo, hi = t, t + h
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if side * sign(np.array([mid]), ode._dense((mid - t) / h, y, Q)[None])[0] <= 0:
+        if side * sign([mid], [ode._dense((mid - t) / h, y, Q)])[0] <= 0:
             hi = mid
         else:
             lo = mid
@@ -535,9 +545,9 @@ def _counted(event, calls):
 
 
 _EVENT_RUNS = {
-    "linear": (lambda t, y: np.array([1.0]), [-1.0], 5.0, lambda t, y: y[0]),
-    "tiny": (lambda t, y: np.array([1.0]), [-1.0], 5.0, lambda t, y: 1e-200 * y[0]),
-    "rotor": (_rotor, [1.0, 0.0], 10.0, lambda t, y: y[0]),
+    "linear": (_unit_speed, [-1.0], 5.0, _first),
+    "tiny": (_unit_speed, [-1.0], 5.0, lambda t, Y: [1e-200 * y[0] for y in Y]),
+    "rotor": (_rotor, [1.0, 0.0], 10.0, _first),
     "orbit_collision": (_doubled_field, None, 3.0, collision_event),
 }
 
@@ -563,37 +573,37 @@ class TestEventSearchStopsEarly:
         assert len(early_calls) < len(full_calls)
 
     def test_fall_rows_match_the_full_bisection(self, monkeypatch):
-        early = integrate_ode(radial_ode_rhs, _fall_block(), (0.0, 4.0),
+        early = integrate_ode(radial_rows, _fall_block(), (0.0, 4.0),
                               event=radial_collision_event)
         monkeypatch.setattr(ode, "_locate", _full_bisection)
-        full = integrate_ode(radial_ode_rhs, _fall_block(), (0.0, 4.0),
+        full = integrate_ode(radial_rows, _fall_block(), (0.0, 4.0),
                              event=radial_collision_event)
         assert [r.event_time for r in early] == [r.event_time for r in full]
 
 
-def _noisy_decay(t, y):
+def _noisy_decay(t, Y):
     np.log(np.zeros(1))  # a RuntimeWarning under numpy's default settings
-    return -y
+    return _decay(t, Y)
 
 
-def _noisy_crossing(t, y):
+def _noisy_crossing(t, Y):
     np.log(np.zeros(1))
-    return _crossing_half(t, y)
+    return _crossing_half(t, Y)
 
 
-def _crossing_half(t, y):
-    return y[0] - 0.5
+def _crossing_half(t, Y):
+    return [y[0] - 0.5 for y in Y]
 
 
-def _infinite_past_half(t, y):
+def _infinite_past_half(t, Y):
     """-y until t = 0.5, inf after it: a row's step across 0.5 ends it nonfinite."""
-    return np.where(t > 0.5, np.inf, -y)
+    return [[math.inf] * len(y) if s > 0.5 else [-v for v in y] for s, y in zip(t, Y)]
 
 
-def _fails_past_half(t, y):
-    if np.any(t > 0.5):
+def _fails_past_half(t, Y):
+    if any(s > 0.5 for s in t):
         raise ValueError("f failed")
-    return -y
+    return _decay(t, Y)
 
 
 _LONE_AND_BLOCK = pytest.mark.parametrize("y0", [[1.0], [[1.0], [2.0]]], ids=["lone", "block"])
@@ -646,3 +656,82 @@ class TestCallerWarnings:
             with pytest.raises(ValueError, match="f failed"):
                 integrate_ode(_fails_past_half, y0, (0.0, 1.0))
             assert np.geterr() == _CALLER_SETTINGS
+
+
+def _unit(n, j, comp=0, d=1):
+    """n slopes of width d: slope j is the unit vector e_comp, the others 0."""
+    return [[1.0 if (i, c) == (j, comp) else 0.0 for c in range(d)] for i in range(n)]
+
+
+class TestTableau:
+    """The step's generated code is the Dormand-Prince tableau: with y = 0,
+    h = 1 and one slope the unit vector e, each function gives back its
+    entry of the tableau, and 0 where the tableau has 0."""
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_stage_inputs_are_the_rows_of_a(self, d):
+        stages, _ = ode._tableau(d)
+        assert [c for c, _ in stages] == ode._C[1:]
+        for i, (_, stage) in enumerate(stages, start=1):
+            for j in range(7):
+                for comp in range(d):
+                    K = [[k] for k in _unit(i, j, comp, d)]
+                    (got,) = stage([[0.0] * d], [1.0], K)
+                    want = ode._A[i, j] if j < i else 0.0
+                    assert got == [want if c == comp else 0.0 for c in range(d)]
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_squared_error_is_err_squared(self, d):
+        _, squared_errors = ode._tableau(d)
+        for j in range(7):
+            for comp in range(d):
+                K = [[k] for k in _unit(7, j, comp, d)]
+                (got,) = squared_errors([[0.0] * d], [[0.0] * d], [1.0], K, 1.0)
+                assert got == ode._ERR[j] * ode._ERR[j]
+        assert ode._ERR[1] == 0.0
+
+    def test_interpolant_coefficients_are_the_rows_of_p(self):
+        for j in range(7):
+            if j not in ode._DENSE:
+                assert not ode._P[j].any()
+                continue
+            got = ode._coefficients(1.0, *[1.0 if i == j else 0.0 for i in ode._DENSE])
+            assert list(got) == ode._P[j].tolist()
+
+
+_MATRIX_PRODUCTS = {"dot", "vecdot", "matmul", "einsum", "tensordot", "inner"}
+
+
+class TestOneArithmetic:
+    """The step, the error norm and the interpolant are elementwise Python
+    or numpy arithmetic in one written order, never a BLAS product."""
+
+    def test_ode_has_no_matrix_product(self):
+        tree = ast.parse(inspect.getsource(ode))
+        assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
+        called = {node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert not called & _MATRIX_PRODUCTS
+
+    def test_a_sample_in_the_event_step_is_the_python_interpolant(self, monkeypatch):
+        """On the CI collision seed a sample inside the event step, filled by
+        the deferred numpy pass, has the bits of the Python interpolant that
+        the event search evaluates at its theta."""
+        located, steps = ode._locate, []
+
+        def spy(sign, side, t, h, y, Q):
+            steps.append((t, h, y, Q))
+            return located(sign, side, t, h, y, Q)
+
+        monkeypatch.setattr(ode, "_locate", spy)
+        w0 = ks_batch([1.0, 0, 0, 0, 1.0, 0, 0, 0])[0]
+        res = integrate_ode(preregularized_rows, w0, (0.0, 6.0), event=collision_event)
+        ((t, h, y, Q),) = steps
+        tau = t + 0.5 * (res.event_time - t)
+        assert t < tau < res.event_time
+        sampled = integrate_ode(preregularized_rows, w0, (0.0, 6.0), t_eval=[tau],
+                                event=collision_event)
+        assert sampled.event_time == res.event_time
+        assert sampled.eval_times.tolist() == [tau]
+        want = np.array(ode._dense((tau - t) / h, y, Q))
+        assert sampled.eval_states[0].tobytes() == want.tobytes()
